@@ -97,18 +97,21 @@ echo "check.sh: metrics tier green (live scrape validated on port ${metrics_port
 if [[ "${DCP_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # ThreadSanitizer tier: every suite that spawns threads — the pool, the sharded
   # engine cache, dataloader look-ahead, the epoll service, replica failover/hedging,
-  # and the dedicated contention stress test (Plan vs cache_stats vs eviction vs
-  # shutdown). Any data race is a hard failure.
+  # the dedicated contention stress test (Plan vs cache_stats vs eviction vs
+  # shutdown), and concurrent readers of one shared mask. Any data race is a hard
+  # failure.
   cmake --preset tsan
   cmake --build --preset tsan -j "$(nproc)"
   ctest --test-dir build-tsan --output-on-failure \
-        -R 'test_thread_pool|test_engine|test_dataloader_concurrency|test_plan_service|test_replica_set|test_concurrency_stress'
+        -R 'test_thread_pool|test_engine|test_dataloader_concurrency|test_plan_service|test_replica_set|test_concurrency_stress|test_masks'
   # ASan/UBSan tier: smoke subset covering the codec/bounds-heavy paths (plan store
-  # records and bundles, wire frames end-to-end) plus the engine and the stress test.
+  # records and bundles, wire frames end-to-end), the engine and the stress test, and
+  # the closed-form int64 pair sums of mask segments and block generation (signed
+  # overflow is UB, so UBSan checks them).
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure \
-        -R 'test_plan_store|test_plan_service|test_engine|test_concurrency_stress'
+        -R 'test_plan_store|test_plan_service|test_engine|test_concurrency_stress|test_masks|test_block_gen'
 else
   echo "check.sh: DCP_SKIP_SANITIZERS=1, skipping tsan/asan-ubsan tiers"
 fi

@@ -42,6 +42,8 @@ BlockGraph GenerateBlocks(const BatchLayout& layout,
       const int64_t qe = layout.ChunkEnd(s, qc);
       // All masks are causal at heart: kv chunks beyond the q chunk are always empty, so
       // the scan per q chunk stops there (keeps generation O(tiles), not O(chunks^2)).
+      // Classify sums the tile's pairs in closed form over the mask's row segments, so a
+      // tile costs O(segments it overlaps), not O(block).
       for (ChunkId kc = 0; kc <= qc; ++kc) {
         const int64_t kb = layout.ChunkBegin(s, kc);
         const int64_t ke = layout.ChunkEnd(s, kc);

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
@@ -87,7 +88,8 @@ Status ValidatePlanRequest(std::span<const int64_t> seqlens, const MaskSpec& mas
         return Status::InvalidArgument(BadField("shared-question num_answers must be positive",
                                                 mask_spec.num_answers));
       }
-      if (mask_spec.answer_fraction <= 0.0 ||
+      // NaN fails every ordered comparison, so finiteness is checked first.
+      if (!std::isfinite(mask_spec.answer_fraction) || mask_spec.answer_fraction <= 0.0 ||
           mask_spec.answer_fraction * mask_spec.num_answers >= 1.0 + 1e-9) {
         return Status::InvalidArgument(
             "shared-question answer_fraction must be in (0, 1/num_answers]");
@@ -240,9 +242,9 @@ PlanHandle Engine::StoreLookup(const PlanSignature& sig,
   auto compiled = std::make_shared<CompiledPlan>();
   compiled->signature = sig;
   compiled->plan = std::move(loaded).value();
-  // Masks are derived, not persisted: rebuilding them is O(tokens), planning is not.
-  // This is the one disk-hit-path copy of the seqlens; the memory-hit path above never
-  // materializes them.
+  // Masks are derived, not persisted: rebuilding them is O(mask segments) — a handful
+  // per sequence — while planning is not. This is the one disk-hit-path copy of the
+  // seqlens; the memory-hit path above never materializes them.
   const std::vector<int64_t> owned(seqlens.begin(), seqlens.end());
   compiled->masks = BuildBatchMasks(mask_spec, owned);
   return CacheInsert(std::move(compiled));
@@ -297,9 +299,8 @@ StatusOr<PlanHandle> Engine::PlanWithBlockSize(std::span<const int64_t> seqlens,
   if (origin != nullptr) {
     *origin = PlanOrigin::kFresh;
   }
-  // Materialize only on the fresh-plan path: mask building and the planner are
-  // O(tokens)-and-up, so one vector copy is noise there, while the hit path above
-  // stayed copy-free.
+  // Materialize only on the fresh-plan path: next to the planner, one vector copy is
+  // noise, while the hit path above stays copy-free.
   const std::vector<int64_t> owned(seqlens.begin(), seqlens.end());
   auto compiled = std::make_shared<CompiledPlan>();
   compiled->signature = sig;

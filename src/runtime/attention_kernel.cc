@@ -30,6 +30,24 @@ LocalRanges IntersectRanges(const RangePair& ranges, int64_t kv_begin, int64_t k
   return out;
 }
 
+// Each query row's attended kv indices inside the tile, looked up once per tile and shared
+// by every head. A full tile attends the whole kv chunk on every row.
+std::vector<LocalRanges> TileRowRanges(const SequenceMask& mask, const TileArgs& args) {
+  const int64_t q_len = args.q_end - args.q_begin;
+  std::vector<LocalRanges> rows(static_cast<size_t>(q_len));
+  for (int64_t t = 0; t < q_len; ++t) {
+    LocalRanges& lr = rows[static_cast<size_t>(t)];
+    if (args.full) {
+      lr.e0 = args.kv_end - args.kv_begin;
+    } else {
+      lr = IntersectRanges(mask.ranges(args.q_begin + t), args.kv_begin, args.kv_end);
+    }
+  }
+  return rows;
+}
+
+bool Empty(const LocalRanges& lr) { return lr.e0 == lr.b0 && lr.e1 == lr.b1; }
+
 }  // namespace
 
 void AttentionTileForward(const SequenceMask& mask, const TileArgs& args,
@@ -47,18 +65,13 @@ void AttentionTileForward(const SequenceMask& mask, const TileArgs& args,
   const float* k_base = kv.data();
   const float* v_base = kv.data() + bs * d;
 
+  const std::vector<LocalRanges> rows = TileRowRanges(mask, args);
   std::vector<float> scores(static_cast<size_t>(kv_len));
   for (int h = 0; h < h_count; ++h) {
     for (int64_t t = 0; t < q_len; ++t) {
-      LocalRanges lr;
-      if (args.full) {
-        lr.b0 = 0;
-        lr.e0 = kv_len;
-      } else {
-        lr = IntersectRanges(mask.ranges(args.q_begin + t), args.kv_begin, args.kv_end);
-        if (lr.e0 == lr.b0 && lr.e1 == lr.b1) {
-          continue;  // Token fully masked in this tile.
-        }
+      const LocalRanges& lr = rows[static_cast<size_t>(t)];
+      if (Empty(lr)) {
+        continue;  // Token fully masked in this tile.
       }
       const float* q_row = q.data() + (static_cast<int64_t>(h) * bs + t) * d;
       // Scores over allowed local kv indices; track tile max.
@@ -179,7 +192,6 @@ void AttentionTileBackward(const SequenceMask& mask, const TileArgs& args,
   const int64_t bs = args.block_size;
   const int d = args.head_dim;
   const int64_t q_len = args.q_end - args.q_begin;
-  const int64_t kv_len = args.kv_end - args.kv_begin;
   const float scale = 1.0f / std::sqrt(static_cast<float>(d));
   const int64_t m_off = static_cast<int64_t>(h_count) * bs * d;
   const int64_t l_off = m_off + static_cast<int64_t>(h_count) * bs;
@@ -188,17 +200,12 @@ void AttentionTileBackward(const SequenceMask& mask, const TileArgs& args,
   float* dk_base = dkv.data();
   float* dv_base = dkv.data() + bs * d;
 
+  const std::vector<LocalRanges> rows = TileRowRanges(mask, args);
   for (int h = 0; h < h_count; ++h) {
     for (int64_t t = 0; t < q_len; ++t) {
-      LocalRanges lr;
-      if (args.full) {
-        lr.b0 = 0;
-        lr.e0 = kv_len;
-      } else {
-        lr = IntersectRanges(mask.ranges(args.q_begin + t), args.kv_begin, args.kv_end);
-        if (lr.e0 == lr.b0 && lr.e1 == lr.b1) {
-          continue;
-        }
+      const LocalRanges& lr = rows[static_cast<size_t>(t)];
+      if (Empty(lr)) {
+        continue;
       }
       const int64_t stat_idx = static_cast<int64_t>(h) * bs + t;
       const float m_final = acc_stats[static_cast<size_t>(m_off + stat_idx)];

@@ -261,6 +261,16 @@ TEST(Engine, UserInputErrorsAreRecoverableStatuses) {
   ASSERT_FALSE(bad_mask.ok());
   EXPECT_EQ(bad_mask.status().code(), StatusCode::kInvalidArgument);
 
+  // NaN and infinite fractions fail every ordered comparison; they must still be rejected
+  // here rather than reach the mask builder's invariant checks.
+  for (const double fraction : {std::numeric_limits<double>::quiet_NaN(),
+                                std::numeric_limits<double>::infinity()}) {
+    StatusOr<PlanHandle> non_finite =
+        engine.Plan({32}, MaskSpec::SharedQuestion(/*num_answers=*/4, fraction));
+    ASSERT_FALSE(non_finite.ok());
+    EXPECT_EQ(non_finite.status().code(), StatusCode::kInvalidArgument);
+  }
+
   ClusterSpec bad_cluster;
   bad_cluster.num_nodes = 0;
   Engine bad_engine(bad_cluster, SmallEngineOptions());

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -166,6 +167,13 @@ TEST(PlanService, ErrorsPropagateAsStatuses) {
   StatusOr<PlanHandle> negative = client->Plan({64, -3}, MaskSpec::Causal());
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().code(), StatusCode::kInvalidArgument);
+
+  // A NaN answer fraction decodes from the wire as-is; the tenant engine must reject it
+  // instead of aborting the server.
+  StatusOr<PlanHandle> nan_fraction = client->Plan(
+      {64}, MaskSpec::SharedQuestion(4, std::numeric_limits<double>::quiet_NaN()));
+  ASSERT_FALSE(nan_fraction.ok());
+  EXPECT_EQ(nan_fraction.status().code(), StatusCode::kInvalidArgument);
 
   // Unknown tenant: NOT_FOUND, and the connection keeps working afterwards.
   PlanClientOptions unknown_options;
