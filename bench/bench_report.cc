@@ -328,13 +328,12 @@ WarmStartRow MeasureWarmStart(DatasetKind dataset, MaskKind mask, int64_t block_
   row.k = cluster.num_devices();
   row.repeats = repeats;
 
-  std::string cold_serialized;
+  PlanHandle cold;
   {
     Engine writer(cluster, engine_options);
     const double start = NowSeconds();
-    const PlanHandle cold = writer.Plan(batch.seqlens, spec).value();
+    cold = writer.Plan(batch.seqlens, spec).value();
     row.cold_ms = (NowSeconds() - start) * 1e3;
-    cold_serialized = SerializePlan(cold->plan);
     if (writer.cache_stats().store_writes < 1) {
       std::fprintf(stderr, "bench_report: cold plan was not written to the store\n");
       std::exit(1);
@@ -351,7 +350,7 @@ WarmStartRow MeasureWarmStart(DatasetKind dataset, MaskKind mask, int64_t block_
       std::fprintf(stderr, "bench_report: warm start was not served from the store\n");
       std::exit(1);
     }
-    if (SerializePlan(warm->plan) != cold_serialized) {
+    if (warm->plan != cold->plan) {
       std::fprintf(stderr,
                    "bench_report: store-served plan differs from the cold plan\n");
       std::exit(1);
@@ -380,7 +379,7 @@ WarmStartRow MeasureWarmStart(DatasetKind dataset, MaskKind mask, int64_t block_
 std::string SerializeTimeless(const BatchPlan& plan) {
   BatchPlan copy = plan;
   copy.stats.planning_seconds = 0.0;
-  return SerializePlan(copy);
+  return SerializePlanBinary(copy);
 }
 
 // The planning-service row: one loopback PlanServer, measuring the full remote tier

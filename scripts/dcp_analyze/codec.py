@@ -34,7 +34,7 @@ from waivers import Finding
 
 @dataclasses.dataclass(frozen=True)
 class Group:
-    name: str                 # flavor label used in messages ("text", "binary"...)
+    name: str                 # flavor label used in messages ("plan-binary"...)
     structs: tuple[str, ...]  # structs whose every field must round-trip
     serialize: str
     deserialize: str
@@ -43,11 +43,6 @@ class Group:
 # The plan codec ships every struct reachable from BatchPlan; service messages
 # are flat.  PlanSignature rides in the PlanStore record header.
 GROUPS = (
-    Group("plan-text",
-          ("BatchPlan", "BatchLayout", "PlanStats", "DevicePlan", "LocalChunk",
-           "Instruction", "AttentionWorkItem", "ReduceItem", "CopyItem",
-           "TransferBlock", "BlockRef"),
-          "SerializePlan", "DeserializePlan"),
     Group("plan-binary",
           ("BatchPlan", "BatchLayout", "PlanStats", "DevicePlan", "LocalChunk",
            "Instruction", "AttentionWorkItem", "ReduceItem", "CopyItem",
@@ -57,13 +52,6 @@ GROUPS = (
           "SerializePlanServiceRequest", "DeserializePlanServiceRequest"),
     Group("service-response", ("PlanServiceResponse",),
           "SerializePlanServiceResponse", "DeserializePlanServiceResponse"),
-    Group("stats-request", ("PlanServiceStatsRequest",),
-          "SerializePlanServiceStatsRequest",
-          "DeserializePlanServiceStatsRequest"),
-    Group("stats-response",
-          ("PlanServiceStatsResponse", "PlanServiceTenantStats"),
-          "SerializePlanServiceStatsResponse",
-          "DeserializePlanServiceStatsResponse"),
     Group("metrics-request", ("PlanServiceMetricsRequest",),
           "SerializePlanServiceMetricsRequest",
           "DeserializePlanServiceMetricsRequest"),
@@ -79,8 +67,6 @@ GROUPS = (
 
 # Codec-shaped functions that are deliberately not groups of their own.
 EXEMPT_CODECS = {
-    # Convenience wrapper over DeserializePlan; no fields of its own.
-    "DeserializePlanOrDie",
     # Zero-copy mirror of DeserializePlanServiceRequest; byte-for-byte
     # equivalence is pinned by test_service_wire.
     "DeserializePlanServiceRequestView",

@@ -2,20 +2,6 @@
 
 namespace dcp {
 
-std::string SerializePlan(const BatchPlan& plan) {
-  std::string out;
-  out += std::to_string(plan.stats.total_bytes);
-  out += std::to_string(plan.stats.num_chunks);
-  return out;
-}
-
-bool DeserializePlan(const std::string& text, BatchPlan* plan) {
-  plan->stats.total_bytes = 0;
-  plan->stats.num_chunks = 0;
-  (void)text;
-  return true;
-}
-
 std::string SerializePlanBinary(const BatchPlan& plan) {
   std::string out;
   out += std::to_string(plan.stats.total_bytes);

@@ -1,5 +1,5 @@
 // Clean codec fixture: every PlanStats field is touched by both directions
-// of both codec flavors.
+// of the binary codec.
 #pragma once
 
 #include <cstdint>
@@ -16,8 +16,6 @@ struct BatchPlan {
   PlanStats stats;
 };
 
-std::string SerializePlan(const BatchPlan& plan);
-bool DeserializePlan(const std::string& text, BatchPlan* plan);
 std::string SerializePlanBinary(const BatchPlan& plan);
 bool DeserializePlanBinary(const std::string& bytes, BatchPlan* plan);
 

@@ -1,4 +1,4 @@
-// Seeded codec fixture: the text deserializer drops num_chunks and the
+// Seeded codec fixture: the binary deserializer drops num_chunks and the
 // binary serializer drops total_bytes — each direction must be flagged
 // independently, anchored at the field's declaration line.
 #pragma once
@@ -17,8 +17,6 @@ struct BatchPlan {
   PlanStats stats;
 };
 
-std::string SerializePlan(const BatchPlan& plan);
-bool DeserializePlan(const std::string& text, BatchPlan* plan);
 std::string SerializePlanBinary(const BatchPlan& plan);
 bool DeserializePlanBinary(const std::string& bytes, BatchPlan* plan);
 

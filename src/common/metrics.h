@@ -11,9 +11,10 @@
 //     lifetime: callers resolve once (constructor / function-local static) and
 //     then record with plain relaxed atomics — no lock, no lookup, no branch on
 //     the hot path beyond one relaxed flag load.
-//   - Counters and gauges are ALWAYS live: the legacy stats structs
-//     (PlanCacheStats, PlanServerStats, ReplicaSetStats) are thin views over
-//     registry counters, so disabling metrics must not make stats lie.
+//   - Counters and gauges are ALWAYS live: the typed stats structs
+//     (PlanCacheStats, PlanServerStats, ReplicaSetStats, PlanClientStats) are
+//     in-process views over registry counters, so disabling metrics must not
+//     make stats lie, and a scrape is the only remote observability surface.
 //     SetRecordingEnabled(false) only turns off *latency timing* (the clock
 //     reads), which is the only part with hit-path-visible cost; bench_report
 //     uses it to price the overhead.

@@ -256,6 +256,7 @@ class Engine : public Planner {
     metrics::Counter* hits = nullptr;
     metrics::Counter* misses = nullptr;
     metrics::Counter* evictions = nullptr;
+    metrics::Gauge* entries = nullptr;  // lru.size(), Set() with mu held.
     // Sampled (1 in 16) end-to-end hit latency: signature hash + LRU probe.
     metrics::Histogram* hit_latency_us = nullptr;
   };

@@ -105,337 +105,6 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
   return out.str();
 }
 
-namespace {
-
-void WriteRef(std::ostream& out, const BlockRef& ref) {
-  out << " " << static_cast<int>(ref.kind) << " " << ref.slot;
-}
-
-// Item-count sanity bound for both decoders: far above any real plan, low enough that a
-// corrupt count can never drive a pathological allocation loop.
-constexpr uint64_t kMaxPlanItems = uint64_t{1} << 26;
-
-constexpr int kMaxInstrKind = static_cast<int>(InstrKind::kCommWait);
-constexpr int kMaxReduceMode = static_cast<int>(ReduceMode::kComputeDelta);
-
-// Validating whitespace-token reader over the text format. Every read checks the stream
-// state so truncation surfaces as DATA_LOSS at the field where it happened instead of
-// zero-filling the rest of the plan.
-struct TextReader {
-  std::istringstream in;
-
-  explicit TextReader(const std::string& text) : in(text) {}
-
-  Status Fail(const std::string& what) { return Status::DataLoss("plan text: " + what); }
-
-  Status Expect(const char* tag) {
-    std::string got;
-    if (!(in >> got)) {
-      return Fail(std::string("truncated input, expected '") + tag + "' tag");
-    }
-    if (got != tag) {
-      return Fail(std::string("expected '") + tag + "' tag, got '" + got + "'");
-    }
-    return Status::Ok();
-  }
-
-  template <typename T>
-  Status Read(T* out, const char* what) {
-    if (!(in >> *out)) {
-      return Fail(std::string("truncated or malformed ") + what);
-    }
-    return Status::Ok();
-  }
-
-  Status ReadCount(uint64_t* out, const char* what) {
-    DCP_RETURN_IF_ERROR(Read(out, what));
-    if (*out > kMaxPlanItems) {
-      return Fail(std::string(what) + " is implausibly large");
-    }
-    return Status::Ok();
-  }
-
-  Status ReadRef(BlockRef* ref) {
-    int kind = 0;
-    DCP_RETURN_IF_ERROR(Read(&kind, "block-ref kind"));
-    if (kind < 0 || kind >= kNumBufKinds) {
-      return Fail("block-ref kind out of range");
-    }
-    ref->kind = static_cast<BufKind>(kind);
-    return Read(&ref->slot, "block-ref slot");
-  }
-};
-
-void WriteInstruction(std::ostream& out, const Instruction& instr) {
-  out << "I " << static_cast<int>(instr.kind) << " " << (instr.backward ? 1 : 0) << " "
-      << instr.flops << " " << instr.comm_bytes << " " << instr.mem_bytes << " "
-      << instr.host_overhead << " " << instr.transfer_id << " " << instr.peer << " "
-      << (instr.is_send ? 1 : 0) << " " << instr.attn_items.size() << " "
-      << instr.reduce_items.size() << " " << instr.copy_items.size() << " "
-      << instr.blocks.size() << "\n";
-  for (const AttentionWorkItem& item : instr.attn_items) {
-    out << "A";
-    WriteRef(out, item.q);
-    WriteRef(out, item.kv);
-    WriteRef(out, item.acc);
-    out << " " << item.seq << " " << item.group << " " << item.q_begin << " " << item.q_end
-        << " " << item.kv_begin << " " << item.kv_end << " " << (item.full ? 1 : 0);
-    WriteRef(out, item.dout);
-    WriteRef(out, item.delta);
-    WriteRef(out, item.dq);
-    WriteRef(out, item.dkv);
-    out << "\n";
-  }
-  for (const ReduceItem& item : instr.reduce_items) {
-    out << "R " << static_cast<int>(item.mode);
-    WriteRef(out, item.dst);
-    WriteRef(out, item.src0);
-    WriteRef(out, item.src1);
-    out << " " << item.token_count << "\n";
-  }
-  for (const CopyItem& item : instr.copy_items) {
-    out << "C";
-    WriteRef(out, item.dst);
-    WriteRef(out, item.src);
-    out << " " << item.token_count << "\n";
-  }
-  for (const TransferBlock& block : instr.blocks) {
-    out << "T";
-    WriteRef(out, block.ref);
-    out << " " << block.bytes << " " << block.token_count << "\n";
-  }
-}
-
-Status ReadInstructionText(TextReader& r, Instruction* instr) {
-  DCP_RETURN_IF_ERROR(r.Expect("I"));
-  int kind = 0;
-  int backward = 0;
-  int is_send = 0;
-  uint64_t num_attn = 0;
-  uint64_t num_reduce = 0;
-  uint64_t num_copy = 0;
-  uint64_t num_blocks = 0;
-  DCP_RETURN_IF_ERROR(r.Read(&kind, "instruction kind"));
-  if (kind < 0 || kind > kMaxInstrKind) {
-    return r.Fail("instruction kind out of range");
-  }
-  DCP_RETURN_IF_ERROR(r.Read(&backward, "instruction backward flag"));
-  DCP_RETURN_IF_ERROR(r.Read(&instr->flops, "instruction flops"));
-  DCP_RETURN_IF_ERROR(r.Read(&instr->comm_bytes, "instruction comm_bytes"));
-  DCP_RETURN_IF_ERROR(r.Read(&instr->mem_bytes, "instruction mem_bytes"));
-  DCP_RETURN_IF_ERROR(r.Read(&instr->host_overhead, "instruction host_overhead"));
-  DCP_RETURN_IF_ERROR(r.Read(&instr->transfer_id, "instruction transfer_id"));
-  DCP_RETURN_IF_ERROR(r.Read(&instr->peer, "instruction peer"));
-  DCP_RETURN_IF_ERROR(r.Read(&is_send, "instruction is_send flag"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_attn, "attention item count"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_reduce, "reduce item count"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_copy, "copy item count"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_blocks, "transfer block count"));
-  instr->kind = static_cast<InstrKind>(kind);
-  instr->backward = backward != 0;
-  instr->is_send = is_send != 0;
-  // Grow incrementally: a corrupt count fails at the first missing item instead of
-  // provoking a giant up-front allocation.
-  for (uint64_t i = 0; i < num_attn; ++i) {
-    AttentionWorkItem item;
-    DCP_RETURN_IF_ERROR(r.Expect("A"));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.q));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.kv));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.acc));
-    int full = 0;
-    DCP_RETURN_IF_ERROR(r.Read(&item.seq, "attention item seq"));
-    DCP_RETURN_IF_ERROR(r.Read(&item.group, "attention item group"));
-    DCP_RETURN_IF_ERROR(r.Read(&item.q_begin, "attention item q_begin"));
-    DCP_RETURN_IF_ERROR(r.Read(&item.q_end, "attention item q_end"));
-    DCP_RETURN_IF_ERROR(r.Read(&item.kv_begin, "attention item kv_begin"));
-    DCP_RETURN_IF_ERROR(r.Read(&item.kv_end, "attention item kv_end"));
-    DCP_RETURN_IF_ERROR(r.Read(&full, "attention item full flag"));
-    item.full = full != 0;
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.dout));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.delta));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.dq));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.dkv));
-    instr->attn_items.push_back(item);
-  }
-  for (uint64_t i = 0; i < num_reduce; ++i) {
-    ReduceItem item;
-    int mode = 0;
-    DCP_RETURN_IF_ERROR(r.Expect("R"));
-    DCP_RETURN_IF_ERROR(r.Read(&mode, "reduce mode"));
-    if (mode < 0 || mode > kMaxReduceMode) {
-      return r.Fail("reduce mode out of range");
-    }
-    item.mode = static_cast<ReduceMode>(mode);
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.dst));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.src0));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.src1));
-    DCP_RETURN_IF_ERROR(r.Read(&item.token_count, "reduce token_count"));
-    instr->reduce_items.push_back(item);
-  }
-  for (uint64_t i = 0; i < num_copy; ++i) {
-    CopyItem item;
-    DCP_RETURN_IF_ERROR(r.Expect("C"));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.dst));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&item.src));
-    DCP_RETURN_IF_ERROR(r.Read(&item.token_count, "copy token_count"));
-    instr->copy_items.push_back(item);
-  }
-  for (uint64_t i = 0; i < num_blocks; ++i) {
-    TransferBlock block;
-    DCP_RETURN_IF_ERROR(r.Expect("T"));
-    DCP_RETURN_IF_ERROR(r.ReadRef(&block.ref));
-    DCP_RETURN_IF_ERROR(r.Read(&block.bytes, "transfer bytes"));
-    DCP_RETURN_IF_ERROR(r.Read(&block.token_count, "transfer token_count"));
-    instr->blocks.push_back(block);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-std::string SerializePlan(const BatchPlan& plan) {
-  std::ostringstream out;
-  out.precision(17);
-  const BatchLayout& layout = plan.layout;
-  out << "DCPPLAN 2\n";
-  out << "LAYOUT " << layout.block_size << " " << layout.num_groups << " "
-      << layout.heads_per_group << " " << layout.head_dim << " " << layout.bytes_per_element
-      << " " << layout.seqlens.size() << "\n";
-  out << "SEQLENS";
-  for (int64_t len : layout.seqlens) {
-    out << " " << len;
-  }
-  out << "\n";
-  out << "HOME " << plan.chunk_home.size();
-  for (DeviceId d : plan.chunk_home) {
-    out << " " << d;
-  }
-  out << "\n";
-  out << "STATS " << plan.stats.total_comm_bytes << " " << plan.stats.inter_node_comm_bytes
-      << " " << plan.stats.max_device_comm_bytes << " " << plan.stats.total_flops << " "
-      << plan.stats.max_device_flops << " " << plan.stats.planning_seconds << " "
-      << plan.stats.partition_cost << " " << plan.stats.max_device_owned_bytes << " "
-      << plan.stats.min_device_owned_bytes << "\n";
-  out << "DEVICES " << plan.devices.size() << "\n";
-  for (const DevicePlan& dev : plan.devices) {
-    out << "DEVICE";
-    for (int32_t slots : dev.num_slots) {
-      out << " " << slots;
-    }
-    out << " " << dev.local_chunks.size() << " " << dev.instructions.size() << " "
-        << dev.backward_instructions.size() << "\n";
-    for (const LocalChunk& chunk : dev.local_chunks) {
-      out << "L " << chunk.seq << " " << chunk.chunk << " " << chunk.group << " "
-          << chunk.q_slot << " " << chunk.kv_slot << "\n";
-    }
-    for (const Instruction& instr : dev.instructions) {
-      WriteInstruction(out, instr);
-    }
-    for (const Instruction& instr : dev.backward_instructions) {
-      WriteInstruction(out, instr);
-    }
-  }
-  return out.str();
-}
-
-StatusOr<BatchPlan> DeserializePlan(const std::string& text) {
-  TextReader r(text);
-  int version = 0;
-  DCP_RETURN_IF_ERROR(r.Expect("DCPPLAN"));
-  DCP_RETURN_IF_ERROR(r.Read(&version, "format version"));
-  if (version != 1 && version != 2) {
-    return r.Fail("unsupported format version " + std::to_string(version));
-  }
-  BatchPlan plan;
-  BatchLayout& layout = plan.layout;
-  uint64_t num_seqs = 0;
-  DCP_RETURN_IF_ERROR(r.Expect("LAYOUT"));
-  DCP_RETURN_IF_ERROR(r.Read(&layout.block_size, "layout block_size"));
-  DCP_RETURN_IF_ERROR(r.Read(&layout.num_groups, "layout num_groups"));
-  DCP_RETURN_IF_ERROR(r.Read(&layout.heads_per_group, "layout heads_per_group"));
-  DCP_RETURN_IF_ERROR(r.Read(&layout.head_dim, "layout head_dim"));
-  DCP_RETURN_IF_ERROR(r.Read(&layout.bytes_per_element, "layout bytes_per_element"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_seqs, "sequence count"));
-  DCP_RETURN_IF_ERROR(r.Expect("SEQLENS"));
-  for (uint64_t s = 0; s < num_seqs; ++s) {
-    int64_t len = 0;
-    DCP_RETURN_IF_ERROR(r.Read(&len, "sequence length"));
-    layout.seqlens.push_back(len);
-  }
-  uint64_t num_chunks = 0;
-  DCP_RETURN_IF_ERROR(r.Expect("HOME"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_chunks, "chunk count"));
-  for (uint64_t c = 0; c < num_chunks; ++c) {
-    DeviceId d = 0;
-    DCP_RETURN_IF_ERROR(r.Read(&d, "chunk home device"));
-    plan.chunk_home.push_back(d);
-  }
-  DCP_RETURN_IF_ERROR(r.Expect("STATS"));
-  DCP_RETURN_IF_ERROR(r.Read(&plan.stats.total_comm_bytes, "stats total_comm_bytes"));
-  DCP_RETURN_IF_ERROR(
-      r.Read(&plan.stats.inter_node_comm_bytes, "stats inter_node_comm_bytes"));
-  DCP_RETURN_IF_ERROR(
-      r.Read(&plan.stats.max_device_comm_bytes, "stats max_device_comm_bytes"));
-  DCP_RETURN_IF_ERROR(r.Read(&plan.stats.total_flops, "stats total_flops"));
-  DCP_RETURN_IF_ERROR(r.Read(&plan.stats.max_device_flops, "stats max_device_flops"));
-  DCP_RETURN_IF_ERROR(r.Read(&plan.stats.planning_seconds, "stats planning_seconds"));
-  DCP_RETURN_IF_ERROR(r.Read(&plan.stats.partition_cost, "stats partition_cost"));
-  if (version >= 2) {
-    DCP_RETURN_IF_ERROR(
-        r.Read(&plan.stats.max_device_owned_bytes, "stats max_device_owned_bytes"));
-    DCP_RETURN_IF_ERROR(
-        r.Read(&plan.stats.min_device_owned_bytes, "stats min_device_owned_bytes"));
-  }  // Version 1 predates the owned-bytes pair: both stay zero.
-  uint64_t num_devices = 0;
-  DCP_RETURN_IF_ERROR(r.Expect("DEVICES"));
-  DCP_RETURN_IF_ERROR(r.ReadCount(&num_devices, "device count"));
-  for (uint64_t d = 0; d < num_devices; ++d) {
-    DevicePlan dev;
-    DCP_RETURN_IF_ERROR(r.Expect("DEVICE"));
-    for (int32_t& slots : dev.num_slots) {
-      DCP_RETURN_IF_ERROR(r.Read(&slots, "device slot count"));
-    }
-    uint64_t num_local = 0;
-    uint64_t num_fw = 0;
-    uint64_t num_bw = 0;
-    DCP_RETURN_IF_ERROR(r.ReadCount(&num_local, "local chunk count"));
-    DCP_RETURN_IF_ERROR(r.ReadCount(&num_fw, "forward instruction count"));
-    DCP_RETURN_IF_ERROR(r.ReadCount(&num_bw, "backward instruction count"));
-    for (uint64_t i = 0; i < num_local; ++i) {
-      LocalChunk chunk;
-      DCP_RETURN_IF_ERROR(r.Expect("L"));
-      DCP_RETURN_IF_ERROR(r.Read(&chunk.seq, "local chunk seq"));
-      DCP_RETURN_IF_ERROR(r.Read(&chunk.chunk, "local chunk index"));
-      DCP_RETURN_IF_ERROR(r.Read(&chunk.group, "local chunk group"));
-      DCP_RETURN_IF_ERROR(r.Read(&chunk.q_slot, "local chunk q_slot"));
-      DCP_RETURN_IF_ERROR(r.Read(&chunk.kv_slot, "local chunk kv_slot"));
-      dev.local_chunks.push_back(chunk);
-    }
-    for (uint64_t i = 0; i < num_fw; ++i) {
-      Instruction instr;
-      DCP_RETURN_IF_ERROR(ReadInstructionText(r, &instr));
-      dev.instructions.push_back(std::move(instr));
-    }
-    for (uint64_t i = 0; i < num_bw; ++i) {
-      Instruction instr;
-      DCP_RETURN_IF_ERROR(ReadInstructionText(r, &instr));
-      dev.backward_instructions.push_back(std::move(instr));
-    }
-    plan.devices.push_back(std::move(dev));
-  }
-  std::string rest;
-  if (r.in >> rest) {
-    return r.Fail("trailing garbage after plan ('" + rest + "')");
-  }
-  return plan;
-}
-
-BatchPlan DeserializePlanOrDie(const std::string& text) {
-  StatusOr<BatchPlan> plan = DeserializePlan(text);
-  DCP_CHECK(plan.ok()) << plan.status().ToString();
-  return std::move(plan).value();
-}
-
 // --- Binary encoding -------------------------------------------------------
 //
 // Compact byte-oriented encoding, assembled byte by byte so it is identical on any
@@ -447,11 +116,18 @@ BatchPlan DeserializePlanOrDie(const std::string& text) {
 //   layout   block_size, num_groups/heads_per_group/head_dim/bytes_per_element,
 //            num_seqs, seqlens[]
 //   home     num_chunks, devices[]
-//   stats    all nine PlanStats fields (text format v2 carries them all too)
+//   stats    all nine PlanStats fields
 //   devices  count, then per device: num_slots[kNumBufKinds],
 //            num_local/num_fw/num_bw, local chunks, fw instrs, bw instrs
 
 namespace {
+
+// Item-count sanity bound: far above any real plan, low enough that a corrupt count can
+// never drive a pathological allocation loop.
+constexpr uint64_t kMaxPlanItems = uint64_t{1} << 26;
+
+constexpr int kMaxInstrKind = static_cast<int>(InstrKind::kCommWait);
+constexpr int kMaxReduceMode = static_cast<int>(ReduceMode::kComputeDelta);
 
 constexpr char kBinaryMagic[4] = {'D', 'C', 'P', 'B'};
 constexpr uint32_t kPlanBinaryVersion = 1;
@@ -986,10 +662,10 @@ StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
 
 namespace {
 
-// v2 added the request deadline, the replica-sync (anti-entropy) messages, and the
-// shed/sync counters in the stats response. v3 added the plan request's trailing
-// trace_id and the metrics scrape messages; every v2 body parses unchanged under v3
-// (the request reader treats the trace_id as optional), so old clients keep working.
+// v2 added the request deadline and the replica-sync (anti-entropy) messages. v3 added
+// the plan request's trailing trace_id and the metrics scrape messages; every v2 body
+// parses unchanged under v3 (the request reader treats the trace_id as optional), so old
+// clients keep working.
 constexpr uint32_t kServiceMessageVersion = 3;
 constexpr uint32_t kMinServiceMessageVersion = 2;
 constexpr uint8_t kMaxMaskKind = static_cast<uint8_t>(MaskKind::kSharedQuestion);
@@ -998,8 +674,6 @@ constexpr uint8_t kMaxServeSource =
 constexpr size_t kMaxTenantNameBytes = 256;
 constexpr size_t kMaxStatusMessageBytes = 1 << 14;
 constexpr size_t kMaxMetricNameBytes = 256;
-// One tenant stats entry is at least a 1-byte name length plus ten 1-byte varints.
-constexpr size_t kMinTenantStatsBytes = 11;
 // One signature in a sync request is two fixed-width u64 lanes.
 constexpr size_t kSyncSignatureBytes = 16;
 
@@ -1213,95 +887,6 @@ StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view by
   // to fit in the remaining payload.
   response.record = r.Str(bytes.size(), "plan record exceeds message");
   DCP_RETURN_IF_ERROR(RejectTrailing(r, "plan response"));
-  return response;
-}
-
-std::string SerializePlanServiceStatsRequest(const PlanServiceStatsRequest& request) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.Str(request.tenant);
-  return w.Take();
-}
-
-StatusOr<PlanServiceStatsRequest> DeserializePlanServiceStatsRequest(
-    std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "stats request"));
-  PlanServiceStatsRequest request;
-  request.tenant = r.Str(kMaxTenantNameBytes, "tenant name too long");
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "stats request"));
-  return request;
-}
-
-std::string SerializePlanServiceStatsResponse(const PlanServiceStatsResponse& response) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.U8(static_cast<uint8_t>(response.code));
-  w.Str(response.message);
-  w.Zig(response.connections_accepted);
-  w.Zig(response.requests_received);
-  w.Zig(response.responses_sent);
-  w.Zig(response.rejected_overload);
-  w.Zig(response.malformed_frames);
-  w.Zig(response.shed_deadline);
-  w.Zig(response.sync_records_shipped);
-  w.Zig(response.sync_records_adopted);
-  w.Count(response.tenants.size());
-  for (const PlanServiceTenantStats& t : response.tenants) {
-    w.Str(t.tenant);
-    w.Zig(t.requests);
-    w.Zig(t.plan_errors);
-    w.Zig(t.shed_quota);
-    w.Zig(t.cache_hits);
-    w.Zig(t.cache_misses);
-    w.Zig(t.cache_evictions);
-    w.Zig(t.cache_entries);
-    w.Zig(t.store_hits);
-    w.Zig(t.store_writes);
-    w.Zig(t.store_corrupt_skipped);
-  }
-  return w.Take();
-}
-
-StatusOr<PlanServiceStatsResponse> DeserializePlanServiceStatsResponse(
-    std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "stats response"));
-  PlanServiceStatsResponse response;
-  DCP_RETURN_IF_ERROR(ReadStatusCodeBin(r, &response.code));
-  response.message = r.Str(kMaxStatusMessageBytes, "status message too long");
-  response.connections_accepted = r.Zig();
-  response.requests_received = r.Zig();
-  response.responses_sent = r.Zig();
-  response.rejected_overload = r.Zig();
-  response.malformed_frames = r.Zig();
-  response.shed_deadline = r.Zig();
-  response.sync_records_shipped = r.Zig();
-  response.sync_records_adopted = r.Zig();
-  const uint32_t num_tenants = r.BoundedCount(kMinTenantStatsBytes, "tenant count");
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  response.tenants.reserve(num_tenants);
-  for (uint32_t i = 0; i < num_tenants; ++i) {
-    PlanServiceTenantStats t;
-    t.tenant = r.Str(kMaxTenantNameBytes, "tenant name too long");
-    t.requests = r.Zig();
-    t.plan_errors = r.Zig();
-    t.shed_quota = r.Zig();
-    t.cache_hits = r.Zig();
-    t.cache_misses = r.Zig();
-    t.cache_evictions = r.Zig();
-    t.cache_entries = r.Zig();
-    t.store_hits = r.Zig();
-    t.store_writes = r.Zig();
-    t.store_corrupt_skipped = r.Zig();
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
-    response.tenants.push_back(std::move(t));
-  }
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "stats response"));
   return response;
 }
 

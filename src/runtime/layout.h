@@ -21,6 +21,8 @@ struct BatchLayout {
   int head_dim = 128;
   int bytes_per_element = 2;  // bf16 on the wire, matching the paper's training dtype.
 
+  bool operator==(const BatchLayout&) const = default;
+
   int num_sequences() const { return static_cast<int>(seqlens.size()); }
 
   int NumChunks(SeqId s) const {

@@ -39,8 +39,17 @@ uint64_t ReadU64At(const char* bytes) {
 }
 
 bool IsKnownFrameType(uint32_t type) {
-  return type >= static_cast<uint32_t>(FrameType::kPlanRequest) &&
-         type <= static_cast<uint32_t>(FrameType::kMetricsResponse);
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kPlanRequest:
+    case FrameType::kPlanResponse:
+    case FrameType::kErrorResponse:
+    case FrameType::kSyncRequest:
+    case FrameType::kSyncResponse:
+    case FrameType::kMetricsRequest:
+    case FrameType::kMetricsResponse:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace

@@ -30,8 +30,8 @@ namespace dcp {
 enum class FrameType : uint32_t {
   kPlanRequest = 1,
   kPlanResponse = 2,
-  kStatsRequest = 3,
-  kStatsResponse = 4,
+  // 3 and 4 belonged to the retired stats RPC (superseded by the metrics scrape); they
+  // stay unassigned so an old peer's stats frame is rejected as an unknown type.
   // A connection-level failure (malformed frame, unknown type): payload is a
   // PlanServiceResponse carrying only the status. The sender closes afterwards.
   kErrorResponse = 5,

@@ -66,6 +66,19 @@ PlanClient::PlanClient(ServiceAddress address, PlanClientOptions options)
     : address_(std::move(address)), options_(std::move(options)) {
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.planner_threads));
   metrics_ = metrics::Registry::NewAttached({{"tenant", options_.tenant}});
+  const auto counter = [&](const char* name, const char* help) {
+    return metrics_->GetCounter(name, {}, help);
+  };
+  counters_.cache_hits = counter("dcp_client_cache_hits_total",
+                                 "Plans served from the client LRU without an RPC.");
+  counters_.rpcs_sent = counter("dcp_client_rpcs_sent_total",
+                                "Request frames written, retries included.");
+  counters_.rpc_errors = counter("dcp_client_rpc_errors_total",
+                                 "Transport or framing failures (not server statuses).");
+  counters_.reconnects = counter("dcp_client_reconnects_total",
+                                 "Connections re-established after a failure.");
+  counters_.retries = counter("dcp_client_retries_total",
+                              "Attempts beyond the first, across all RPCs.");
   for (int s = 0; s < 5; ++s) {
     serve_latency_us_[s] = metrics_->GetHistogram(
         "dcp_client_plan_latency_us",
@@ -101,8 +114,7 @@ Status PlanClient::EnsureConnectedLocked() {
   socket_ = std::move(socket).value();
   socket_.set_io_timeout_ms(options_.io_timeout_ms);
   connected_ = true;
-  MutexLock lock(stats_mu_);
-  ++stats_.reconnects;
+  counters_.reconnects->Increment();
   return Status::Ok();
 }
 
@@ -121,8 +133,7 @@ StatusOr<Frame> PlanClient::Roundtrip(FrameType request_type,
       // runs on a fresh connection (the failed socket was closed below).
       std::this_thread::sleep_for(
           std::chrono::milliseconds(RetryBackoffMs(options_.retry, attempt)));
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.retries;
+      counters_.retries->Increment();
     }
     Status connect = EnsureConnectedLocked();
     if (!connect.ok()) {
@@ -132,10 +143,7 @@ StatusOr<Frame> PlanClient::Roundtrip(FrameType request_type,
       }
       continue;
     }
-    {
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.rpcs_sent;
-    }
+    counters_.rpcs_sent->Increment();
     Status sent = WriteFrame(socket_, request_type, payload);
     StatusOr<Frame> reply = sent.ok() ? ReadFrame(socket_, max_payload)
                                       : StatusOr<Frame>(sent);
@@ -157,10 +165,7 @@ StatusOr<Frame> PlanClient::Roundtrip(FrameType request_type,
     } else {
       failure = reply.status();
     }
-    {
-      MutexLock stats_lock(stats_mu_);
-      ++stats_.rpc_errors;
-    }
+    counters_.rpc_errors->Increment();
     connected_ = false;
     socket_.Close();
     // Only transport-level failures are worth (and safe to) chase: the RPC is
@@ -228,10 +233,7 @@ StatusOr<PlanHandle> PlanClient::PlanWithBlockSize(const std::vector<int64_t>& s
       MutexLock lock(cache_mu_);
       last_source_ = PlanServeSource::kClientCache;
     }
-    {
-      MutexLock lock(stats_mu_);
-      ++stats_.cache_hits;
-    }
+    counters_.cache_hits->Increment();
     if (timed) {
       const int64_t probe_us = metrics::MonotonicMicros() - start_us;
       metrics::RecordPhase(metrics::TracePhase::kCacheProbe, probe_us);
@@ -320,22 +322,6 @@ PlanServeSource PlanClient::last_source() const {
   return last_source_;
 }
 
-StatusOr<PlanServiceStatsResponse> PlanClient::ServerStats(
-    const std::string& tenant_filter) {
-  PlanServiceStatsRequest request;
-  request.tenant = tenant_filter;
-  StatusOr<Frame> reply =
-      Roundtrip(FrameType::kStatsRequest, SerializePlanServiceStatsRequest(request),
-                FrameType::kStatsResponse);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (reply.value().type == FrameType::kErrorResponse) {
-    return DecodeErrorFrame(reply.value());
-  }
-  return DeserializePlanServiceStatsResponse(reply.value().payload);
-}
-
 StatusOr<PlanServiceMetricsResponse> PlanClient::ServerMetrics(
     const std::string& name_prefix) {
   PlanServiceMetricsRequest request;
@@ -362,8 +348,13 @@ StatusOr<PlanServiceMetricsResponse> PlanClient::ServerMetrics(
 }
 
 PlanClientStats PlanClient::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  PlanClientStats snapshot;
+  snapshot.cache_hits = counters_.cache_hits->value();
+  snapshot.rpcs_sent = counters_.rpcs_sent->value();
+  snapshot.rpc_errors = counters_.rpc_errors->value();
+  snapshot.reconnects = counters_.reconnects->value();
+  snapshot.retries = counters_.retries->value();
+  return snapshot;
 }
 
 void PlanClient::ClearCache() {

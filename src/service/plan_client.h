@@ -119,8 +119,6 @@ class PlanClient : public Planner {
   // server memory/store cache, or freshly planned). For benches and tests.
   PlanServeSource last_source() const;
 
-  StatusOr<PlanServiceStatsResponse> ServerStats(const std::string& tenant_filter = "");
-
   // One metrics scrape from the server: Prometheus text for every series whose
   // name starts with `name_prefix` ("" for everything). Requires a v3 server.
   StatusOr<PlanServiceMetricsResponse> ServerMetrics(
@@ -128,6 +126,7 @@ class PlanClient : public Planner {
 
   const ServiceAddress& address() const { return address_; }
   const PlanClientOptions& options() const { return options_; }
+  // Snapshot of the client's registry counters (see counters_).
   PlanClientStats stats() const;
   void ClearCache();
 
@@ -156,8 +155,8 @@ class PlanClient : public Planner {
   const PlanClientOptions options_;
   std::unique_ptr<ThreadPool> pool_;
 
-  // Serializes RPCs on the single connection; stats are bumped under it.
-  Mutex io_mu_ DCP_ACQUIRED_BEFORE(stats_mu_);
+  // Serializes RPCs on the single connection.
+  Mutex io_mu_;
   Socket socket_ DCP_GUARDED_BY(io_mu_);
   bool connected_ DCP_GUARDED_BY(io_mu_) = false;
 
@@ -169,13 +168,21 @@ class PlanClient : public Planner {
       cache_ DCP_GUARDED_BY(cache_mu_);
   PlanServeSource last_source_ DCP_GUARDED_BY(cache_mu_) = PlanServeSource::kPlanned;
 
-  mutable Mutex stats_mu_;
-  PlanClientStats stats_ DCP_GUARDED_BY(stats_mu_);
-
+  // Client instruments in a child registry labeled {tenant=<options.tenant>},
+  // resolved once at construction. The counters are plain atomics after that, so
+  // PlanClientStats is a thin view that never disagrees with a scrape.
+  std::shared_ptr<metrics::Registry> metrics_;
+  struct ClientCounters {
+    metrics::Counter* cache_hits = nullptr;
+    metrics::Counter* rpcs_sent = nullptr;
+    metrics::Counter* rpc_errors = nullptr;
+    metrics::Counter* reconnects = nullptr;
+    metrics::Counter* retries = nullptr;
+  };
+  ClientCounters counters_;
   // Client-observed plan latency per serve source, {tenant=, source=}. This is
   // the only place kClientCache can be measured (the server never sees those
   // requests), completing the per-source latency picture a scrape shows.
-  std::shared_ptr<metrics::Registry> metrics_;
   metrics::Histogram* serve_latency_us_[5] = {};
 };
 

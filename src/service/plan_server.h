@@ -158,8 +158,6 @@ class PlanServer {
   PlanServerStats stats() const;
   // Recent completed plan-request traces, newest first (see trace_ring_capacity).
   std::vector<metrics::Trace> recent_traces() const { return trace_ring_.Snapshot(); }
-  // The stats RPC's view: server counters + per-tenant engine cache counters.
-  PlanServiceStatsResponse BuildStatsResponse(const std::string& tenant_filter) const;
 
   TenantRegistry& registry() { return *registry_; }
 

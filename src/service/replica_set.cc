@@ -404,9 +404,9 @@ StatusOr<PlanHandle> ReplicaSet::PlanWithBlockSize(
   {
     MutexLock lock(call->mu);
     ++call->launched;
-    // Hedging bookkeeping: LaunchAttempt bumps stats_mu_/outstanding_->mu in
-    // their own scopes, and neither is ever held when a HedgedCall::mu is
-    // acquired, so the nesting cannot invert.
+    // Hedging bookkeeping: LaunchAttempt takes outstanding_->mu in its own scope
+    // (its counters are lock-free registry cells), and outstanding_->mu is never
+    // held when a HedgedCall::mu is acquired, so the nesting cannot invert.
     // dcp-analyze: allow(lock-order): cross-class nesting documented above.
     LaunchAttempt(call, replicas_[live[cursor]], /*is_hedge=*/false);
     ++cursor;

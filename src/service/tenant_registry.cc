@@ -1,6 +1,7 @@
 #include "service/tenant_registry.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace dcp {
 
@@ -11,9 +12,15 @@ Status TenantRegistry::Register(const TenantConfig& config) {
   if (config.name.size() > 256) {
     return Status::InvalidArgument("tenant name too long: " + config.name);
   }
+  // Label the engine's cache and store series with the tenant, or every tenant's
+  // series would merge into one in a scrape.
+  EngineOptions options = config.options;
+  if (options.metrics_tenant.empty()) {
+    options.metrics_tenant = config.name;
+  }
   // Engine construction (store warm-load included) happens outside the lock; only the
   // map insert is serialized.
-  auto engine = std::make_shared<Engine>(config.cluster, config.options);
+  auto engine = std::make_shared<Engine>(config.cluster, std::move(options));
   MutexLock lock(mu_);
   const auto [it, inserted] = tenants_.emplace(config.name, std::move(engine));
   (void)it;

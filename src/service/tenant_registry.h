@@ -32,7 +32,8 @@ class TenantRegistry {
   TenantRegistry& operator=(const TenantRegistry&) = delete;
 
   // Constructs the tenant's Engine eagerly (warm-loading its plan store, if any), so
-  // the first request pays no setup. Rejects empty and duplicate names.
+  // the first request pays no setup. Rejects empty and duplicate names. The engine's
+  // metrics carry tenant="<name>" unless config.options.metrics_tenant says otherwise.
   Status Register(const TenantConfig& config);
 
   // The tenant's engine, or nullptr when unknown. Engines are shared_ptr so in-flight

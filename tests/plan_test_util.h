@@ -2,15 +2,17 @@
 // (seqlens, mask, cluster shape, block size) cases whose plans exercise every mask kind,
 // multi-node clusters, and ragged chunk boundaries. Used by test_property_plans.cc (plan
 // validity + numeric equivalence) and test_plan_store.cc (serialization round-trips and
-// corruption injection).
+// corruption injection), plus the timeless-bytes form every bit-identity check uses.
 #ifndef DCP_TESTS_PLAN_TEST_UTIL_H_
 #define DCP_TESTS_PLAN_TEST_UTIL_H_
 
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/planner.h"
 #include "masks/mask.h"
+#include "runtime/instructions.h"
 
 namespace dcp {
 namespace plan_test {
@@ -60,6 +62,15 @@ inline MaskSpec SmallMaskSpec(MaskKind kind) {
   spec.window_tokens = 13;
   spec.icl_block_tokens = 8;
   return spec;
+}
+
+// Binary plan bytes for bit-identity checks between independent planning runs:
+// everything in a plan is deterministic except stats.planning_seconds, a wall-clock
+// measurement of the producing run, which is zeroed first. Bytes compare every double
+// bitwise, so this is stricter than any decimal form.
+inline std::string SerializeTimeless(BatchPlan plan) {
+  plan.stats.planning_seconds = 0.0;
+  return SerializePlanBinary(plan);
 }
 
 }  // namespace plan_test

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/plan_test_util.h"
+
 namespace dcp {
 namespace {
 
@@ -55,10 +57,7 @@ std::vector<IterationRecord> Drain(int planner_threads, int lookahead, int itera
     EXPECT_LE(loader.PendingPlans(), lookahead + 1)
         << "lookahead window exceeded at iteration " << i;
     PlannedIteration it = loader.Next();
-    BatchPlan plan = it.plan();            // Copy: handles are immutable.
-    plan.stats.planning_seconds = 0.0;     // Wall clock is the one legitimately
-                                           // thread-dependent field.
-    records.push_back({it.batch.seqlens, SerializePlan(plan)});
+    records.push_back({it.batch.seqlens, plan_test::SerializeTimeless(it.plan())});
     EXPECT_LE(loader.PendingPlans(), lookahead + 1);
   }
   return records;

@@ -3,9 +3,12 @@
 // serialized plans from planner machines to workers), and hand-broken plans are rejected.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "common/rng.h"
 #include "core/planner.h"
 #include "runtime/executor.h"
+#include "runtime/instructions.h"
 #include "runtime/reference_attention.h"
 
 namespace dcp {
@@ -85,7 +88,9 @@ TEST(PlanPortability, DeserializedPlanExecutesIdentically) {
   const std::vector<int64_t> seqlens = {55, 32, 20};
   std::vector<SequenceMask> masks = BuildBatchMasks(MaskSpec::Lambda(4, 12), seqlens);
   BatchPlan original = PlanBatch(seqlens, masks, cluster, options);
-  BatchPlan restored = DeserializePlanOrDie(SerializePlan(original));
+  StatusOr<BatchPlan> decoded = DeserializePlanBinary(SerializePlanBinary(original));
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  BatchPlan restored = std::move(decoded).value();
 
   Rng rng(17);
   std::vector<SeqTensors> inputs;

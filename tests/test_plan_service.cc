@@ -1,6 +1,6 @@
 // End-to-end tests for dcp::PlanService: a real PlanServer on a loopback TCP socket,
 // real PlanClients, and the acceptance bar from the subsystem's introduction —
-// responses bit-identical to in-process Engine::Plan (asserted via SerializePlan),
+// responses bit-identical to in-process Engine::Plan (asserted on timeless plan bytes),
 // tenants never observing each other's plans, malformed frames never killing the
 // server, and overload rejected with UNAVAILABLE instead of queued without bound.
 #include <arpa/inet.h>
@@ -15,6 +15,8 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +37,8 @@
 namespace dcp {
 namespace {
 
+using plan_test::SerializeTimeless;
+
 ClusterSpec SmallCluster(int nodes, int devices) {
   ClusterSpec cluster;
   cluster.num_nodes = nodes;
@@ -53,13 +57,24 @@ EngineOptions SmallEngineOptions(int64_t block_size, uint64_t seed = 7) {
   return options;
 }
 
-// Serialization for bit-identity assertions between independent planning runs:
-// everything in a plan is deterministic except stats.planning_seconds, which is a
-// wall-clock measurement of the run that produced it — zeroed before comparing.
-std::string SerializeTimeless(const BatchPlan& plan) {
-  BatchPlan copy = plan;
-  copy.stats.planning_seconds = 0.0;
-  return SerializePlan(copy);
+// Sum of every sample of `family` in a Prometheus text scrape whose labels include
+// `label` (e.g. tenant="x"; empty matches any), or nullopt when there is no such
+// sample. Engine series carry one sample per cache shard; the sum is the tenant total.
+std::optional<int64_t> ScrapeSum(const std::string& text, const std::string& family,
+                                 const std::string& label = "") {
+  std::optional<int64_t> sum;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(family, 0) != 0 || line.size() <= family.size() ||
+        (line[family.size()] != '{' && line[family.size()] != ' ')) {
+      continue;
+    }
+    if (!label.empty() && line.find(label) == std::string::npos) {
+      continue;
+    }
+    sum = sum.value_or(0) + std::stoll(line.substr(line.rfind(' ') + 1));
+  }
+  return sum;
 }
 
 // A server over loopback TCP with the given tenants, torn down on destruction.
@@ -249,7 +264,7 @@ TEST(PlanService, MalformedFramesNeverKillTheServer) {
 }
 
 // The subsystem's stress bar: N client threads x M tenants hammering one server, every
-// response asserted bit-identical (via SerializePlan) to a fresh in-process plan.
+// response asserted bit-identical (timeless plan bytes) to a fresh in-process plan.
 TEST(PlanService, StressManyClientThreadsManyTenants) {
   constexpr int kTenants = 3;
   constexpr int kThreadsPerTenant = 2;
@@ -334,35 +349,111 @@ TEST(PlanService, StressManyClientThreadsManyTenants) {
   EXPECT_EQ(stats.rejected_overload, 0);
 }
 
-TEST(PlanService, StatsRpcReportsServiceAndTenantCounters) {
-  ServiceFixture service({{"prod", SmallCluster(1, 2), SmallEngineOptions(16)},
-                          {"dev", SmallCluster(1, 2), SmallEngineOptions(24)}});
-  std::unique_ptr<PlanClient> client = service.Client("prod");
-  ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());
-  ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());  // Client-cache hit.
-  client->ClearCache();
-  ASSERT_TRUE(client->Plan({64, 32}, MaskSpec::Causal()).ok());  // Server-cache hit.
+// Every counter the retired stats RPC reported is readable from one metrics scrape,
+// and a multi-tenant server's engine and store series carry their tenant's label
+// instead of merging. Tenant names are unique to this test: the registry is
+// process-global, so series from any other engine would share the label.
+TEST(PlanService, ScrapeSeparatesPerTenantEngineAndStoreSeries) {
+  namespace fs = std::filesystem;
+  const fs::path store_dir = fs::path(::testing::TempDir()) / "dcp_scrape_tenant_store";
+  fs::remove_all(store_dir);
+  const ClusterSpec cluster = SmallCluster(1, 2);
+  EngineOptions alpha_options = SmallEngineOptions(16);
+  alpha_options.plan_store_path = store_dir.string();
+  alpha_options.plan_cache_capacity = 1;  // Every new shape evicts the last one.
+  alpha_options.plan_cache_shards = 1;
+  const std::vector<int64_t> shape_x = {64, 32};
+  const std::vector<int64_t> shape_torn = {48, 24};
+  const MaskSpec mask = MaskSpec::Causal();
 
-  StatusOr<PlanServiceStatsResponse> stats = client->ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats.value().code, StatusCode::kOk);
-  EXPECT_GE(stats.value().requests_received, 3);  // 2 plans + the stats RPC itself.
-  ASSERT_EQ(stats.value().tenants.size(), 2u);  // Sorted: dev, prod.
-  EXPECT_EQ(stats.value().tenants[0].tenant, "dev");
-  EXPECT_EQ(stats.value().tenants[1].tenant, "prod");
-  EXPECT_EQ(stats.value().tenants[1].requests, 2);
-  EXPECT_EQ(stats.value().tenants[1].cache_hits, 1);    // The server-cache hit.
-  EXPECT_EQ(stats.value().tenants[1].cache_misses, 1);  // The cold plan.
-  EXPECT_EQ(stats.value().tenants[0].requests, 0);
+  // Seed the store with a record for shape_torn, then tear it in half. The seeding
+  // engine is unlabeled, so it leaves no tenant series behind.
+  {
+    Engine seeder(cluster, alpha_options);
+    ASSERT_TRUE(seeder.Plan(shape_torn, mask).ok());
+  }
+  const PlanSignature torn_sig =
+      ComputePlanSignature(shape_torn, mask, cluster, alpha_options.planner);
+  const fs::path torn_path = store_dir / (torn_sig.ToHex() + ".dcpplan");
+  ASSERT_TRUE(fs::exists(torn_path));
+  fs::resize_file(torn_path, fs::file_size(torn_path) / 2);
 
-  // Filtered stats: one tenant; unknown tenant is NOT_FOUND.
-  StatusOr<PlanServiceStatsResponse> filtered = client->ServerStats("prod");
-  ASSERT_TRUE(filtered.ok());
-  ASSERT_EQ(filtered.value().tenants.size(), 1u);
-  EXPECT_EQ(filtered.value().tenants[0].tenant, "prod");
-  StatusOr<PlanServiceStatsResponse> missing = client->ServerStats("nobody");
-  ASSERT_TRUE(missing.ok());
-  EXPECT_EQ(missing.value().code, StatusCode::kNotFound);
+  ServiceFixture service({{"scrape-alpha", cluster, alpha_options},
+                          {"scrape-beta", cluster, SmallEngineOptions(24)}});
+  std::unique_ptr<PlanClient> client = service.Client("scrape-alpha",
+                                                      /*cache_capacity=*/0);
+  const auto scrape = [&client]() {
+    StatusOr<PlanServiceMetricsResponse> response = client->ServerMetrics("dcp_");
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ok() ? response.value().text : std::string();
+  };
+  const std::string alpha = "tenant=\"scrape-alpha\"";
+  const std::string beta = "tenant=\"scrape-beta\"";
+  const std::string before = scrape();
+
+  ASSERT_TRUE(client->Plan(shape_x, mask).ok());  // Cold: planned, written.
+  EXPECT_EQ(client->last_source(), PlanServeSource::kPlanned);
+  ASSERT_TRUE(client->Plan(shape_x, mask).ok());  // Server (engine) cache hit.
+  EXPECT_EQ(client->last_source(), PlanServeSource::kMemoryCache);
+  const std::string after_hit = scrape();
+  for (const char* family :
+       {"dcp_engine_cache_hits_total", "dcp_engine_cache_misses_total"}) {
+    ASSERT_TRUE(ScrapeSum(after_hit, family, alpha).has_value()) << family;
+    ASSERT_TRUE(ScrapeSum(before, family, beta).has_value()) << family;
+    EXPECT_EQ(ScrapeSum(after_hit, family, beta), ScrapeSum(before, family, beta))
+        << family << " moved for the idle tenant";
+  }
+  EXPECT_EQ(*ScrapeSum(after_hit, "dcp_engine_cache_hits_total", alpha) -
+                ScrapeSum(before, "dcp_engine_cache_hits_total", alpha).value_or(0),
+            1);
+  EXPECT_EQ(*ScrapeSum(after_hit, "dcp_engine_cache_misses_total", alpha) -
+                ScrapeSum(before, "dcp_engine_cache_misses_total", alpha).value_or(0),
+            1);
+
+  // The torn record is skipped and replanned (evicting shape_x); shape_x then comes
+  // back from the store (evicting the replanned shape).
+  ASSERT_TRUE(client->Plan(shape_torn, mask).ok());
+  EXPECT_EQ(client->last_source(), PlanServeSource::kPlanned);
+  ASSERT_TRUE(client->Plan(shape_x, mask).ok());
+  EXPECT_EQ(client->last_source(), PlanServeSource::kStoreCache);
+
+  const std::string text = scrape();
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_hits_total", alpha), 1);
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_misses_total", alpha), 3);
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_evictions_total", alpha), 2);
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_entries", alpha), 1);
+  EXPECT_EQ(ScrapeSum(text, "dcp_store_hits_total", alpha), 1);
+  EXPECT_EQ(ScrapeSum(text, "dcp_store_writes_total", alpha), 2);
+  EXPECT_EQ(ScrapeSum(text, "dcp_store_corrupt_skipped_total", alpha), 1);
+  EXPECT_EQ(ScrapeSum(text, "dcp_server_tenant_requests_total", alpha), 4);
+  EXPECT_EQ(ScrapeSum(text, "dcp_server_tenant_plan_errors_total", alpha), 0);
+  // The idle tenant: untouched engine series, and no store series at all.
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_hits_total", beta), 0);
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_misses_total", beta), 0);
+  EXPECT_EQ(ScrapeSum(text, "dcp_engine_cache_entries", beta), 0);
+  EXPECT_FALSE(ScrapeSum(text, "dcp_store_writes_total", beta).has_value());
+  EXPECT_FALSE(ScrapeSum(text, "dcp_server_tenant_requests_total", beta).has_value());
+  // The typed in-process views agree with the scrape (the client lives in this
+  // process, so its tenant-labeled counters render in the same exposition).
+  const PlanCacheStats cache = service.registry->Find("scrape-alpha")->cache_stats();
+  EXPECT_EQ(cache.entries, 1);
+  EXPECT_EQ(cache.evictions, 2);
+  EXPECT_EQ(ScrapeSum(text, "dcp_client_rpcs_sent_total", alpha),
+            client->stats().rpcs_sent);
+
+  // Service-wide counters: this is the only live server, so the scrape is its own.
+  const PlanServerStats server = service.server->stats();
+  EXPECT_EQ(ScrapeSum(text, "dcp_server_connections_accepted_total"),
+            server.connections_accepted);
+  EXPECT_GE(ScrapeSum(text, "dcp_server_requests_received_total").value_or(0), 7);
+  EXPECT_GE(ScrapeSum(text, "dcp_server_responses_sent_total").value_or(0), 6);
+  for (const char* family :
+       {"dcp_server_rejected_overload_total", "dcp_server_malformed_frames_total",
+        "dcp_server_shed_deadline_total", "dcp_server_sync_records_shipped_total",
+        "dcp_server_sync_records_adopted_total"}) {
+    EXPECT_EQ(ScrapeSum(text, family), 0) << family;
+  }
+  fs::remove_all(store_dir);
 }
 
 TEST(PlanService, DataLoaderRunsTransparentlyOverRemotePlanner) {
@@ -440,12 +531,16 @@ TEST(PlanService, PerTenantQuotaShedsOnlyTheNoisyTenant) {
   burst.join();
 
   EXPECT_GE(service.server->stats().shed_quota, 1);
-  // Per-tenant shed counts surface through the stats RPC.
-  StatusOr<PlanServiceStatsResponse> stats = quiet->ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  ASSERT_EQ(stats.value().tenants.size(), 2u);  // Sorted: noisy, quiet.
-  EXPECT_GE(stats.value().tenants[0].shed_quota, 1);
-  EXPECT_EQ(stats.value().tenants[1].shed_quota, 0);
+  // Per-tenant shed counts surface in the scrape, labeled by tenant.
+  StatusOr<PlanServiceMetricsResponse> scrape =
+      quiet->ServerMetrics("dcp_server_tenant_shed_quota_total");
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  const std::string& text = scrape.value().text;
+  EXPECT_GE(ScrapeSum(text, "dcp_server_tenant_shed_quota_total",
+                      "tenant=\"noisy\"").value_or(0),
+            1);
+  EXPECT_EQ(ScrapeSum(text, "dcp_server_tenant_shed_quota_total", "tenant=\"quiet\""),
+            0);
 }
 
 TEST(PlanService, ExpiredDeadlinesAreShedUnplanned) {
@@ -472,7 +567,11 @@ TEST(PlanService, ExpiredDeadlinesAreShedUnplanned) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_GE(service.server->stats().shed_deadline, 1);
-  EXPECT_GE(service.server->BuildStatsResponse("").shed_deadline, 1);
+  StatusOr<PlanServiceMetricsResponse> scrape =
+      client->ServerMetrics("dcp_server_shed_deadline_total");
+  ASSERT_TRUE(scrape.ok()) << scrape.status().ToString();
+  EXPECT_GE(ScrapeSum(scrape.value().text, "dcp_server_shed_deadline_total").value_or(0),
+            1);
 }
 
 TEST(PlanService, GossipReplicatesRecordsAcrossPeers) {
@@ -621,6 +720,31 @@ TEST(PlanService, TransientAcceptFailuresRetriedNeverFatal) {
   EXPECT_EQ(response.value().code, StatusCode::kOk);
 }
 
+// Frame types 3 and 4 belonged to the retired stats RPC. An old client's stats
+// request is an unknown frame type now: the header check rejects it as DATA_LOSS,
+// the server counts it as malformed, and it keeps serving everyone else.
+TEST(PlanService, RetiredStatsFrameTypeIsRejectedAsMalformed) {
+  ServiceFixture service({{"prod", SmallCluster(1, 2), SmallEngineOptions(16)}});
+  const int64_t malformed_before = service.server->stats().malformed_frames;
+  {
+    Socket raw = ConnectSocket(service.server->bound_address()).value();
+    // A well-formed, CRC-valid frame: only its type is stale.
+    ASSERT_TRUE(raw.SendAll(EncodeFrame(static_cast<FrameType>(3), "")).ok());
+    StatusOr<Frame> reply = ReadFrame(raw);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    EXPECT_EQ(reply.value().type, FrameType::kErrorResponse);
+    StatusOr<PlanServiceResponse> decoded =
+        DeserializePlanServiceResponse(reply.value().payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().code, StatusCode::kDataLoss);
+  }
+  EXPECT_EQ(service.server->stats().malformed_frames, malformed_before + 1);
+
+  std::unique_ptr<PlanClient> client = service.Client("prod");
+  StatusOr<PlanHandle> plan = client->Plan({64, 32}, MaskSpec::Causal());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+}
+
 TEST(PlanService, OverloadedNonPlanRequestsGetTypeMatchedReplies) {
   PlanServerOptions drained;
   drained.max_queue = 0;  // Reject everything.
@@ -644,17 +768,17 @@ TEST(PlanService, OverloadedNonPlanRequestsGetTypeMatchedReplies) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().code, StatusCode::kUnavailable);
   }
-  // Stats rejections stay type-matched too.
+  // Metrics rejections stay type-matched too.
   {
     Socket raw = ConnectSocket(service.server->bound_address()).value();
-    ASSERT_TRUE(WriteFrame(raw, FrameType::kStatsRequest,
-                           SerializePlanServiceStatsRequest({""}))
+    ASSERT_TRUE(WriteFrame(raw, FrameType::kMetricsRequest,
+                           SerializePlanServiceMetricsRequest({"dcp_"}))
                     .ok());
     StatusOr<Frame> reply = ReadFrame(raw);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    EXPECT_EQ(reply.value().type, FrameType::kStatsResponse);
-    StatusOr<PlanServiceStatsResponse> response =
-        DeserializePlanServiceStatsResponse(reply.value().payload);
+    EXPECT_EQ(reply.value().type, FrameType::kMetricsResponse);
+    StatusOr<PlanServiceMetricsResponse> response =
+        DeserializePlanServiceMetricsResponse(reply.value().payload);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     EXPECT_EQ(response.value().code, StatusCode::kUnavailable);
   }

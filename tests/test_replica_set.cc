@@ -21,9 +21,12 @@
 #include "service/replica_set.h"
 #include "service/tenant_registry.h"
 #include "service/transport.h"
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
+
+using plan_test::SerializeTimeless;
 
 ClusterSpec SmallCluster(int nodes, int devices) {
   ClusterSpec cluster;
@@ -41,12 +44,6 @@ EngineOptions SmallEngineOptions(int64_t block_size, uint64_t seed = 7) {
   options.planner.divisions = 3;
   options.planner.seed = seed;
   return options;
-}
-
-std::string SerializeTimeless(const BatchPlan& plan) {
-  BatchPlan copy = plan;
-  copy.stats.planning_seconds = 0.0;
-  return SerializePlan(copy);
 }
 
 // One member of a loopback fleet: a PlanServer with the shared tenant config.

@@ -130,43 +130,6 @@ TEST(ServiceMessages, PlanResponseRoundTripsAndValidates) {
   EXPECT_EQ(decoded_error.value().message, "server overloaded");
 }
 
-TEST(ServiceMessages, StatsResponseRoundTrips) {
-  PlanServiceStatsResponse response;
-  response.connections_accepted = 3;
-  response.requests_received = 41;
-  response.responses_sent = 40;
-  response.rejected_overload = 1;
-  response.malformed_frames = 2;
-  for (int t = 0; t < 3; ++t) {
-    PlanServiceTenantStats tenant;
-    tenant.tenant = "tenant-" + std::to_string(t);
-    tenant.requests = 10 + t;
-    tenant.cache_hits = 5 * t;
-    tenant.cache_misses = 7 - t;
-    tenant.store_writes = t;
-    response.tenants.push_back(tenant);
-  }
-  const std::string bytes = SerializePlanServiceStatsResponse(response);
-  StatusOr<PlanServiceStatsResponse> decoded =
-      DeserializePlanServiceStatsResponse(bytes);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded.value().requests_received, 41);
-  ASSERT_EQ(decoded.value().tenants.size(), 3u);
-  EXPECT_EQ(decoded.value().tenants[1].tenant, "tenant-1");
-  EXPECT_EQ(decoded.value().tenants[1].requests, 11);
-  EXPECT_EQ(decoded.value().tenants[2].cache_hits, 10);
-
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_FALSE(DeserializePlanServiceStatsResponse(bytes.substr(0, len)).ok());
-  }
-
-  const std::string stats_req =
-      SerializePlanServiceStatsRequest(PlanServiceStatsRequest{"prod"});
-  StatusOr<PlanServiceStatsRequest> req = DeserializePlanServiceStatsRequest(stats_req);
-  ASSERT_TRUE(req.ok());
-  EXPECT_EQ(req.value().tenant, "prod");
-}
-
 // A connected AF_UNIX socket pair wrapped in the transport's Socket class, for framing
 // tests without a listener.
 std::pair<Socket, Socket> MakeSocketPair() {
@@ -185,7 +148,7 @@ TEST(ServiceFrame, RoundTripsOverSocket) {
   EXPECT_EQ(frame.value().payload, payload);
 
   // Empty payloads frame fine too.
-  ASSERT_TRUE(WriteFrame(b, FrameType::kStatsRequest, "").ok());
+  ASSERT_TRUE(WriteFrame(b, FrameType::kMetricsRequest, "").ok());
   StatusOr<Frame> empty = ReadFrame(a);
   ASSERT_TRUE(empty.ok());
   EXPECT_EQ(empty.value().payload, "");
@@ -206,6 +169,25 @@ TEST(ServiceFrame, CorruptFramesRejectedAsDataLoss) {
       EXPECT_FALSE(frame.ok()) << "byte " << byte << " bit " << bit;
       EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss);
     }
+  }
+}
+
+// Unassigned frame types fail the header check even when the frame is otherwise
+// well-formed: 0, the retired stats pair (3, 4), and anything past the last type.
+TEST(ServiceFrame, UnassignedFrameTypesRejectedAsDataLoss) {
+  for (uint32_t type : {0u, 3u, 4u, 10u}) {
+    const std::string encoded = EncodeFrame(static_cast<FrameType>(type), "");
+    auto [a, b] = MakeSocketPair();
+    ASSERT_TRUE(a.SendAll(encoded).ok());
+    StatusOr<Frame> frame = ReadFrame(b);
+    ASSERT_FALSE(frame.ok()) << "type " << type;
+    EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss) << "type " << type;
+
+    FrameAssembler assembler;
+    assembler.Append(encoded.data(), encoded.size());
+    StatusOr<Frame> assembled = assembler.Next();
+    ASSERT_FALSE(assembled.ok()) << "type " << type;
+    EXPECT_EQ(assembled.status().code(), StatusCode::kDataLoss) << "type " << type;
   }
 }
 
@@ -253,7 +235,7 @@ TEST(ServiceTransport, ListenerRoundTripAndEphemeralPort) {
   StatusOr<Socket> served = listener.value().Accept(/*timeout_ms=*/2000);
   ASSERT_TRUE(served.ok()) << served.status().ToString();
 
-  ASSERT_TRUE(WriteFrame(client.value(), FrameType::kStatsRequest, "ping").ok());
+  ASSERT_TRUE(WriteFrame(client.value(), FrameType::kMetricsRequest, "ping").ok());
   StatusOr<Frame> frame = ReadFrame(served.value());
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame.value().payload, "ping");
@@ -342,7 +324,7 @@ TEST(ServiceMessages, RequestViewDecodesIdenticallyInOneArenaBlock) {
 
 TEST(ServiceFrame, AssemblerReassemblesFramesFedByteByByte) {
   const std::string first = EncodeFrame(FrameType::kPlanRequest, "alpha");
-  const std::string second = EncodeFrame(FrameType::kStatsRequest, "");
+  const std::string second = EncodeFrame(FrameType::kMetricsRequest, "");
   const std::string third =
       EncodeFrame(FrameType::kPlanResponse, std::string(1000, 'r'));
   const std::string stream = first + second + third;
@@ -363,7 +345,7 @@ TEST(ServiceFrame, AssemblerReassemblesFramesFedByteByByte) {
   ASSERT_EQ(frames.size(), 3u);
   EXPECT_EQ(frames[0].type, FrameType::kPlanRequest);
   EXPECT_EQ(frames[0].payload, "alpha");
-  EXPECT_EQ(frames[1].type, FrameType::kStatsRequest);
+  EXPECT_EQ(frames[1].type, FrameType::kMetricsRequest);
   EXPECT_EQ(frames[1].payload, "");
   EXPECT_EQ(frames[2].payload, std::string(1000, 'r'));
   EXPECT_EQ(assembler.buffered_bytes(), 0u);
