@@ -40,14 +40,14 @@ void Run() {
     for (const Instruction& instr : dev.instructions) {
       if (instr.kind == InstrKind::kBlockwiseAttention) {
         flops[static_cast<size_t>(d)] += instr.flops;
-        for (const AttentionWorkItem& item : instr.attn_items) {
+        for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
           consumed_kv_slots.insert(item.kv.slot);
         }
       }
     }
     for (const Instruction& instr : dev.instructions) {
       if (instr.kind == InstrKind::kCommLaunch && !instr.is_send) {
-        for (const TransferBlock& block : instr.blocks) {
+        for (const TransferBlock& block : dev.blocks_of(instr)) {
           if (block.ref.kind == BufKind::kKV) {
             ++transferred;
             if (consumed_kv_slots.contains(block.ref.slot)) {

@@ -110,11 +110,12 @@ if [[ "${DCP_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # ASan/UBSan tier: smoke subset covering the codec/bounds-heavy paths (plan store
   # records and bundles, wire frames end-to-end), the engine and the stress test, and
   # the closed-form int64 pair sums of mask segments and block generation (signed
-  # overflow is UB, so UBSan checks them).
+  # overflow is UB, so UBSan checks them), and every reader of the plans' per-device
+  # item pools, whose instructions index them by range.
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure \
-        -R 'test_plan_store|test_plan_service|test_engine|test_concurrency_stress|test_masks|test_block_gen'
+        -R 'test_plan_store|test_plan_service|test_engine|test_concurrency_stress|test_masks|test_block_gen|test_instructions|test_plan_validate|test_plan_compile|test_plan_golden|test_executor'
 else
   echo "check.sh: DCP_SKIP_SANITIZERS=1, skipping tsan/asan-ubsan tiers"
 fi

@@ -186,8 +186,9 @@ _STRUCT_RE = re.compile(
     r"(?:final\s*)?(?::[^:{;][^{;]*)?\{")
 _ENUM_RE = re.compile(
     r"\benum\s+(?:class\s+|struct\s+)?([A-Za-z_]\w*)\s*(?::\s*[\w:]+\s*)?\{")
+# Leading `[[attribute]]`s are skipped, so `[[gnu::always_inline]] T F(...)` is a def.
 _DEF_RE = re.compile(
-    r"^[^\S\n]*((?:[\w:~]+(?:<[^;()\n]*>)?[\s\*&]+)*)"
+    r"^[^\S\n]*(?:\[\[[^\]\n]*\]\]\s*)*((?:[\w:~]+(?:<[^;()\n]*>)?[\s\*&]+)*)"
     r"((?:[A-Za-z_]\w*::)*)(~?[A-Za-z_]\w*)\s*\(",
     re.M)
 MEMBER_MENTION_RE = re.compile(r"(?:\.|->)\s*([A-Za-z_]\w*)\b(?!\s*\()")
@@ -215,7 +216,8 @@ def parse_fields(sf: SourceFile, body_start: int, body_end: int) -> list[Field]:
         chunk_start = m.end()
         anns = _ANNOTATION_RE.findall(chunk)
         decl = _ANNOTATION_RE.sub(" ", chunk)
-        decl = re.sub(r"=\s*[^=].*$", " ", decl.strip(), flags=re.S)
+        # A brace initialiser is blank by now (`= {}` leaves a bare `=`).
+        decl = re.sub(r"=\s*(?:[^=].*)?$", " ", decl.strip(), flags=re.S)
         decl = re.sub(r"\{[^{}]*\}\s*$", " ", decl)
         decl = " ".join(decl.split())
         # An access label shares its chunk with the member that follows it

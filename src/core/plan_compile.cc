@@ -316,29 +316,28 @@ class PlanCompiler {
     transfers_.push_back(std::move(t));
   }
 
-  Instruction MakeCommLaunch(const TransferDesc& t, bool send) const {
-    Instruction instr;
-    instr.kind = InstrKind::kCommLaunch;
+  // The Emit* helpers append to `out`, one of `plan`'s two streams.
+  static void EmitCommLaunch(const TransferDesc& t, bool send, DevicePlan& plan,
+                             std::vector<Instruction>& out) {
+    Instruction& instr = plan.Append(out, InstrKind::kCommLaunch);
     instr.transfer_id = t.id;
     instr.peer = send ? t.dst : t.src;
     instr.is_send = send;
-    instr.blocks = send ? t.send_blocks : t.recv_blocks;
     instr.comm_bytes = t.bytes;
-    return instr;
+    for (const TransferBlock& block : send ? t.send_blocks : t.recv_blocks) {
+      plan.Add(instr, block);
+    }
   }
 
-  Instruction MakeCommWait(const TransferDesc& t) const {
-    Instruction instr;
-    instr.kind = InstrKind::kCommWait;
-    instr.transfer_id = t.id;
-    return instr;
+  static void EmitCommWait(const TransferDesc& t, DevicePlan& plan,
+                           std::vector<Instruction>& out) {
+    plan.Append(out, InstrKind::kCommWait).transfer_id = t.id;
   }
 
-  Instruction MakeAttention(DeviceId d, const std::vector<int>& block_ids,
-                            bool backward) const {
+  void EmitAttention(DeviceId d, const std::vector<int>& block_ids, bool backward,
+                     DevicePlan& plan, std::vector<Instruction>& out) const {
     const DeviceBuild& build = builds_[static_cast<size_t>(d)];
-    Instruction instr;
-    instr.kind = InstrKind::kBlockwiseAttention;
+    Instruction& instr = plan.Append(out, InstrKind::kBlockwiseAttention);
     instr.backward = backward;
     for (int i : block_ids) {
       const CompBlock& block = graph_.comp_blocks[static_cast<size_t>(i)];
@@ -365,7 +364,7 @@ class PlanCompiler {
         item.dq = {BufKind::kDQ, q_slot};
         item.dkv = {BufKind::kDKV, kv_slot};
       }
-      instr.attn_items.push_back(item);
+      plan.Add(instr, item);
       instr.flops += backward ? block.flops * kBackwardFlopsFactor : block.flops;
       // Memory traffic of the tile: every tile re-reads its Q and KV blocks and updates
       // the output accumulator (backward also reads dO and writes dQ/dKV — roughly 2x).
@@ -376,11 +375,11 @@ class PlanCompiler {
                                2 * layout_.OBlockBytes(q_len);
       instr.mem_bytes += backward ? 2 * tile_bytes : tile_bytes;
     }
-    return instr;
   }
 
   // Emits the pipelined division loop shared by forward and backward.
-  void EmitPipeline(DeviceId d, bool backward, std::vector<Instruction>& out) const {
+  void EmitPipeline(DeviceId d, bool backward, DevicePlan& plan,
+                    std::vector<Instruction>& out) const {
     const auto transfer_kind =
         backward ? TransferDesc::Kind::kBwInput : TransferDesc::Kind::kFwInput;
 
@@ -403,15 +402,15 @@ class PlanCompiler {
 
     auto emit_launches = [&](int t) {
       for (const TransferDesc* desc : send_by_div[static_cast<size_t>(t)]) {
-        out.push_back(MakeCommLaunch(*desc, /*send=*/true));
+        EmitCommLaunch(*desc, /*send=*/true, plan, out);
       }
       for (const TransferDesc* desc : recv_by_div[static_cast<size_t>(t)]) {
-        out.push_back(MakeCommLaunch(*desc, /*send=*/false));
+        EmitCommLaunch(*desc, /*send=*/false, plan, out);
       }
     };
     auto emit_waits = [&](int t) {
       for (const TransferDesc* desc : recv_by_div[static_cast<size_t>(t)]) {
-        out.push_back(MakeCommWait(*desc));
+        EmitCommWait(*desc, plan, out);
       }
     };
 
@@ -425,7 +424,7 @@ class PlanCompiler {
       const auto& block_ids =
           schedule_.divisions[static_cast<size_t>(d)][static_cast<size_t>(t)];
       if (!block_ids.empty()) {
-        out.push_back(MakeAttention(d, block_ids, backward));
+        EmitAttention(d, block_ids, backward, plan, out);
       }
       if (t + 1 < t_count_) {
         emit_waits(t + 1);
@@ -461,13 +460,15 @@ class PlanCompiler {
       plan.local_chunks.push_back(local);
     }
 
-    EmitForward(d, plan.instructions);
-    EmitBackward(d, plan.backward_instructions);
+    // Forward first: the pools hold items in stream order.
+    EmitForward(d, plan);
+    EmitBackward(d, plan);
   }
 
-  void EmitForward(DeviceId d, std::vector<Instruction>& out) const {
+  void EmitForward(DeviceId d, DevicePlan& plan) const {
     const DeviceBuild& build = builds_[static_cast<size_t>(d)];
-    EmitPipeline(d, /*backward=*/false, out);
+    std::vector<Instruction>& out = plan.instructions;
+    EmitPipeline(d, /*backward=*/false, plan, out);
 
     // Epilogue: ship partial accumulators home, merge, finalize.
     for (const TransferDesc& t : transfers_) {
@@ -475,19 +476,18 @@ class PlanCompiler {
         continue;
       }
       if (t.src == d) {
-        out.push_back(MakeCommLaunch(t, /*send=*/true));
+        EmitCommLaunch(t, /*send=*/true, plan, out);
       }
       if (t.dst == d) {
-        out.push_back(MakeCommLaunch(t, /*send=*/false));
+        EmitCommLaunch(t, /*send=*/false, plan, out);
       }
     }
     for (const TransferDesc& t : transfers_) {
       if (t.kind != TransferDesc::Kind::kFwPartial || t.dst != d) {
         continue;
       }
-      out.push_back(MakeCommWait(t));
-      Instruction merge;
-      merge.kind = InstrKind::kBlockwiseReduction;
+      EmitCommWait(t, plan, out);
+      Instruction& merge = plan.Append(out, InstrKind::kBlockwiseReduction);
       const auto& keys = build.partial_in.at(t.src);
       const auto& stages = build.acc_stage.at(t.src);
       for (size_t i = 0; i < keys.size(); ++i) {
@@ -497,14 +497,15 @@ class PlanCompiler {
         item.dst = {BufKind::kAcc, build.qside.at(keys[i])};
         item.src0 = {BufKind::kAcc, stages[i]};
         item.token_count = len;
-        merge.reduce_items.push_back(item);
+        plan.Add(merge, item);
         merge.mem_bytes += 2 * layout_.AccBlockBytes(len);
       }
-      out.push_back(std::move(merge));
     }
     // Finalize all local outputs.
-    Instruction finalize;
-    finalize.kind = InstrKind::kBlockwiseReduction;
+    if (build.n_local == 0) {
+      return;
+    }
+    Instruction& finalize = plan.Append(out, InstrKind::kBlockwiseReduction);
     for (const auto& [key, slot] : build.qside) {
       if (slot >= build.n_local) {
         continue;
@@ -515,38 +516,34 @@ class PlanCompiler {
       item.dst = {BufKind::kO, slot};
       item.src0 = {BufKind::kAcc, slot};
       item.token_count = len;
-      finalize.reduce_items.push_back(item);
+      plan.Add(finalize, item);
       finalize.mem_bytes += layout_.OBlockBytes(len) + layout_.AccBlockBytes(len);
-    }
-    if (!finalize.reduce_items.empty()) {
-      out.push_back(std::move(finalize));
     }
   }
 
-  void EmitBackward(DeviceId d, std::vector<Instruction>& out) const {
+  void EmitBackward(DeviceId d, DevicePlan& plan) const {
     const DeviceBuild& build = builds_[static_cast<size_t>(d)];
+    std::vector<Instruction>& out = plan.backward_instructions;
     // Delta for every local chunk (needed by local tiles and by remote fetchers).
-    Instruction delta;
-    delta.kind = InstrKind::kBlockwiseReduction;
-    for (const auto& [key, slot] : build.qside) {
-      if (slot >= build.n_local) {
-        continue;
+    if (build.n_local > 0) {
+      Instruction& delta = plan.Append(out, InstrKind::kBlockwiseReduction);
+      for (const auto& [key, slot] : build.qside) {
+        if (slot >= build.n_local) {
+          continue;
+        }
+        const int64_t len = ChunkLenOf(key);
+        ReduceItem item;
+        item.mode = ReduceMode::kComputeDelta;
+        item.dst = {BufKind::kDelta, slot};
+        item.src0 = {BufKind::kDO, slot};
+        item.src1 = {BufKind::kO, slot};
+        item.token_count = len;
+        plan.Add(delta, item);
+        delta.mem_bytes += 2 * layout_.OBlockBytes(len);
       }
-      const int64_t len = ChunkLenOf(key);
-      ReduceItem item;
-      item.mode = ReduceMode::kComputeDelta;
-      item.dst = {BufKind::kDelta, slot};
-      item.src0 = {BufKind::kDO, slot};
-      item.src1 = {BufKind::kO, slot};
-      item.token_count = len;
-      delta.reduce_items.push_back(item);
-      delta.mem_bytes += 2 * layout_.OBlockBytes(len);
-    }
-    if (!delta.reduce_items.empty()) {
-      out.push_back(std::move(delta));
     }
 
-    EmitPipeline(d, /*backward=*/true, out);
+    EmitPipeline(d, /*backward=*/true, plan, out);
 
     // Epilogue: return dQ/dKV partials, sum at home.
     for (const TransferDesc& t : transfers_) {
@@ -554,19 +551,18 @@ class PlanCompiler {
         continue;
       }
       if (t.src == d) {
-        out.push_back(MakeCommLaunch(t, /*send=*/true));
+        EmitCommLaunch(t, /*send=*/true, plan, out);
       }
       if (t.dst == d) {
-        out.push_back(MakeCommLaunch(t, /*send=*/false));
+        EmitCommLaunch(t, /*send=*/false, plan, out);
       }
     }
     for (const TransferDesc& t : transfers_) {
       if (t.kind != TransferDesc::Kind::kBwGrad || t.dst != d) {
         continue;
       }
-      out.push_back(MakeCommWait(t));
-      Instruction sum;
-      sum.kind = InstrKind::kBlockwiseReduction;
+      EmitCommWait(t, plan, out);
+      Instruction& sum = plan.Append(out, InstrKind::kBlockwiseReduction);
       if (auto it = build.partial_in.find(t.src); it != build.partial_in.end()) {
         const auto& stages = build.acc_stage.at(t.src);
         for (size_t i = 0; i < it->second.size(); ++i) {
@@ -576,7 +572,7 @@ class PlanCompiler {
           item.dst = {BufKind::kDQ, build.qside.at(it->second[i])};
           item.src0 = {BufKind::kDQ, stages[i]};
           item.token_count = len;
-          sum.reduce_items.push_back(item);
+          plan.Add(sum, item);
           sum.mem_bytes += 2 * layout_.QBlockBytes(len);
         }
       }
@@ -589,11 +585,10 @@ class PlanCompiler {
           item.dst = {BufKind::kDKV, build.kvside.at(it->second[i])};
           item.src0 = {BufKind::kDKV, stages[i]};
           item.token_count = len;
-          sum.reduce_items.push_back(item);
+          plan.Add(sum, item);
           sum.mem_bytes += 2 * layout_.KvBlockBytes(len);
         }
       }
-      out.push_back(std::move(sum));
     }
   }
 

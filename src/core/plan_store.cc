@@ -245,13 +245,14 @@ bool PlanStore::Contains(const PlanSignature& sig) const {
 }
 
 StatusOr<BatchPlan> PlanStore::Load(const PlanSignature& sig) {
-  metrics::ScopedLatencyTimer timer(read_latency_us_);
   {
     MutexLock lock(mu_);
     if (index_.find(sig) == index_.end()) {
       return Status::NotFound("no plan record for signature " + sig.ToHex());
     }
   }
+  // Timed from here: an index miss loads nothing and must not add a near-zero sample.
+  metrics::ScopedLatencyTimer timer(read_latency_us_);
   const std::string path = RecordPath(sig);
   StatusOr<std::string> bytes = ReadFileBytes(path);
   if (!bytes.ok() && bytes.status().code() == StatusCode::kNotFound) {

@@ -151,7 +151,7 @@ bool NumericExecutor::TryExecute(DeviceId device, const Instruction& instr) {
 void NumericExecutor::ExecuteAttention(DeviceId device, const Instruction& instr) {
   const BatchLayout& layout = plan_->layout;
   DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
-  for (const AttentionWorkItem& item : instr.attn_items) {
+  for (const AttentionWorkItem& item : DeviceOf(device).attn_items_of(instr)) {
     const SequenceMask& mask = (*masks_)[static_cast<size_t>(item.seq)];
     TileArgs args;
     args.heads = layout.heads_per_group;
@@ -179,7 +179,7 @@ void NumericExecutor::ExecuteReduction(DeviceId device, const Instruction& instr
   const int hg = layout.heads_per_group;
   const int64_t bs = layout.block_size;
   const int d = layout.head_dim;
-  for (const ReduceItem& item : instr.reduce_items) {
+  for (const ReduceItem& item : DeviceOf(device).reduce_items_of(instr)) {
     switch (item.mode) {
       case ReduceMode::kMergeSoftmax:
         MergeSoftmaxAccumulators(buf.Slot(item.dst), buf.Slot(item.src0), hg, bs, d,
@@ -208,7 +208,7 @@ void NumericExecutor::ExecuteReduction(DeviceId device, const Instruction& instr
 
 void NumericExecutor::ExecuteCopy(DeviceId device, const Instruction& instr) {
   DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
-  for (const CopyItem& item : instr.copy_items) {
+  for (const CopyItem& item : DeviceOf(device).copy_items_of(instr)) {
     std::span<float> dst = buf.Slot(item.dst);
     std::span<const float> src = buf.Slot(item.src);
     DCP_CHECK_EQ(dst.size(), src.size());
@@ -221,7 +221,7 @@ void NumericExecutor::ExecuteCommLaunch(DeviceId device, const Instruction& inst
   if (instr.is_send) {
     DCP_CHECK(!msg.sent) << "transfer " << instr.transfer_id << " sent twice";
     DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
-    for (const TransferBlock& block : instr.blocks) {
+    for (const TransferBlock& block : DeviceOf(device).blocks_of(instr)) {
       std::span<const float> slot = buf.Slot(block.ref);
       msg.payload.insert(msg.payload.end(), slot.begin(), slot.end());
     }
@@ -230,7 +230,7 @@ void NumericExecutor::ExecuteCommLaunch(DeviceId device, const Instruction& inst
     DCP_CHECK(!msg.recv_launched) << "transfer " << instr.transfer_id << " recv twice";
     msg.recv_launched = true;
     msg.recv_device = device;
-    msg.recv_blocks = instr.blocks;
+    msg.recv_blocks = DeviceOf(device).blocks_of(instr);
   }
 }
 

@@ -6,6 +6,7 @@
 #ifndef DCP_RUNTIME_EXECUTOR_H_
 #define DCP_RUNTIME_EXECUTOR_H_
 
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -46,9 +47,12 @@ class NumericExecutor {
     bool recv_launched = false;
     bool delivered = false;
     DeviceId recv_device = kInvalidDevice;
-    std::vector<TransferBlock> recv_blocks;
+    std::span<const TransferBlock> recv_blocks;  // In the receiver's DevicePlan.
   };
 
+  const DevicePlan& DeviceOf(DeviceId device) const {
+    return plan_->devices[static_cast<size_t>(device)];
+  }
   void RunProgram(bool backward);
   // Returns false if the instruction is a CommWait that cannot complete yet.
   bool TryExecute(DeviceId device, const Instruction& instr);

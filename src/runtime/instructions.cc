@@ -63,6 +63,45 @@ std::string ReduceModeName(ReduceMode mode) {
   return "?";
 }
 
+namespace {
+
+template <typename T>
+void AppendItem(std::vector<T>& pool, ItemRange& range, const T& item) {
+  DCP_CHECK_EQ(range.end, pool.size())
+      << "items can only be added to the most recently appended instruction";
+  pool.push_back(item);
+  ++range.end;
+}
+
+}  // namespace
+
+Instruction& DevicePlan::Append(std::vector<Instruction>& stream, InstrKind kind) {
+  Instruction& instr = stream.emplace_back();
+  instr.kind = kind;
+  const auto open = [](size_t pool_size) {
+    const auto at = static_cast<uint32_t>(pool_size);
+    return ItemRange{at, at};
+  };
+  instr.attn_range = open(attn_items.size());
+  instr.reduce_range = open(reduce_items.size());
+  instr.copy_range = open(copy_items.size());
+  instr.block_range = open(blocks.size());
+  return instr;
+}
+
+void DevicePlan::Add(Instruction& instr, const AttentionWorkItem& item) {
+  AppendItem(attn_items, instr.attn_range, item);
+}
+void DevicePlan::Add(Instruction& instr, const ReduceItem& item) {
+  AppendItem(reduce_items, instr.reduce_range, item);
+}
+void DevicePlan::Add(Instruction& instr, const CopyItem& item) {
+  AppendItem(copy_items, instr.copy_range, item);
+}
+void DevicePlan::Add(Instruction& instr, const TransferBlock& block) {
+  AppendItem(blocks, instr.block_range, block);
+}
+
 std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device) {
   std::ostringstream out;
   out << "BatchPlan: " << plan.num_devices() << " devices, "
@@ -83,13 +122,13 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
       out << "    " << InstrKindName(instr.kind);
       switch (instr.kind) {
         case InstrKind::kBlockwiseAttention:
-          out << " tiles=" << instr.attn_items.size() << " flops=" << instr.flops;
+          out << " tiles=" << instr.attn_range.size() << " flops=" << instr.flops;
           break;
         case InstrKind::kBlockwiseReduction:
-          out << " items=" << instr.reduce_items.size();
+          out << " items=" << instr.reduce_range.size();
           break;
         case InstrKind::kBlockwiseCopy:
-          out << " items=" << instr.copy_items.size();
+          out << " items=" << instr.copy_range.size();
           break;
         case InstrKind::kCommLaunch:
           out << (instr.is_send ? " send" : " recv") << " id=" << instr.transfer_id
@@ -180,6 +219,8 @@ class ByteWriter {
 // while running several times faster than a Status-per-byte design (the store hit path
 // decodes ~100KB records; this is its inner loop). After a failure every further read
 // returns 0, so a checkpoint per loop iteration bounds the garbage work to one item.
+// The per-field reads are forced inline: an attention item is ~15 of them, and as
+// calls they cost about a sixth of a record decode.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -201,7 +242,7 @@ class ByteReader {
                             std::to_string(pos_));
   }
 
-  uint8_t U8() {
+  [[gnu::always_inline]] uint8_t U8() {
     if (pos_ >= data_.size()) {
       SetFail("truncated byte");
       return 0;
@@ -234,36 +275,22 @@ class ByteReader {
     pos_ += 8;
     return v;
   }
-  uint64_t Var() {
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (shift >= 64) {
-        SetFail("varint too long");
-        return 0;
+  [[gnu::always_inline]] uint64_t Var() {
+    // One-byte varints — most slots, ids, counts and flags in a plan — stay inline.
+    if (!failed_ && pos_ < data_.size()) {
+      const auto b = static_cast<uint8_t>(data_[pos_]);
+      if (b < 0x80) {
+        ++pos_;
+        return b;
       }
-      const uint8_t b = U8();
-      if (failed_) {
-        return 0;
-      }
-      // The 10th byte of a 64-bit varint only has room for bit 0; payload bits that
-      // would shift past bit 63 are an encoding error, not silently droppable.
-      if (shift == 63 && (b & 0x7E) != 0) {
-        SetFail("varint overflows 64 bits");
-        return 0;
-      }
-      v |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) {
-        return v;
-      }
-      shift += 7;
     }
+    return VarSlow();
   }
-  int64_t Zig() {
+  [[gnu::always_inline]] int64_t Zig() {
     const uint64_t v = Var();
     return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
   }
-  int32_t Zig32(const char* what) {
+  [[gnu::always_inline]] int32_t Zig32(const char* what) {
     const int64_t v = Zig();
     if (v < INT32_MIN || v > INT32_MAX) {
       SetFail(what);
@@ -328,6 +355,49 @@ class ByteReader {
   }
 
  private:
+  // Every varint the inline path does not take, with every check: with 9 bytes left no
+  // per-byte bounds check is needed, and a varint of at most 9 bytes (63 payload bits)
+  // cannot overflow. Anything else — a failed reader, the payload's tail, a 10-byte
+  // varint — takes the checked loop from the start, so results and errors are exactly
+  // the loop's.
+  uint64_t VarSlow() {
+    if (!failed_ && remaining() >= 9) {
+      const char* p = data_.data() + pos_;
+      uint64_t v = 0;
+      for (int i = 0; i < 9; ++i) {
+        const auto b = static_cast<uint8_t>(p[i]);
+        v |= static_cast<uint64_t>(b & 0x7F) << (7 * i);
+        if (b < 0x80) {
+          pos_ += static_cast<size_t>(i) + 1;
+          return v;
+        }
+      }
+    }
+    uint64_t v = 0;
+    int shift = 0;
+    while (true) {
+      if (shift >= 64) {
+        SetFail("varint too long");
+        return 0;
+      }
+      const uint8_t b = U8();
+      if (failed_) {
+        return 0;
+      }
+      // The 10th byte of a 64-bit varint only has room for bit 0; payload bits that
+      // would shift past bit 63 are an encoding error, not silently droppable.
+      if (shift == 63 && (b & 0x7E) != 0) {
+        SetFail("varint overflows 64 bits");
+        return 0;
+      }
+      v |= static_cast<uint64_t>(b & 0x7F) << shift;
+      if ((b & 0x80) == 0) {
+        return v;
+      }
+      shift += 7;
+    }
+  }
+
   std::string_view data_;
   size_t pos_ = 0;
   bool failed_ = false;
@@ -350,7 +420,7 @@ void WriteRefBin(ByteWriter& w, const BlockRef& ref) {
   w.Zig(ref.slot);
 }
 
-BlockRef ReadRefBin(ByteReader& r) {
+[[gnu::always_inline]] inline BlockRef ReadRefBin(ByteReader& r) {
   BlockRef ref;
   const uint8_t kind = r.U8();
   if (kind >= kNumBufKinds) {
@@ -362,7 +432,27 @@ BlockRef ReadRefBin(ByteReader& r) {
   return ref;
 }
 
-void WriteInstructionBin(ByteWriter& w, const Instruction& instr) {
+// Next unwritten index of each pool while a device's instructions are encoded: the
+// format carries per-instruction counts, so the ranges must tile each pool in order.
+struct PoolCursor {
+  uint32_t attn = 0;
+  uint32_t reduce = 0;
+  uint32_t copy = 0;
+  uint32_t blocks = 0;
+};
+
+void CheckCanonical(ItemRange range, uint32_t* next, const char* pool) {
+  DCP_CHECK_EQ(range.begin, *next)
+      << pool << " range is not in canonical stream order; the plan has no encoding";
+  *next = range.end;
+}
+
+void WriteInstructionBin(ByteWriter& w, const DevicePlan& dev, const Instruction& instr,
+                         PoolCursor& cursor) {
+  CheckCanonical(instr.attn_range, &cursor.attn, "attention item");
+  CheckCanonical(instr.reduce_range, &cursor.reduce, "reduce item");
+  CheckCanonical(instr.copy_range, &cursor.copy, "copy item");
+  CheckCanonical(instr.block_range, &cursor.blocks, "transfer block");
   w.U8(static_cast<uint8_t>(instr.kind));
   w.U8(static_cast<uint8_t>((instr.backward ? 1 : 0) | (instr.is_send ? 2 : 0)));
   w.F64(instr.flops);
@@ -371,11 +461,11 @@ void WriteInstructionBin(ByteWriter& w, const Instruction& instr) {
   w.F64(instr.host_overhead);
   w.Zig(instr.transfer_id);
   w.Zig(instr.peer);
-  w.Count(instr.attn_items.size());
-  w.Count(instr.reduce_items.size());
-  w.Count(instr.copy_items.size());
-  w.Count(instr.blocks.size());
-  for (const AttentionWorkItem& item : instr.attn_items) {
+  w.Count(instr.attn_range.size());
+  w.Count(instr.reduce_range.size());
+  w.Count(instr.copy_range.size());
+  w.Count(instr.block_range.size());
+  for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
     WriteRefBin(w, item.q);
     WriteRefBin(w, item.kv);
     WriteRefBin(w, item.acc);
@@ -391,26 +481,64 @@ void WriteInstructionBin(ByteWriter& w, const Instruction& instr) {
     WriteRefBin(w, item.dq);
     WriteRefBin(w, item.dkv);
   }
-  for (const ReduceItem& item : instr.reduce_items) {
+  for (const ReduceItem& item : dev.reduce_items_of(instr)) {
     w.U8(static_cast<uint8_t>(item.mode));
     WriteRefBin(w, item.dst);
     WriteRefBin(w, item.src0);
     WriteRefBin(w, item.src1);
     w.Zig(item.token_count);
   }
-  for (const CopyItem& item : instr.copy_items) {
+  for (const CopyItem& item : dev.copy_items_of(instr)) {
     WriteRefBin(w, item.dst);
     WriteRefBin(w, item.src);
     w.Zig(item.token_count);
   }
-  for (const TransferBlock& block : instr.blocks) {
+  for (const TransferBlock& block : dev.blocks_of(instr)) {
     WriteRefBin(w, block.ref);
     w.Zig(block.bytes);
     w.Zig(block.token_count);
   }
 }
 
-Status ReadInstructionBin(ByteReader& r, Instruction* instr) {
+// One device's items, parsed in stream order before they are copied into the device's
+// pools: the per-instruction counts only add up to a pool's size at the end of the
+// device, and sizing each pool once, exactly, is what keeps a decode at a few
+// allocations per device. Thread-local so the capacity is reused across decodes.
+struct PoolScratch {
+  std::vector<AttentionWorkItem> attn;
+  std::vector<ReduceItem> reduce;
+  std::vector<CopyItem> copy;
+  std::vector<TransferBlock> blocks;
+
+  // Empties the pools. One that a large hostile plan grew past any real device's size
+  // gives its memory back at the next device or decode instead of keeping it for the
+  // thread's lifetime.
+  void Clear() {
+    ClearPool(attn);
+    ClearPool(reduce);
+    ClearPool(copy);
+    ClearPool(blocks);
+  }
+
+ private:
+  static constexpr size_t kMaxRetainedItems = size_t{1} << 16;
+
+  template <typename T>
+  static void ClearPool(std::vector<T>& pool) {
+    if (pool.capacity() > kMaxRetainedItems) {
+      std::vector<T>().swap(pool);
+    } else {
+      pool.clear();
+    }
+  }
+};
+
+// The range a pool grew by since `begin` items.
+ItemRange RangeFrom(size_t begin, size_t pool_size) {
+  return {static_cast<uint32_t>(begin), static_cast<uint32_t>(pool_size)};
+}
+
+Status ReadInstructionBin(ByteReader& r, PoolScratch& pools, Instruction* instr) {
   const uint8_t kind = r.U8();
   if (kind > kMaxInstrKind) {
     return r.Fail("instruction kind out of range");
@@ -435,9 +563,9 @@ Status ReadInstructionBin(ByteReader& r, Instruction* instr) {
   if (r.failed()) {
     return r.TakeStatus();
   }
-  instr->attn_items.reserve(num_attn);
+  const size_t attn_begin = pools.attn.size();
   for (uint32_t i = 0; i < num_attn; ++i) {
-    AttentionWorkItem item;
+    AttentionWorkItem& item = pools.attn.emplace_back();
     item.q = ReadRefBin(r);
     item.kv = ReadRefBin(r);
     item.acc = ReadRefBin(r);
@@ -459,11 +587,11 @@ Status ReadInstructionBin(ByteReader& r, Instruction* instr) {
     if (r.failed()) {
       return r.TakeStatus();
     }
-    instr->attn_items.push_back(item);
   }
-  instr->reduce_items.reserve(num_reduce);
+  instr->attn_range = RangeFrom(attn_begin, pools.attn.size());
+  const size_t reduce_begin = pools.reduce.size();
   for (uint32_t i = 0; i < num_reduce; ++i) {
-    ReduceItem item;
+    ReduceItem& item = pools.reduce.emplace_back();
     const uint8_t mode = r.U8();
     if (mode > kMaxReduceMode) {
       return r.Fail("reduce mode out of range");
@@ -476,30 +604,30 @@ Status ReadInstructionBin(ByteReader& r, Instruction* instr) {
     if (r.failed()) {
       return r.TakeStatus();
     }
-    instr->reduce_items.push_back(item);
   }
-  instr->copy_items.reserve(num_copy);
+  instr->reduce_range = RangeFrom(reduce_begin, pools.reduce.size());
+  const size_t copy_begin = pools.copy.size();
   for (uint32_t i = 0; i < num_copy; ++i) {
-    CopyItem item;
+    CopyItem& item = pools.copy.emplace_back();
     item.dst = ReadRefBin(r);
     item.src = ReadRefBin(r);
     item.token_count = r.Zig();
     if (r.failed()) {
       return r.TakeStatus();
     }
-    instr->copy_items.push_back(item);
   }
-  instr->blocks.reserve(num_blocks);
+  instr->copy_range = RangeFrom(copy_begin, pools.copy.size());
+  const size_t blocks_begin = pools.blocks.size();
   for (uint32_t i = 0; i < num_blocks; ++i) {
-    TransferBlock block;
+    TransferBlock& block = pools.blocks.emplace_back();
     block.ref = ReadRefBin(r);
     block.bytes = r.Zig();
     block.token_count = r.Zig();
     if (r.failed()) {
       return r.TakeStatus();
     }
-    instr->blocks.push_back(block);
   }
+  instr->block_range = RangeFrom(blocks_begin, pools.blocks.size());
   return Status::Ok();
 }
 
@@ -549,12 +677,17 @@ std::string SerializePlanBinary(const BatchPlan& plan) {
       w.Zig(chunk.q_slot);
       w.Zig(chunk.kv_slot);
     }
+    PoolCursor cursor;
     for (const Instruction& instr : dev.instructions) {
-      WriteInstructionBin(w, instr);
+      WriteInstructionBin(w, dev, instr, cursor);
     }
     for (const Instruction& instr : dev.backward_instructions) {
-      WriteInstructionBin(w, instr);
+      WriteInstructionBin(w, dev, instr, cursor);
     }
+    DCP_CHECK(cursor.attn == dev.attn_items.size() &&
+              cursor.reduce == dev.reduce_items.size() &&
+              cursor.copy == dev.copy_items.size() && cursor.blocks == dev.blocks.size())
+        << "pool items no instruction references; the plan has no encoding";
   }
   return w.Take();
 }
@@ -610,8 +743,9 @@ StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
     return r.TakeStatus();
   }
   plan.devices.reserve(num_devices);
+  thread_local PoolScratch pools;
   for (uint32_t d = 0; d < num_devices; ++d) {
-    DevicePlan dev;
+    DevicePlan& dev = plan.devices.emplace_back();
     for (int32_t& slots : dev.num_slots) {
       slots = r.Zig32("device slot count out of range");
     }
@@ -634,19 +768,19 @@ StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
       }
       dev.local_chunks.push_back(chunk);
     }
-    dev.instructions.reserve(num_fw);
-    for (uint32_t i = 0; i < num_fw; ++i) {
-      Instruction instr;
-      DCP_RETURN_IF_ERROR(ReadInstructionBin(r, &instr));
-      dev.instructions.push_back(std::move(instr));
+    pools.Clear();
+    dev.instructions.resize(num_fw);
+    for (Instruction& instr : dev.instructions) {
+      DCP_RETURN_IF_ERROR(ReadInstructionBin(r, pools, &instr));
     }
-    dev.backward_instructions.reserve(num_bw);
-    for (uint32_t i = 0; i < num_bw; ++i) {
-      Instruction instr;
-      DCP_RETURN_IF_ERROR(ReadInstructionBin(r, &instr));
-      dev.backward_instructions.push_back(std::move(instr));
+    dev.backward_instructions.resize(num_bw);
+    for (Instruction& instr : dev.backward_instructions) {
+      DCP_RETURN_IF_ERROR(ReadInstructionBin(r, pools, &instr));
     }
-    plan.devices.push_back(std::move(dev));
+    dev.attn_items.assign(pools.attn.begin(), pools.attn.end());
+    dev.reduce_items.assign(pools.reduce.begin(), pools.reduce.end());
+    dev.copy_items.assign(pools.copy.begin(), pools.copy.end());
+    dev.blocks.assign(pools.blocks.begin(), pools.blocks.end());
   }
   if (r.failed()) {
     return r.TakeStatus();

@@ -1,7 +1,8 @@
 // The DCP instruction set (paper §5): five instruction kinds operating on block buffers.
-// Execution plans built from these instructions are consumed by both the numeric executor
-// (real tensor math) and the discrete-event simulator (timing) — the same plan, two
-// backends.
+// Instructions are fixed-size headers; their work items (attention tiles, reductions,
+// copies, transfer blocks) live in per-device pools (DevicePlan). Execution plans built
+// from these instructions are consumed by both the numeric executor (real tensor math)
+// and the discrete-event simulator (timing) — the same plan, two backends.
 #ifndef DCP_RUNTIME_INSTRUCTIONS_H_
 #define DCP_RUNTIME_INSTRUCTIONS_H_
 
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/check.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "masks/mask_spec.h"
@@ -111,25 +113,42 @@ struct TransferBlock {
   bool operator==(const TransferBlock&) const = default;
 };
 
+// Half-open [begin, end) index range into one of a DevicePlan's item pools.
+struct ItemRange {
+  uint32_t begin = 0;
+  uint32_t end = 0;
+
+  uint32_t size() const { return end - begin; }
+  bool empty() const { return begin == end; }
+  bool operator==(const ItemRange&) const = default;
+};
+
+// `range` of `pool` as a span (const when the pool is); aborts when out of bounds.
+template <typename Pool>
+auto PoolSlice(Pool& pool, ItemRange range) {
+  DCP_CHECK(range.begin <= range.end && range.end <= pool.size())
+      << "item range [" << range.begin << ", " << range.end << ") outside a pool of "
+      << pool.size();
+  return std::span(pool.data() + range.begin, range.size());
+}
+
+// An instruction is a fixed-size header: its items live in its DevicePlan's pools, and
+// the four ranges say which. Any kind may carry items of any kind; the executor and the
+// validator only read the items that match `kind`.
 struct Instruction {
   InstrKind kind = InstrKind::kBlockwiseAttention;
-
-  // kBlockwiseAttention.
-  std::vector<AttentionWorkItem> attn_items;
-  bool backward = false;
-
-  // kBlockwiseReduction.
-  std::vector<ReduceItem> reduce_items;
-
-  // kBlockwiseCopy.
-  std::vector<CopyItem> copy_items;
+  bool backward = false;  // kBlockwiseAttention: backward tiles.
 
   // kCommLaunch / kCommWait. A transfer is a matched (send, recv) CommLaunch pair sharing
   // `transfer_id`; CommWait blocks on that id.
+  bool is_send = false;
   int32_t transfer_id = -1;
   DeviceId peer = kInvalidDevice;
-  bool is_send = false;
-  std::vector<TransferBlock> blocks;
+
+  ItemRange attn_range;    // DevicePlan::attn_items (kBlockwiseAttention).
+  ItemRange reduce_range;  // DevicePlan::reduce_items (kBlockwiseReduction).
+  ItemRange copy_range;    // DevicePlan::copy_items (kBlockwiseCopy).
+  ItemRange block_range;   // DevicePlan::blocks (kCommLaunch).
 
   // Cost annotations for the simulator (numeric executor ignores them).
   Flops flops = 0.0;
@@ -141,6 +160,7 @@ struct Instruction {
 
   bool operator==(const Instruction&) const = default;
 };
+static_assert(sizeof(Instruction) <= 80, "instructions are copied and decoded in bulk");
 
 // Where a locally-owned data chunk lives in the device buffers, and which tokens it holds.
 // Used to scatter model inputs into buffers and gather outputs back.
@@ -154,13 +174,54 @@ struct LocalChunk {
   bool operator==(const LocalChunk&) const = default;
 };
 
+// One device's program: two instruction streams over one set of item pools, so a plan
+// is a few vectors per device rather than several per instruction — what a plan-store
+// or RPC hit allocates when it decodes a plan and frees when it drops one.
+//
+// Pools hold items in canonical stream order — `instructions` first, then
+// `backward_instructions` — so each instruction's range of a kind starts where the
+// previous instruction's range of that kind ended, and the last one ends at the pool's
+// size. ValidatePlan enforces this; the defaulted operator== relies on it, since two
+// plans with equal items in different pool orders compare unequal. Build plans with
+// Append and Add, which keep the order by construction.
 struct DevicePlan {
   std::vector<Instruction> instructions;
   std::vector<Instruction> backward_instructions;
   std::array<int32_t, kNumBufKinds> num_slots = {};
   std::vector<LocalChunk> local_chunks;
+  std::vector<AttentionWorkItem> attn_items;
+  std::vector<ReduceItem> reduce_items;
+  std::vector<CopyItem> copy_items;
+  std::vector<TransferBlock> blocks;
 
   bool operator==(const DevicePlan&) const = default;
+
+  // The items of `instr`, which must belong to this plan.
+  std::span<const AttentionWorkItem> attn_items_of(const Instruction& instr) const {
+    return PoolSlice(attn_items, instr.attn_range);
+  }
+  std::span<const ReduceItem> reduce_items_of(const Instruction& instr) const {
+    return PoolSlice(reduce_items, instr.reduce_range);
+  }
+  std::span<const CopyItem> copy_items_of(const Instruction& instr) const {
+    return PoolSlice(copy_items, instr.copy_range);
+  }
+  std::span<const TransferBlock> blocks_of(const Instruction& instr) const {
+    return PoolSlice(blocks, instr.block_range);
+  }
+  std::span<AttentionWorkItem> attn_items_of(const Instruction& instr) {
+    return PoolSlice(attn_items, instr.attn_range);
+  }
+
+  // Appends a `kind` instruction to `stream` (this plan's `instructions` or
+  // `backward_instructions`, forward first) with every range opened, empty, at its
+  // pool's end. Give it items with Add before appending the next instruction.
+  Instruction& Append(std::vector<Instruction>& stream, InstrKind kind);
+  // Appends one item to `instr`, the instruction most recently appended.
+  void Add(Instruction& instr, const AttentionWorkItem& item);
+  void Add(Instruction& instr, const ReduceItem& item);
+  void Add(Instruction& instr, const CopyItem& item);
+  void Add(Instruction& instr, const TransferBlock& block);
 };
 
 // Summary statistics the planner computes for a plan (used by benches and tests).

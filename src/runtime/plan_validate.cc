@@ -35,6 +35,53 @@ struct TransferEnds {
   int waits = 0;
 };
 
+// Tracks one pool while a device's streams are walked in order: each instruction's
+// range must start where the previous one ended, and the last must end at the pool's
+// size.
+class PoolWalk {
+ public:
+  PoolWalk(const char* name, size_t pool_size, DeviceId d, PlanValidation& result)
+      : name_(name), pool_size_(pool_size), device_(d), result_(result) {}
+
+  // False when `range` is outside the pool, so its items must not be read.
+  bool Step(ItemRange range) {
+    if (range.begin > range.end || range.end > pool_size_) {
+      Fail(range, "is outside the pool of " + std::to_string(pool_size_));
+      return false;
+    }
+    if (range.begin != next_) {
+      Fail(range, std::string(range.begin < next_ ? "overlaps" : "leaves a gap after") +
+                      " the previous instruction's range, which ended at " +
+                      std::to_string(next_));
+    }
+    next_ = range.end;
+    return true;
+  }
+
+  void Finish() {
+    if (ok_ && next_ != pool_size_) {
+      result_.Fail(std::string(name_) + " pool on device " + std::to_string(device_) +
+                   " holds " + std::to_string(pool_size_ - next_) +
+                   " item(s) no instruction references");
+    }
+  }
+
+ private:
+  void Fail(ItemRange range, const std::string& why) {
+    ok_ = false;
+    result_.Fail(std::string(name_) + " range [" + std::to_string(range.begin) + ", " +
+                 std::to_string(range.end) + ") on device " + std::to_string(device_) +
+                 " " + why);
+  }
+
+  const char* name_;
+  size_t pool_size_;
+  DeviceId device_;
+  PlanValidation& result_;
+  size_t next_ = 0;
+  bool ok_ = true;
+};
+
 }  // namespace
 
 PlanValidation ValidatePlan(const BatchPlan& plan) {
@@ -87,12 +134,24 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
                     ") on device " + std::to_string(d));
       }
     };
+    PoolWalk attn_walk("attention item", dev.attn_items.size(), d, result);
+    PoolWalk reduce_walk("reduce item", dev.reduce_items.size(), d, result);
+    PoolWalk copy_walk("copy item", dev.copy_items.size(), d, result);
+    PoolWalk block_walk("transfer block", dev.blocks.size(), d, result);
     bool forward_stream = true;
     for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
       for (const Instruction& instr : *stream) {
+        // Every range is walked, whatever the kind.
+        const bool attn_ok = attn_walk.Step(instr.attn_range);
+        const bool reduce_ok = reduce_walk.Step(instr.reduce_range);
+        const bool copy_ok = copy_walk.Step(instr.copy_range);
+        const bool blocks_ok = block_walk.Step(instr.block_range);
+        if (!(attn_ok && reduce_ok && copy_ok && blocks_ok)) {
+          continue;
+        }
         switch (instr.kind) {
           case InstrKind::kBlockwiseAttention:
-            for (const AttentionWorkItem& item : instr.attn_items) {
+            for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
               check_ref(item.q, "attention q");
               check_ref(item.kv, "attention kv");
               check_ref(item.acc, "attention acc");
@@ -115,7 +174,7 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
             }
             break;
           case InstrKind::kBlockwiseReduction:
-            for (const ReduceItem& item : instr.reduce_items) {
+            for (const ReduceItem& item : dev.reduce_items_of(instr)) {
               check_ref(item.dst, "reduce dst");
               check_ref(item.src0, "reduce src0");
               if (item.mode == ReduceMode::kComputeDelta) {
@@ -124,25 +183,25 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
             }
             break;
           case InstrKind::kBlockwiseCopy:
-            for (const CopyItem& item : instr.copy_items) {
+            for (const CopyItem& item : dev.copy_items_of(instr)) {
               check_ref(item.dst, "copy dst");
               check_ref(item.src, "copy src");
             }
             break;
           case InstrKind::kCommLaunch: {
             TransferEnds& ends = transfers[instr.transfer_id];
-            for (const TransferBlock& block : instr.blocks) {
+            for (const TransferBlock& block : dev.blocks_of(instr)) {
               check_ref(block.ref, instr.is_send ? "send block" : "recv block");
             }
             if (instr.is_send) {
               ++ends.sends;
-              ends.send_blocks += instr.blocks.size();
+              ends.send_blocks += instr.block_range.size();
               ends.send_bytes = instr.comm_bytes;
               ends.send_device = d;
               ends.send_peer = instr.peer;
             } else {
               ++ends.recvs;
-              ends.recv_blocks += instr.blocks.size();
+              ends.recv_blocks += instr.block_range.size();
               ends.recv_bytes = instr.comm_bytes;
               ends.recv_device = d;
               ends.recv_peer = instr.peer;
@@ -156,6 +215,10 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
       }
       forward_stream = false;
     }
+    attn_walk.Finish();
+    reduce_walk.Finish();
+    copy_walk.Finish();
+    block_walk.Finish();
   }
 
   for (const auto& [id, ends] : transfers) {

@@ -23,6 +23,9 @@ struct PlanValidation {
 };
 
 // Checks, across all devices and both instruction streams:
+//  - each device's item pools are in canonical stream order (instructions.h): every
+//    range is in bounds, starts where the previous instruction's range of its kind
+//    ended (no overlap, no gap), and every pool item is referenced;
 //  - every BlockRef is within its buffer's slot count;
 //  - every transfer id has exactly one send and one recv launch, with matching block
 //    counts, byte totals and consistent peer fields;

@@ -53,8 +53,102 @@ TEST(PlanSerialization, BinaryRoundTripPreservesAllStatsFields) {
   EXPECT_EQ(restored.value().stats.partition_cost, 1009.0625);
 }
 
+// A plan no planner emits: one device whose pools hold all four item kinds — including
+// copy items, which compiled plans never carry — and one instruction with items of two
+// kinds, which the format allows. Field values are distinct and non-default.
+BatchPlan MakeHandBuiltPlan() {
+  BatchPlan plan;
+  plan.layout.block_size = 16;
+  plan.layout.seqlens = {40};
+  plan.chunk_home = {0, 0, 0};
+  plan.devices.resize(2);
+  DevicePlan& dev = plan.devices[0];
+  dev.num_slots = {3, 3, 3, 4, 3, 4, 4, 3};
+  dev.local_chunks.push_back({0, 1, 0, 2, 1});
+
+  Instruction& attn = dev.Append(dev.instructions, InstrKind::kBlockwiseAttention);
+  attn.flops = 12.5;
+  attn.mem_bytes = 77;
+  AttentionWorkItem tile;
+  tile.q = {BufKind::kQ, 1};
+  tile.kv = {BufKind::kKV, 2};
+  tile.acc = {BufKind::kAcc, 3};
+  tile.seq = 0;
+  tile.group = 1;
+  tile.q_begin = 16;
+  tile.q_end = 32;
+  tile.kv_begin = 0;
+  tile.kv_end = 16;
+  tile.full = true;
+  dev.Add(attn, tile);
+  tile.full = false;
+  tile.kv_begin = 16;
+  tile.kv_end = 32;
+  dev.Add(attn, tile);
+
+  Instruction& send = dev.Append(dev.instructions, InstrKind::kCommLaunch);
+  send.transfer_id = 7;
+  send.peer = 1;
+  send.is_send = true;
+  send.comm_bytes = 4096;
+  dev.Add(send, TransferBlock{{BufKind::kKV, 2}, 2048, 16});
+  dev.Add(send, TransferBlock{{BufKind::kQ, 1}, 2048, 15});
+
+  Instruction& copy = dev.Append(dev.instructions, InstrKind::kBlockwiseCopy);
+  copy.mem_bytes = 512;
+  dev.Add(copy, CopyItem{{BufKind::kAcc, 3}, {BufKind::kAcc, 0}, 16});
+  dev.Add(copy, CopyItem{{BufKind::kDQ, 2}, {BufKind::kDQ, 3}, 9});
+
+  dev.Append(dev.instructions, InstrKind::kCommWait).transfer_id = 7;
+
+  // Backward: a reduction that also carries a transfer block.
+  Instruction& mixed = dev.Append(dev.backward_instructions, InstrKind::kBlockwiseReduction);
+  mixed.host_overhead = 1.5e-6;
+  ReduceItem reduce;
+  reduce.mode = ReduceMode::kComputeDelta;
+  reduce.dst = {BufKind::kDelta, 2};
+  reduce.src0 = {BufKind::kDO, 2};
+  reduce.src1 = {BufKind::kO, 2};
+  reduce.token_count = 8;
+  dev.Add(mixed, reduce);
+  dev.Add(mixed, TransferBlock{{BufKind::kDKV, 1}, 1024, 8});
+
+  Instruction& bw_attn =
+      dev.Append(dev.backward_instructions, InstrKind::kBlockwiseAttention);
+  bw_attn.backward = true;
+  tile.dout = {BufKind::kDO, 1};
+  tile.delta = {BufKind::kDelta, 1};
+  tile.dq = {BufKind::kDQ, 1};
+  tile.dkv = {BufKind::kDKV, 2};
+  dev.Add(bw_attn, tile);
+  return plan;
+}
+
+TEST(PlanSerialization, HandBuiltPoolsRoundTrip) {
+  const BatchPlan plan = MakeHandBuiltPlan();
+  const DevicePlan& dev = plan.devices[0];
+  EXPECT_EQ(dev.attn_items.size(), 3u);
+  EXPECT_EQ(dev.reduce_items.size(), 1u);
+  EXPECT_EQ(dev.copy_items.size(), 2u);
+  EXPECT_EQ(dev.blocks.size(), 3u);
+  const Instruction& mixed = dev.backward_instructions[0];
+  EXPECT_EQ(dev.reduce_items_of(mixed).size(), 1u);
+  ASSERT_EQ(dev.blocks_of(mixed).size(), 1u);
+  EXPECT_EQ(dev.blocks_of(mixed)[0].bytes, 1024);
+  // Backward ranges continue where the forward stream's ended.
+  EXPECT_EQ(dev.backward_instructions[1].attn_range, (ItemRange{2, 3}));
+
+  const std::string bytes = SerializePlanBinary(plan);
+  StatusOr<BatchPlan> restored = DeserializePlanBinary(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value() == plan);
+  EXPECT_EQ(SerializePlanBinary(restored.value()), bytes);
+  // The empty second device decodes to empty pools, not missing ones.
+  EXPECT_TRUE(restored.value().devices[1] == DevicePlan{});
+}
+
 // operator== is the codec-independent oracle the round-trip tests lean on; it must see
-// a one-field difference buried deep inside an instruction item.
+// a one-field difference buried deep inside any pool item, and a moved range boundary.
 TEST(PlanEquality, DetectsDeepFieldDifferences) {
   const BatchPlan plan = MakeTestPlan();
   // Two planning runs are equal once the wall-clock field agrees.
@@ -62,22 +156,46 @@ TEST(PlanEquality, DetectsDeepFieldDifferences) {
   again.stats.planning_seconds = plan.stats.planning_seconds;
   EXPECT_TRUE(again == plan);
 
-  BatchPlan changed = plan;
-  ASSERT_FALSE(changed.devices.empty());
-  bool mutated = false;
-  for (DevicePlan& dev : changed.devices) {
-    for (Instruction& instr : dev.instructions) {
-      if (!instr.attn_items.empty()) {
-        instr.attn_items.back().dkv.slot += 1;
-        mutated = true;
-        break;
+  // The last device with items of each kind.
+  auto last_with = [](BatchPlan& p, auto pool) -> DevicePlan& {
+    for (auto it = p.devices.rbegin(); it != p.devices.rend(); ++it) {
+      if (!((*it).*pool).empty()) {
+        return *it;
       }
     }
-    if (mutated) {
-      break;
+    ADD_FAILURE() << "no device has items of this kind";
+    return p.devices.front();
+  };
+  BatchPlan changed = plan;
+  last_with(changed, &DevicePlan::attn_items).attn_items.back().dkv.slot += 1;
+  EXPECT_FALSE(changed == plan);
+  changed = plan;
+  last_with(changed, &DevicePlan::reduce_items).reduce_items.back().token_count += 1;
+  EXPECT_FALSE(changed == plan);
+  changed = plan;
+  last_with(changed, &DevicePlan::blocks).blocks.back().ref.kind = BufKind::kDelta;
+  EXPECT_FALSE(changed == plan);
+
+  BatchPlan hand = MakeHandBuiltPlan();
+  const BatchPlan hand_copy = hand;
+  hand.devices[0].copy_items.back().src.slot += 1;
+  EXPECT_FALSE(hand == hand_copy);
+
+  // Same pools, one tile moved from an instruction to the next one with tiles.
+  changed = plan;
+  DevicePlan& dev = last_with(changed, &DevicePlan::attn_items);
+  std::vector<Instruction*> with_tiles;
+  for (auto* stream : {&dev.instructions, &dev.backward_instructions}) {
+    for (Instruction& instr : *stream) {
+      if (!instr.attn_range.empty()) {
+        with_tiles.push_back(&instr);
+      }
     }
   }
-  ASSERT_TRUE(mutated);
+  ASSERT_GE(with_tiles.size(), 2u);
+  ASSERT_EQ(with_tiles[0]->attn_range.end, with_tiles[1]->attn_range.begin);
+  with_tiles[0]->attn_range.end -= 1;
+  with_tiles[1]->attn_range.begin -= 1;
   EXPECT_FALSE(changed == plan);
 
   BatchPlan other_layout = plan;

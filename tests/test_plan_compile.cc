@@ -57,11 +57,11 @@ TEST(PlanCompile, EveryTransferHasMatchedSendAndRecvWithEqualPayload) {
           Ends& ends = transfers[instr.transfer_id];
           if (instr.is_send) {
             ++ends.sends;
-            ends.send_blocks += instr.blocks.size();
+            ends.send_blocks += instr.block_range.size();
             ends.send_bytes = instr.comm_bytes;
           } else {
             ++ends.recvs;
-            ends.recv_blocks += instr.blocks.size();
+            ends.recv_blocks += instr.block_range.size();
             ends.recv_bytes = instr.comm_bytes;
           }
         } else if (instr.kind == InstrKind::kCommWait) {
@@ -89,7 +89,7 @@ TEST(PlanCompile, EveryCompBlockTileAppearsExactlyOnce) {
       if (instr.kind != InstrKind::kBlockwiseAttention) {
         continue;
       }
-      for (const AttentionWorkItem& item : instr.attn_items) {
+      for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
         ++tiles[{item.seq, item.group, item.q_begin, item.kv_begin}];
       }
     }
@@ -126,7 +126,7 @@ TEST(PlanCompile, SlotReferencesAreInBounds) {
     };
     for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
       for (const Instruction& instr : *stream) {
-        for (const AttentionWorkItem& item : instr.attn_items) {
+        for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
           check_ref(item.q);
           check_ref(item.kv);
           check_ref(item.acc);
@@ -137,14 +137,14 @@ TEST(PlanCompile, SlotReferencesAreInBounds) {
             check_ref(item.dkv);
           }
         }
-        for (const ReduceItem& item : instr.reduce_items) {
+        for (const ReduceItem& item : dev.reduce_items_of(instr)) {
           check_ref(item.dst);
           check_ref(item.src0);
           if (item.mode == ReduceMode::kComputeDelta) {
             check_ref(item.src1);
           }
         }
-        for (const TransferBlock& block : instr.blocks) {
+        for (const TransferBlock& block : dev.blocks_of(instr)) {
           check_ref(block.ref);
         }
       }

@@ -264,6 +264,26 @@ TEST_F(PlanStoreTest, PutLoadContainsAndReopen) {
   EXPECT_FALSE(reopened.value()->Put(PlanSignature{}, p.plan).ok());
 }
 
+// dcp_store_read_us is the record-load latency: an index miss loads nothing, so it
+// must not add a (near-zero) sample — on a cold workload every new batch is a miss.
+TEST_F(PlanStoreTest, ReadLatencyCountsRecordLoadsNotIndexMisses) {
+  Rng rng(17);
+  const PlannedCase p = PlanRandomCase(rng);
+  const PlanSignature sig =
+      ComputePlanSignature(p.c.seqlens, p.spec, p.cluster, p.options);
+  metrics::Registry registry;
+  StatusOr<std::unique_ptr<PlanStore>> store = PlanStore::Open(StorePath(), &registry);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const metrics::Histogram* read_us = registry.GetHistogram("dcp_store_read_us");
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(store.value()->Load(sig).status().code(), StatusCode::kNotFound);
+  }
+  EXPECT_EQ(read_us->Snapshot().count(), 0);
+  ASSERT_TRUE(store.value()->Put(sig, p.plan).ok());
+  ASSERT_TRUE(store.value()->Load(sig).ok());
+  EXPECT_EQ(read_us->Snapshot().count(), 1);
+}
+
 TEST_F(PlanStoreTest, CorruptRecordOnDiskIsCountedSkippedAndReplannedAround) {
   Rng rng(14);
   const PlannedCase p = PlanRandomCase(rng);

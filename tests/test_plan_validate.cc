@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <utility>
+
 #include "baselines/static_planner.h"
 #include "core/planner.h"
 
@@ -50,8 +54,8 @@ TEST(ValidatePlan, DetectsOutOfRangeSlot) {
   BatchPlan plan = MakeValidPlan();
   for (DevicePlan& dev : plan.devices) {
     for (Instruction& instr : dev.instructions) {
-      if (instr.kind == InstrKind::kBlockwiseAttention && !instr.attn_items.empty()) {
-        instr.attn_items[0].q.slot = 10000;
+      if (instr.kind == InstrKind::kBlockwiseAttention && !instr.attn_range.empty()) {
+        dev.attn_items_of(instr)[0].q.slot = 10000;
         const PlanValidation validation = ValidatePlan(plan);
         EXPECT_FALSE(validation.ok);
         EXPECT_NE(validation.Summary().find("out of"), std::string::npos);
@@ -60,6 +64,78 @@ TEST(ValidatePlan, DetectsOutOfRangeSlot) {
     }
   }
   FAIL() << "no attention instruction found";
+}
+
+// The first forward attention instruction with at least two tiles, and its device.
+std::pair<DevicePlan*, Instruction*> FindMultiTileAttention(BatchPlan& plan) {
+  for (DevicePlan& dev : plan.devices) {
+    for (Instruction& instr : dev.instructions) {
+      if (instr.kind == InstrKind::kBlockwiseAttention && instr.attn_range.size() >= 2) {
+        return {&dev, &instr};
+      }
+    }
+  }
+  return {nullptr, nullptr};
+}
+
+// Validation failures that mention `needle`.
+int CountErrors(const PlanValidation& validation, const std::string& needle) {
+  int count = 0;
+  for (const std::string& error : validation.errors) {
+    count += error.find(needle) != std::string::npos ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(ValidatePlan, DetectsRangeOutsideItsPool) {
+  BatchPlan plan = MakeValidPlan();
+  auto [dev, instr] = FindMultiTileAttention(plan);
+  ASSERT_NE(instr, nullptr);
+  instr->attn_range.end = static_cast<uint32_t>(dev->attn_items.size()) + 1;
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  EXPECT_EQ(CountErrors(validation, "is outside the pool"), 1) << validation.Summary();
+
+  // An inverted range is outside every pool too.
+  BatchPlan inverted = MakeValidPlan();
+  Instruction* inverted_instr = FindMultiTileAttention(inverted).second;
+  ASSERT_NE(inverted_instr, nullptr);
+  std::swap(inverted_instr->attn_range.begin, inverted_instr->attn_range.end);
+  EXPECT_EQ(CountErrors(ValidatePlan(inverted), "is outside the pool"), 1);
+}
+
+TEST(ValidatePlan, DetectsOverlappingRanges) {
+  BatchPlan plan = MakeValidPlan();
+  auto [dev, instr] = FindMultiTileAttention(plan);
+  ASSERT_NE(instr, nullptr);
+  // The instruction now claims one tile of whichever comes next, and that one's range
+  // still starts where it did: two instructions share an item.
+  instr->attn_range.end += 1;
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  EXPECT_GE(CountErrors(validation, "overlaps"), 1) << validation.Summary();
+}
+
+TEST(ValidatePlan, DetectsGapBetweenRanges) {
+  BatchPlan plan = MakeValidPlan();
+  auto [dev, instr] = FindMultiTileAttention(plan);
+  ASSERT_NE(instr, nullptr);
+  instr->attn_range.end -= 1;  // Its last tile now belongs to no instruction.
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  EXPECT_GE(CountErrors(validation, "leaves a gap"), 1) << validation.Summary();
+}
+
+TEST(ValidatePlan, DetectsUnreferencedPoolItems) {
+  BatchPlan plan = MakeValidPlan();
+  DevicePlan& dev = plan.devices[0];
+  ASSERT_FALSE(dev.attn_items.empty());
+  dev.attn_items.push_back(dev.attn_items.front());
+  dev.copy_items.push_back(CopyItem{});
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  EXPECT_EQ(CountErrors(validation, "no instruction references"), 2)
+      << validation.Summary();
 }
 
 TEST(ValidatePlan, DetectsDroppedSend) {
@@ -86,18 +162,13 @@ TEST(ValidatePlan, DetectsDroppedSend) {
 
 TEST(ValidatePlan, DetectsDuplicatedTile) {
   BatchPlan plan = MakeValidPlan();
-  for (DevicePlan& dev : plan.devices) {
-    for (Instruction& instr : dev.instructions) {
-      if (instr.kind == InstrKind::kBlockwiseAttention && !instr.attn_items.empty()) {
-        instr.attn_items.push_back(instr.attn_items[0]);
-        const PlanValidation validation = ValidatePlan(plan);
-        EXPECT_FALSE(validation.ok);
-        EXPECT_NE(validation.Summary().find("computed twice"), std::string::npos);
-        return;
-      }
-    }
-  }
-  FAIL() << "no attention instruction found";
+  auto [dev, instr] = FindMultiTileAttention(plan);
+  ASSERT_NE(instr, nullptr);
+  std::span<AttentionWorkItem> tiles = dev->attn_items_of(*instr);
+  tiles[1] = tiles[0];
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  EXPECT_NE(validation.Summary().find("computed twice"), std::string::npos);
 }
 
 TEST(ValidatePlan, DetectsChunkOwnershipGaps) {
