@@ -66,23 +66,79 @@ PlannedCase PlanRandomCase(Rng& rng) {
   return p;
 }
 
+// CRC-32 straight from its definition, one bit at a time: the reference both kernels
+// are held to. Extends `crc` (a finished checksum, 0 to start) like Crc32Update.
+uint32_t BitwiseCrc32Update(uint32_t crc, const unsigned char* bytes, size_t size) {
+  crc = ~crc;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= bytes[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return ~crc;
+}
+
 TEST(Crc32, MatchesTheIeeeCheckValueAtEveryLengthSplit) {
   // The standard CRC-32 check value pins the polynomial, reflection, and the final
-  // inversion — guarding the slicing-by-8 kernel against any drift from the byte-wise
-  // definition (which would silently invalidate every existing plan record).
+  // inversion — any drift from the definition would silently invalidate every
+  // existing plan record and frame.
   const std::string check = "123456789";
   EXPECT_EQ(Crc32(check), 0xCBF43926u);
-  // Incremental updates across every split point, exercising both the 8-byte kernel
-  // and the byte-at-a-time tail, must agree with the one-shot value.
-  std::string longer;
-  for (int i = 0; i < 100; ++i) {
-    longer += static_cast<char>(i * 37 + 11);
+  EXPECT_EQ(internal::PortableCrc32Update(0, check.data(), check.size()), 0xCBF43926u);
+
+  // Both kernels (Crc32Update takes the carry-less-multiply path from 64 bytes on
+  // PCLMUL hosts; the portable kernel is called directly so it is checked there too)
+  // against the bitwise reference, at every length 0-1100 — across the 64-byte
+  // minimum and every 0-15-byte tail — from every start offset 0-15, one-shot and in
+  // random two- and three-way incremental splits.
+  constexpr size_t kMaxLen = 1100;
+  constexpr size_t kOffsets = 16;
+  Rng rng(0xC3C32);
+  std::vector<unsigned char> buf(kMaxLen + kOffsets);
+  for (unsigned char& b : buf) {
+    b = static_cast<unsigned char>(rng.NextU64());
   }
-  const uint32_t whole = Crc32(longer);
-  for (size_t split = 0; split <= longer.size(); ++split) {
-    uint32_t crc = Crc32Update(0, longer.data(), split);
-    crc = Crc32Update(crc, longer.data() + split, longer.size() - split);
-    EXPECT_EQ(crc, whole) << "split at " << split;
+  using Kernel = uint32_t (*)(uint32_t, const void*, size_t);
+  const Kernel kernels[] = {&Crc32Update, &internal::PortableCrc32Update};
+  for (size_t offset = 0; offset < kOffsets; ++offset) {
+    const unsigned char* data = buf.data() + offset;
+    uint32_t expected = 0;  // Reference CRC of data[0, len), extended per length.
+    for (size_t len = 0; len <= kMaxLen; ++len) {
+      if (len > 0) {
+        expected = BitwiseCrc32Update(expected, data + len - 1, 1);
+      }
+      const size_t a = static_cast<size_t>(rng.NextBounded(len + 1));
+      const size_t b = a + static_cast<size_t>(rng.NextBounded(len - a + 1));
+      for (int k = 0; k < 2; ++k) {
+        const Kernel crc32 = kernels[k];
+        ASSERT_EQ(crc32(0, data, len), expected)
+            << "kernel " << k << " offset " << offset << " len " << len;
+        ASSERT_EQ(crc32(crc32(0, data, a), data + a, len - a), expected)
+            << "kernel " << k << " offset " << offset << " len " << len << " split "
+            << a;
+        ASSERT_EQ(crc32(crc32(crc32(0, data, a), data + a, b - a), data + b, len - b),
+                  expected)
+            << "kernel " << k << " offset " << offset << " len " << len << " splits "
+            << a << "," << b;
+      }
+    }
+  }
+
+  // One plan-record-sized buffer (~128 KB), unaligned, whole and split.
+  std::vector<unsigned char> big(128 * 1024 + 13);
+  for (unsigned char& b : big) {
+    b = static_cast<unsigned char>(rng.NextU64());
+  }
+  const unsigned char* data = big.data() + 3;
+  const size_t len = big.size() - 3;
+  const uint32_t expected = BitwiseCrc32Update(0, data, len);
+  const size_t split = static_cast<size_t>(rng.NextBounded(len + 1));
+  for (int k = 0; k < 2; ++k) {
+    EXPECT_EQ(kernels[k](0, data, len), expected) << "kernel " << k;
+    EXPECT_EQ(kernels[k](kernels[k](0, data, split), data + split, len - split),
+              expected)
+        << "kernel " << k << " split " << split;
   }
 }
 
