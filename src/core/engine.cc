@@ -100,7 +100,9 @@ Status ValidatePlanRequest(std::span<const int64_t> seqlens, const MaskSpec& mas
 }
 
 Engine::Engine(ClusterSpec cluster, EngineOptions options)
-    : cluster_(cluster), options_(std::move(options)) {
+    : cluster_(cluster),
+      options_(std::move(options)),
+      tune_lru_(options_.tune_cache_capacity) {
   DCP_CHECK_GE(options_.plan_cache_capacity, 0);
   DCP_CHECK_GE(options_.tune_cache_capacity, 0);
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.planner_threads));
@@ -141,8 +143,7 @@ Engine::Engine(ClusterSpec cluster, EngineOptions options)
   const int64_t base = options_.plan_cache_capacity / shards;
   const int64_t remainder = options_.plan_cache_capacity % shards;
   for (int s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->capacity = base + (s < remainder ? 1 : 0);
+    auto shard = std::make_unique<Shard>(base + (s < remainder ? 1 : 0));
     const std::vector<metrics::Label> labels = {{"shard", std::to_string(s)}};
     shard->hits = metrics_->GetCounter("dcp_engine_cache_hits_total", labels,
                                        "Plan cache hits");
@@ -168,43 +169,33 @@ Engine::Shard& Engine::ShardFor(const PlanSignature& sig) {
 PlanHandle Engine::CacheLookup(const PlanSignature& sig) {
   Shard& shard = ShardFor(sig);
   MutexLock lock(shard.mu);
-  auto it = shard.index.find(sig);
-  if (it == shard.index.end()) {
+  PlanHandle* cached = shard.lru.Find(sig);
+  if (cached == nullptr) {
     // Counted even with caching disabled so cache_stats() reports the true cold-plan
     // rate instead of pretending the cache saw no traffic.
     shard.misses->Increment();
     return nullptr;
   }
   shard.hits->Increment();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // Move to front.
-  return *it->second;
+  return *cached;
 }
 
 PlanHandle Engine::CacheInsert(PlanHandle handle, std::vector<PlanHandle>* evicted) {
   Shard& shard = ShardFor(handle->signature);
+  // Declared before the lock so handles nobody asked for are released outside it.
+  std::vector<PlanHandle> dropped;
+  if (evicted == nullptr) {
+    evicted = &dropped;
+  }
+  const size_t evicted_before = evicted->size();
   MutexLock lock(shard.mu);
-  if (shard.capacity == 0) {
-    return handle;
-  }
-  auto it = shard.index.find(handle->signature);
-  if (it != shard.index.end()) {
-    // A concurrent miss planned the same signature; keep the incumbent so callers that
-    // raced still end up sharing one immutable plan.
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return *it->second;
-  }
-  shard.lru.push_front(handle);
-  shard.index.emplace(handle->signature, shard.lru.begin());
-  while (static_cast<int64_t>(shard.lru.size()) > shard.capacity) {
-    if (evicted != nullptr) {
-      evicted->push_back(shard.lru.back());
-    }
-    shard.index.erase(shard.lru.back()->signature);
-    shard.lru.pop_back();
-    shard.evictions->Increment();
-  }
+  // A concurrent miss may have planned the same signature; Insert keeps the incumbent
+  // so callers that raced still end up sharing one immutable plan.
+  const PlanSignature sig = handle->signature;
+  PlanHandle resident = shard.lru.Insert(sig, std::move(handle), evicted);
+  shard.evictions->Add(static_cast<int64_t>(evicted->size() - evicted_before));
   shard.entries->Set(static_cast<int64_t>(shard.lru.size()));
-  return handle;
+  return resident;
 }
 
 PlanHandle Engine::InsertAndPersist(std::shared_ptr<CompiledPlan> compiled) {
@@ -319,9 +310,9 @@ std::vector<PlanHandle> Engine::CachedPlans() const {
   std::vector<PlanHandle> plans;
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    for (const PlanHandle& handle : shard->lru) {
+    shard->lru.ForEach([&plans](const PlanSignature&, const PlanHandle& handle) {
       plans.push_back(handle);
-    }
+    });
   }
   return plans;
 }
@@ -382,11 +373,9 @@ StatusOr<AutoTuneResult> Engine::AutoTune(std::span<const int64_t> seqlens,
   int64_t known_winner = 0;
   {
     MutexLock lock(tune_mu_);
-    auto it = tune_index_.find(tune_sig);
-    if (it != tune_index_.end()) {
+    if (const int64_t* winner = tune_lru_.Find(tune_sig)) {
       tune_hits_->Increment();
-      tune_lru_.splice(tune_lru_.begin(), tune_lru_, it->second);
-      known_winner = it->second->second;
+      known_winner = *winner;
     } else {
       tune_misses_->Increment();
     }
@@ -419,16 +408,9 @@ StatusOr<AutoTuneResult> Engine::AutoTune(std::span<const int64_t> seqlens,
                              options_.tune_block_sizes);
   }
 
-  if (options_.tune_cache_capacity > 0) {
+  {
     MutexLock lock(tune_mu_);
-    if (tune_index_.find(tune_sig) == tune_index_.end()) {
-      tune_lru_.emplace_front(tune_sig, search.best_block_size);
-      tune_index_.emplace(tune_sig, tune_lru_.begin());
-      while (static_cast<int64_t>(tune_lru_.size()) > options_.tune_cache_capacity) {
-        tune_index_.erase(tune_lru_.back().first);
-        tune_lru_.pop_back();
-      }
-    }
+    tune_lru_.Insert(tune_sig, search.best_block_size);
   }
 
   PlannerOptions winner_options = options_.planner;
@@ -499,13 +481,11 @@ PlanCacheStats Engine::cache_stats() const DCP_NO_THREAD_SAFETY_ANALYSIS {
 void Engine::ClearCache() {
   for (const auto& shard : shards_) {
     MutexLock lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
+    shard->lru.Clear();
     shard->entries->Set(0);
   }
   MutexLock lock(tune_mu_);
-  tune_lru_.clear();
-  tune_index_.clear();
+  tune_lru_.Clear();
 }
 
 }  // namespace dcp

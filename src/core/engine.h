@@ -18,10 +18,8 @@
 
 #include <cstdint>
 #include <initializer_list>
-#include <list>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,6 +30,7 @@
 #include "core/plan_signature.h"
 #include "core/plan_store.h"
 #include "core/planner.h"
+#include "core/signature_lru.h"
 #include "masks/mask.h"
 #include "runtime/cluster.h"
 #include "runtime/instructions.h"
@@ -243,12 +242,10 @@ class Engine : public Planner {
 
  private:
   struct Shard {
+    explicit Shard(int64_t capacity) : lru(capacity) {}
+
     mutable Mutex mu;
-    // Front = most recently used. The map indexes into the list.
-    std::list<PlanHandle> lru DCP_GUARDED_BY(mu);
-    std::unordered_map<PlanSignature, std::list<PlanHandle>::iterator, PlanSignatureHash>
-        index DCP_GUARDED_BY(mu);
-    int64_t capacity = 0;  // Immutable after construction.
+    SignatureLru<PlanHandle> lru DCP_GUARDED_BY(mu);
     // Registry-backed counters (PlanCacheStats is a view over them). The
     // pointers are immutable after construction; every Add() happens with mu
     // held, so the all-shard-lock snapshot in cache_stats() stays exact even
@@ -293,11 +290,7 @@ class Engine : public Planner {
 
   // AutoTune winner table: LRU-bounded by tune_cache_capacity.
   mutable Mutex tune_mu_;
-  std::list<std::pair<PlanSignature, int64_t>> tune_lru_ DCP_GUARDED_BY(tune_mu_);
-  std::unordered_map<PlanSignature,
-                     std::list<std::pair<PlanSignature, int64_t>>::iterator,
-                     PlanSignatureHash>
-      tune_index_ DCP_GUARDED_BY(tune_mu_);
+  SignatureLru<int64_t> tune_lru_ DCP_GUARDED_BY(tune_mu_);
   // Registry-backed (see Shard counters): bumped with tune_mu_ held.
   metrics::Counter* tune_hits_ = nullptr;
   metrics::Counter* tune_misses_ = nullptr;

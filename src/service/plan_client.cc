@@ -63,7 +63,9 @@ PlanSignature PlanRequestCacheKey(const std::string& tenant,
 }
 
 PlanClient::PlanClient(ServiceAddress address, PlanClientOptions options)
-    : address_(std::move(address)), options_(std::move(options)) {
+    : address_(std::move(address)),
+      options_(std::move(options)),
+      cache_(options_.cache_capacity) {
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.planner_threads));
   metrics_ = metrics::Registry::NewAttached({{"tenant", options_.tenant}});
   const auto counter = [&](const char* name, const char* help) {
@@ -194,32 +196,6 @@ PlanSignature PlanClient::CacheKey(const std::vector<int64_t>& seqlens,
   return PlanRequestCacheKey(options_.tenant, seqlens, mask_spec, block_size);
 }
 
-PlanHandle PlanClient::CacheLookup(const PlanSignature& key) {
-  MutexLock lock(cache_mu_);
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-void PlanClient::CacheInsert(const PlanSignature& key, PlanHandle handle) {
-  if (options_.cache_capacity <= 0) {
-    return;
-  }
-  MutexLock lock(cache_mu_);
-  if (cache_.find(key) != cache_.end()) {
-    return;  // A concurrent caller already planted it.
-  }
-  lru_.emplace_front(key, std::move(handle));
-  cache_.emplace(key, lru_.begin());
-  while (static_cast<int>(lru_.size()) > options_.cache_capacity) {
-    cache_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
-}
-
 StatusOr<PlanHandle> PlanClient::PlanWithBlockSize(const std::vector<int64_t>& seqlens,
                                                    const MaskSpec& mask_spec,
                                                    int64_t block_size) {
@@ -228,11 +204,15 @@ StatusOr<PlanHandle> PlanClient::PlanWithBlockSize(const std::vector<int64_t>& s
   const bool timed = metrics::RecordingEnabled();
   const int64_t start_us = timed ? metrics::MonotonicMicros() : 0;
   const PlanSignature key = CacheKey(seqlens, mask_spec, block_size);
-  if (PlanHandle cached = CacheLookup(key)) {
-    {
-      MutexLock lock(cache_mu_);
+  PlanHandle cached;
+  {
+    MutexLock lock(cache_mu_);
+    if (const PlanHandle* hit = cache_.Find(key)) {
+      cached = *hit;
       last_source_ = PlanServeSource::kClientCache;
     }
+  }
+  if (cached != nullptr) {
     counters_.cache_hits->Increment();
     if (timed) {
       const int64_t probe_us = metrics::MonotonicMicros() - start_us;
@@ -295,9 +275,9 @@ StatusOr<PlanHandle> PlanClient::PlanWithBlockSize(const std::vector<int64_t>& s
   // so it costs less than shipping them would.
   compiled->masks = BuildBatchMasks(mask_spec, seqlens);
   PlanHandle handle = std::move(compiled);
-  CacheInsert(key, handle);
   {
     MutexLock lock(cache_mu_);
+    cache_.Insert(key, handle);
     last_source_ = response.value().source;
   }
   const int source_index = static_cast<int>(response.value().source);
@@ -359,8 +339,7 @@ PlanClientStats PlanClient::stats() const {
 
 void PlanClient::ClearCache() {
   MutexLock lock(cache_mu_);
-  lru_.clear();
-  cache_.clear();
+  cache_.Clear();
 }
 
 }  // namespace dcp

@@ -17,10 +17,8 @@
 #define DCP_SERVICE_PLAN_CLIENT_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -29,6 +27,7 @@
 #include "common/thread_pool.h"
 #include "core/engine.h"
 #include "core/plan_signature.h"
+#include "core/signature_lru.h"
 #include "runtime/instructions.h"
 #include "service/frame.h"
 #include "service/transport.h"
@@ -148,8 +147,6 @@ class PlanClient : public Planner {
   // would still be safe.
   PlanSignature CacheKey(const std::vector<int64_t>& seqlens, const MaskSpec& mask_spec,
                          int64_t block_size) const;
-  PlanHandle CacheLookup(const PlanSignature& key);
-  void CacheInsert(const PlanSignature& key, PlanHandle handle);
 
   const ServiceAddress address_;
   const PlanClientOptions options_;
@@ -161,11 +158,7 @@ class PlanClient : public Planner {
   bool connected_ DCP_GUARDED_BY(io_mu_) = false;
 
   mutable Mutex cache_mu_;
-  std::list<std::pair<PlanSignature, PlanHandle>> lru_ DCP_GUARDED_BY(cache_mu_);
-  std::unordered_map<PlanSignature,
-                     std::list<std::pair<PlanSignature, PlanHandle>>::iterator,
-                     PlanSignatureHash>
-      cache_ DCP_GUARDED_BY(cache_mu_);
+  SignatureLru<PlanHandle> cache_ DCP_GUARDED_BY(cache_mu_);
   PlanServeSource last_source_ DCP_GUARDED_BY(cache_mu_) = PlanServeSource::kPlanned;
 
   // Client instruments in a child registry labeled {tenant=<options.tenant>},

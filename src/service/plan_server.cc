@@ -966,23 +966,28 @@ PlanServer::ServeResult PlanServer::HandlePlanRequest(
         ErrorResponse(StatusCode::kNotFound, "unknown tenant '" + tenant + "'");
   } else {
     TenantCountersFor(tenant).requests->Increment();
-    // Gossip-adopted warm tier: a peer may have planned this exact shape already. The
+    // Gossip-adopted records: a peer may have planned this exact shape already. The
     // signature is computable without planning, except under auto-tune with block 0
     // (the chosen block size — part of the signature — is only known after tuning).
+    // Local records are not served here: those requests go through the engine, so its
+    // hit/miss counters and the memory/store/planned sources stay exact.
     if (!(engine->options().auto_tune_block_size && block_size == 0)) {
       StatusOr<PlanSignature> sig =
           engine->RequestSignature(seqlens, mask_spec, block_size);
       if (sig.ok()) {
-        if (std::shared_ptr<const std::string> record =
-                ReplicaRecordLookup(sig.value())) {
+        MutexLock lock(record_cache_mu_);
+        const CachedRecord* cached = record_cache_.Find(sig.value());
+        if (cached != nullptr && cached->from_peer) {
           result.response.source = PlanServeSource::kReplicaCache;
           result.response.signature_lo = sig.value().lo;
           result.response.signature_hi = sig.value().hi;
-          result.record = std::move(record);  // Shared bytes; never copied.
-          counters_.replica_cache_hits->Increment();
-          counters_.plan_ok->Increment();
-          return result;
+          result.record = cached->bytes;  // Shared bytes; never copied.
         }
+      }
+      if (result.record != nullptr) {
+        counters_.replica_cache_hits->Increment();
+        counters_.plan_ok->Increment();
+        return result;
       }
     }
     StatusOr<Engine::PlannedOutcome> planned =
@@ -996,8 +1001,8 @@ PlanServer::ServeResult PlanServer::HandlePlanRequest(
       result.response.signature_lo = handle->signature.lo;
       result.response.signature_hi = handle->signature.hi;
       // The wire carries the persistence format: one CRC-trailed PlanStore record,
-      // encoded once per signature and served as shared bytes from the record LRU on
-      // later hits — the response path never copies them.
+      // encoded once per signature and served as shared bytes from the record cache
+      // on later hits — the response path never copies them.
       result.record = EncodedRecordFor(handle);
     }
   }
@@ -1048,63 +1053,22 @@ metrics::Histogram* PlanServer::ServeHistogramFor(const std::string& tenant,
 
 std::shared_ptr<const std::string> PlanServer::EncodedRecordFor(
     const PlanHandle& handle) {
-  if (options_.record_cache_capacity > 0) {
+  {
     MutexLock lock(record_cache_mu_);
-    const auto it = record_cache_.find(handle->signature);
-    if (it != record_cache_.end()) {
-      record_lru_.splice(record_lru_.begin(), record_lru_, it->second);
-      return it->second->second;
+    if (const CachedRecord* cached = record_cache_.Find(handle->signature)) {
+      return cached->bytes;
     }
   }
   // Encode outside the lock: it is the expensive part, and two racing encoders of the
   // same signature produce identical bytes anyway.
-  std::shared_ptr<const std::string> record;
+  CachedRecord fresh;
   {
     metrics::ScopedPhase encode_phase(metrics::TracePhase::kEncode);
-    record = std::make_shared<const std::string>(
+    fresh.bytes = std::make_shared<const std::string>(
         PlanStore::EncodeRecord(handle->signature, handle->plan));
   }
-  if (options_.record_cache_capacity > 0) {
-    MutexLock lock(record_cache_mu_);
-    if (record_cache_.find(handle->signature) == record_cache_.end()) {
-      record_lru_.emplace_front(handle->signature, record);
-      record_cache_.emplace(handle->signature, record_lru_.begin());
-      while (static_cast<int>(record_lru_.size()) > options_.record_cache_capacity) {
-        record_cache_.erase(record_lru_.back().first);
-        record_lru_.pop_back();
-      }
-    }
-  }
-  return record;
-}
-
-std::shared_ptr<const std::string> PlanServer::ReplicaRecordLookup(
-    const PlanSignature& sig) {
-  MutexLock lock(replica_cache_mu_);
-  const auto it = replica_cache_.find(sig);
-  if (it == replica_cache_.end()) {
-    return nullptr;
-  }
-  replica_lru_.splice(replica_lru_.begin(), replica_lru_, it->second);
-  return it->second->second;
-}
-
-void PlanServer::ReplicaRecordAdopt(const PlanSignature& sig,
-                                    std::shared_ptr<const std::string> record) {
-  if (options_.replica_record_cache_capacity <= 0) {
-    return;
-  }
-  MutexLock lock(replica_cache_mu_);
-  if (replica_cache_.find(sig) != replica_cache_.end()) {
-    return;
-  }
-  replica_lru_.emplace_front(sig, std::move(record));
-  replica_cache_.emplace(sig, replica_lru_.begin());
-  while (static_cast<int>(replica_lru_.size()) >
-         options_.replica_record_cache_capacity) {
-    replica_cache_.erase(replica_lru_.back().first);
-    replica_lru_.pop_back();
-  }
+  MutexLock lock(record_cache_mu_);
+  return record_cache_.Insert(handle->signature, std::move(fresh)).bytes;
 }
 
 PlanSyncResponse PlanServer::HandleSyncRequest(const PlanSyncRequest& request) {
@@ -1124,8 +1088,9 @@ PlanSyncResponse PlanServer::HandleSyncRequest(const PlanSyncRequest& request) {
     peer_has.insert(sig);
   }
   // Ship what the peer lacks: this engine's own compiled plans first (the authoritative
-  // copies), then records we ourselves adopted from other replicas — gossip is
-  // transitive, so a plan computed once reaches replicas that never talk directly.
+  // copies), then every cached record, including those we ourselves adopted from other
+  // replicas — gossip is transitive, so a plan computed once reaches replicas that
+  // never talk directly.
   std::unordered_set<PlanSignature, PlanSignatureHash> shipped;
   const int cap = std::max(0, options_.max_sync_records_per_exchange);
   for (const PlanHandle& handle : engine->CachedPlans()) {
@@ -1138,17 +1103,23 @@ PlanSyncResponse PlanServer::HandleSyncRequest(const PlanSyncRequest& request) {
     }
     response.records.push_back(*EncodedRecordFor(handle));
   }
+  // Snapshot the shared pointers, then copy the bytes outside the serve-path lock.
+  std::vector<std::pair<PlanSignature, std::shared_ptr<const std::string>>> cached;
   {
-    MutexLock lock(replica_cache_mu_);
-    for (const auto& entry : replica_lru_) {
-      if (static_cast<int>(response.records.size()) >= cap) {
-        break;
-      }
-      if (peer_has.count(entry.first) != 0 || !shipped.insert(entry.first).second) {
-        continue;
-      }
-      response.records.push_back(*entry.second);
+    MutexLock lock(record_cache_mu_);
+    record_cache_.ForEach(
+        [&cached](const PlanSignature& sig, const CachedRecord& record) {
+          cached.emplace_back(sig, record.bytes);
+        });
+  }
+  for (const auto& [sig, bytes] : cached) {
+    if (static_cast<int>(response.records.size()) >= cap) {
+      break;
     }
+    if (peer_has.count(sig) != 0 || !shipped.insert(sig).second) {
+      continue;
+    }
+    response.records.push_back(*bytes);
   }
   if (options_.fault_injector != nullptr) {
     for (std::string& record : response.records) {
@@ -1172,10 +1143,10 @@ std::vector<std::pair<uint64_t, uint64_t>> PlanServer::LocalSignatureIndex(
   for (const PlanHandle& handle : engine.CachedPlans()) {
     index.emplace_back(handle->signature.lo, handle->signature.hi);
   }
-  MutexLock lock(replica_cache_mu_);
-  for (const auto& entry : replica_lru_) {
-    index.emplace_back(entry.first.lo, entry.first.hi);
-  }
+  MutexLock lock(record_cache_mu_);
+  record_cache_.ForEach([&index](const PlanSignature& sig, const CachedRecord&) {
+    index.emplace_back(sig.lo, sig.hi);
+  });
   return index;
 }
 
@@ -1240,7 +1211,7 @@ void PlanServer::GossipWithPeer(const ServiceAddress& peer) {
     if (!response.ok() || response.value().code != StatusCode::kOk) {
       continue;  // E.g. the peer doesn't host this tenant; other tenants may still sync.
     }
-    for (const std::string& record : response.value().records) {
+    for (std::string& record : response.value().records) {
       // Full validation before adoption: DecodeRecord re-checks the CRC and decodes
       // every field, so a stale/corrupt peer record is counted and dropped here.
       StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
@@ -1249,12 +1220,19 @@ void PlanServer::GossipWithPeer(const ServiceAddress& peer) {
         counters_.sync_records_rejected->Increment();
         continue;
       }
-      if (ReplicaRecordLookup(decoded.value().first) != nullptr) {
-        continue;  // Raced another gossip round; already warm.
+      // A signature already resident, of either kind, stays as it is and is not
+      // counted: the bytes are identical, and a local record keeps going through the
+      // engine.
+      const auto bytes = std::make_shared<const std::string>(std::move(record));
+      bool adopted = false;
+      {
+        MutexLock lock(record_cache_mu_);
+        adopted = record_cache_.Insert(decoded.value().first,
+                                       {bytes, /*from_peer=*/true}).bytes == bytes;
       }
-      ReplicaRecordAdopt(decoded.value().first,
-                         std::make_shared<const std::string>(record));
-      counters_.sync_records_adopted->Increment();
+      if (adopted) {
+        counters_.sync_records_adopted->Increment();
+      }
     }
   }
 }

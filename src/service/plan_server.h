@@ -29,7 +29,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <list>
 #include <memory>
 #include <span>
 #include <string>
@@ -42,6 +41,7 @@
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
+#include "core/signature_lru.h"
 #include "runtime/instructions.h"
 #include "service/event_loop.h"
 #include "service/fault_injection.h"
@@ -73,29 +73,20 @@ struct PlanServerOptions {
   int max_queue = 64;
   // Per-tenant in-flight bound (0 disables): one tenant's burst gets UNAVAILABLE for
   // that tenant only, while every other tenant keeps planning. Enforced on the loop
-  // thread (the request is decoded before admission), counted per tenant in the stats
-  // RPC.
+  // thread (the request is decoded before admission), counted per tenant in
+  // dcp_server_tenant_shed_quota_total.
   int max_inflight_per_tenant = 0;
   // Cap on inbound REQUEST frames. Requests (tenant + seqlens + mask params) are a few
   // KB; only responses carry compiled plans. The frame header commits the claimed
   // length before the checksum can be verified, so a small request cap is what stops a
   // malicious 16-byte header from committing a giant allocation per connection.
   uint64_t max_frame_payload_bytes = uint64_t{1} << 20;
-  // Encoded-record LRU: compiled plans are immutable per signature, so the wire bytes
-  // (PlanStore record: serialize + CRC) are computed once and replayed on every
-  // subsequent hit — the record encode would otherwise dominate the server-cache-hit
-  // RPC latency. 0 disables (every response re-encodes).
-  int record_cache_capacity = 256;
   // Anti-entropy gossip: every gossip_interval_ms (0 disables), a background task
   // exchanges per-tenant signature indexes with each peer replica and pulls the
   // records it lacks, so a plan computed once becomes warm fleet-wide.
   std::vector<ServiceAddress> peers;
   int gossip_interval_ms = 0;
   int max_sync_records_per_exchange = 64;
-  // Records adopted from peers (and servable without replanning), LRU-bounded. The
-  // key — the plan signature — fully determines the plan bytes, so the tier is shared
-  // across tenants by construction.
-  int replica_record_cache_capacity = 1024;
   // Per-request phase tracing: every completed plan request leaves a trace
   // (queue-wait / cache-probe / store-read / plan stages / encode / write-drain)
   // in a bounded in-memory ring, newest first. Requests slower than
@@ -302,13 +293,9 @@ class PlanServer {
                                 std::span<const int64_t> seqlens,
                                 const MaskSpec& mask_spec, int64_t block_size);
   PlanSyncResponse HandleSyncRequest(const PlanSyncRequest& request);
-  // The PlanStore record bytes for `handle`, from the encoded-record LRU when present.
+  // The PlanStore record bytes for `handle`: the resident record of either kind, or a
+  // fresh encode that is cached as a local record.
   std::shared_ptr<const std::string> EncodedRecordFor(const PlanHandle& handle);
-
-  // Gossip-adopted record tier.
-  std::shared_ptr<const std::string> ReplicaRecordLookup(const PlanSignature& sig);
-  void ReplicaRecordAdopt(const PlanSignature& sig,
-                          std::shared_ptr<const std::string> record);
   std::vector<std::pair<uint64_t, uint64_t>> LocalSignatureIndex(Engine& engine);
   void GossipLoop();
   void GossipWithPeer(const ServiceAddress& peer);
@@ -331,24 +318,21 @@ class PlanServer {
   Mutex gossip_mu_;  // Pairs with gossip_cv_ for an interruptible interval sleep.
   CondVar gossip_cv_;
 
+  // Encoded PlanStore records (serialize + CRC), keyed by plan signature. A signature
+  // fully determines the plan bytes, so the cache is shared across tenants. Local
+  // records are encoded once and replayed on every later hit, since the encode would
+  // otherwise dominate a server-cache-hit RPC; requests for them still go through the
+  // engine. Records adopted from peers by gossip are served without the engine.
+  struct CachedRecord {
+    std::shared_ptr<const std::string> bytes;
+    bool from_peer = false;
+  };
+  // 256 local + 1024 peer records: the worst-case resident bytes of the separate local
+  // and peer caches this one merged.
+  static constexpr int64_t kRecordCacheCapacity = 1280;
   Mutex record_cache_mu_;
-  std::list<std::pair<PlanSignature, std::shared_ptr<const std::string>>> record_lru_
-      DCP_GUARDED_BY(record_cache_mu_);
-  std::unordered_map<
-      PlanSignature,
-      std::list<std::pair<PlanSignature, std::shared_ptr<const std::string>>>::iterator,
-      PlanSignatureHash>
-      record_cache_ DCP_GUARDED_BY(record_cache_mu_);
-
-  // Records other replicas computed, pulled by gossip; signature-keyed, LRU-bounded.
-  Mutex replica_cache_mu_;
-  std::list<std::pair<PlanSignature, std::shared_ptr<const std::string>>> replica_lru_
-      DCP_GUARDED_BY(replica_cache_mu_);
-  std::unordered_map<
-      PlanSignature,
-      std::list<std::pair<PlanSignature, std::shared_ptr<const std::string>>>::iterator,
-      PlanSignatureHash>
-      replica_cache_ DCP_GUARDED_BY(replica_cache_mu_);
+  SignatureLru<CachedRecord> record_cache_ DCP_GUARDED_BY(record_cache_mu_){
+      kRecordCacheCapacity};
 
   // Per-tenant in-flight counts (admission quota); keyed only for registered tenants.
   Mutex quota_mu_ DCP_ACQUIRED_BEFORE(stats_mu_);

@@ -106,7 +106,9 @@ struct ReplicaSet::Outstanding {
 
 ReplicaSet::ReplicaSet(std::vector<ServiceAddress> addresses,
                        ReplicaSetOptions options)
-    : options_(std::move(options)), outstanding_(std::make_shared<Outstanding>()) {
+    : options_(std::move(options)),
+      outstanding_(std::make_shared<Outstanding>()),
+      cache_(options_.cache_capacity) {
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.planner_threads));
   metrics_ = metrics::Registry::NewAttached(
       {{"tenant", options_.tenant}});
@@ -370,9 +372,12 @@ StatusOr<PlanHandle> ReplicaSet::PlanWithBlockSize(
   counters_.requests->Increment();
   const PlanSignature key =
       PlanRequestCacheKey(options_.tenant, seqlens, mask_spec, block_size);
-  if (PlanHandle cached = CacheLookup(key)) {
-    counters_.cache_hits->Increment();
-    return cached;
+  {
+    MutexLock lock(cache_mu_);
+    if (const PlanHandle* cached = cache_.Find(key)) {
+      counters_.cache_hits->Increment();
+      return *cached;
+    }
   }
 
   const std::vector<size_t> order = RouteOrder(seqlens, mask_spec, block_size);
@@ -457,7 +462,8 @@ StatusOr<PlanHandle> ReplicaSet::PlanWithBlockSize(
       }
       PlanHandle handle = call->result;
       lock.Unlock();
-      CacheInsert(key, handle);
+      MutexLock cache_lock(cache_mu_);
+      cache_.Insert(key, handle);
       return handle;
     }
     if (!call->fatal.ok()) {
@@ -482,32 +488,6 @@ StatusOr<PlanHandle> ReplicaSet::Plan(const std::vector<int64_t>& seqlens,
 StatusOr<PlanHandle> ReplicaSet::PlanForLoader(const std::vector<int64_t>& seqlens,
                                                const MaskSpec& mask_spec) {
   return PlanWithBlockSize(seqlens, mask_spec, /*block_size=*/0);
-}
-
-PlanHandle ReplicaSet::CacheLookup(const PlanSignature& key) {
-  MutexLock lock(cache_mu_);
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) {
-    return nullptr;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
-}
-
-void ReplicaSet::CacheInsert(const PlanSignature& key, PlanHandle handle) {
-  if (options_.cache_capacity <= 0) {
-    return;
-  }
-  MutexLock lock(cache_mu_);
-  if (cache_.find(key) != cache_.end()) {
-    return;
-  }
-  lru_.emplace_front(key, std::move(handle));
-  cache_.emplace(key, lru_.begin());
-  while (static_cast<int>(lru_.size()) > options_.cache_capacity) {
-    cache_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
 }
 
 ReplicaHealth ReplicaSet::health(size_t index) const {
@@ -550,8 +530,7 @@ ReplicaSetStats ReplicaSet::stats() const {
 
 void ReplicaSet::ClearCache() {
   MutexLock lock(cache_mu_);
-  lru_.clear();
-  cache_.clear();
+  cache_.Clear();
 }
 
 }  // namespace dcp

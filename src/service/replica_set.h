@@ -28,10 +28,8 @@
 #define DCP_SERVICE_REPLICA_SET_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/metrics.h"
@@ -226,9 +224,6 @@ class ReplicaSet : public Planner {
                                          const MaskSpec& mask_spec,
                                          int64_t block_size);
 
-  PlanHandle CacheLookup(const PlanSignature& key);
-  void CacheInsert(const PlanSignature& key, PlanHandle handle);
-
   const ReplicaSetOptions options_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::shared_ptr<Replica>> replicas_;
@@ -239,11 +234,7 @@ class ReplicaSet : public Planner {
   std::shared_ptr<Outstanding> outstanding_;
 
   mutable Mutex cache_mu_;
-  std::list<std::pair<PlanSignature, PlanHandle>> lru_ DCP_GUARDED_BY(cache_mu_);
-  std::unordered_map<PlanSignature,
-                     std::list<std::pair<PlanSignature, PlanHandle>>::iterator,
-                     PlanSignatureHash>
-      cache_ DCP_GUARDED_BY(cache_mu_);
+  SignatureLru<PlanHandle> cache_ DCP_GUARDED_BY(cache_mu_);
 
   Mutex fallback_mu_;
   std::unique_ptr<Engine> fallback_engine_ DCP_GUARDED_BY(fallback_mu_);

@@ -610,6 +610,29 @@ TEST(PlanService, GossipReplicatesRecordsAcrossPeers) {
             SerializeTimeless(planned_on_a->plan));
   EXPECT_GE(replica_b.server->stats().replica_cache_hits, 1);
   EXPECT_EQ(replica_b.registry->Find("prod")->cache_stats().misses, 0);
+
+  // B's own records share the cache with the adopted one but are never served as
+  // replica hits: the second request for B's own shape goes through B's engine.
+  const std::vector<int64_t> own_seqlens = {40, 24};
+  ASSERT_TRUE(client_b->Plan(own_seqlens, MaskSpec::Causal()).ok());
+  EXPECT_EQ(client_b->last_source(), PlanServeSource::kPlanned);
+  const int64_t hits_before = replica_b.registry->Find("prod")->cache_stats().hits;
+  client_b->ClearCache();
+  ASSERT_TRUE(client_b->Plan(own_seqlens, MaskSpec::Causal()).ok());
+  EXPECT_EQ(client_b->last_source(), PlanServeSource::kMemoryCache);
+  EXPECT_EQ(replica_b.registry->Find("prod")->cache_stats().hits, hits_before + 1);
+
+  // Every gossip round is one sync request to A. Over five more rounds B never adopts
+  // a signature it already holds.
+  const int64_t rounds_before = replica_a.server->stats().requests_received;
+  for (int i = 0; i < 250; ++i) {
+    if (replica_a.server->stats().requests_received >= rounds_before + 5) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  EXPECT_GE(replica_a.server->stats().requests_received, rounds_before + 5);
+  EXPECT_EQ(replica_b.server->stats().sync_records_adopted, 1);
 }
 
 TEST(PlanService, StaleGossipRecordsAreRejectedByValidation) {
