@@ -1,8 +1,11 @@
-// Golden plan bytes: full-size LongDataCollections batches planned for the end-to-end
-// testbed at block 2048, one pair per mask kind. The digests pin every byte of the
-// binary plan encoding (with the wall-clock planning time zeroed), so any change to mask
-// lowering, block generation or the planner that moves a single pair count, flag or
-// placement decision shows up here.
+// Golden plans: full-size LongDataCollections batches planned for the end-to-end
+// testbed at block 2048, one pair per mask kind. Two digests pin each plan (with the
+// wall-clock planning time zeroed). The byte digest covers every byte of the binary plan
+// encoding, so it moves with the format. The structural digest walks every plan field
+// through the public accessors, derived tile operands and token bounds included, so it
+// does not: any change to mask lowering, block generation or the planner that moves a
+// single pair count, flag or placement decision shows up in both.
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -30,6 +33,143 @@ uint64_t Fnv1a64(const std::string& bytes) {
   return h;
 }
 
+// FNV-1a over a stream of 64-bit words, each fed as 8 little-endian bytes, and of
+// length-prefixed names. Enums are fed by name, so renumbering one moves no digest.
+class StructuralHasher {
+ public:
+  void Add(int64_t v) { AddWord(static_cast<uint64_t>(v)); }
+  void Add(double v) { AddWord(std::bit_cast<uint64_t>(v)); }
+  void Add(const std::string& name) {
+    AddWord(name.size());
+    for (const char c : name) {
+      AddByte(static_cast<uint8_t>(c));
+    }
+  }
+  void Add(const BlockRef& ref) {
+    Add(BufKindName(ref.kind));
+    Add(int64_t{ref.slot});
+  }
+  uint64_t digest() const { return h_; }
+
+ private:
+  void AddWord(uint64_t w) {
+    for (int i = 0; i < 8; ++i) {
+      AddByte(static_cast<uint8_t>(w >> (8 * i)));
+    }
+  }
+  void AddByte(uint8_t b) {
+    h_ ^= b;
+    h_ *= 1099511628211ull;
+  }
+  uint64_t h_ = 1469598103934665603ull;
+};
+
+// One attention tile as the executor sees it: its tile coordinates, token bounds and
+// every operand it reads or writes (backward operands only on backward tiles).
+void AddAttentionItem(StructuralHasher& h, const BatchLayout& layout, bool backward,
+                      const AttentionWorkItem& item) {
+  h.Add(int64_t{item.seq});
+  h.Add(int64_t{item.group});
+  h.Add(item.q_begin / layout.block_size);
+  h.Add(item.kv_begin / layout.block_size);
+  h.Add(int64_t{item.full});
+  h.Add(item.q_begin);
+  h.Add(item.q_end);
+  h.Add(item.kv_begin);
+  h.Add(item.kv_end);
+  h.Add(item.q);
+  h.Add(item.kv);
+  h.Add(item.acc);
+  if (backward) {
+    h.Add(item.dout);
+    h.Add(item.delta);
+    h.Add(item.dq);
+    h.Add(item.dkv);
+  }
+}
+
+// A format-independent digest of every field of `plan`, walked in stream order.
+uint64_t StructuralDigest(const BatchPlan& plan) {
+  StructuralHasher h;
+  const BatchLayout& layout = plan.layout;
+  h.Add(layout.block_size);
+  h.Add(int64_t{layout.num_groups});
+  h.Add(int64_t{layout.heads_per_group});
+  h.Add(int64_t{layout.head_dim});
+  h.Add(int64_t{layout.bytes_per_element});
+  h.Add(static_cast<int64_t>(layout.seqlens.size()));
+  for (int64_t len : layout.seqlens) {
+    h.Add(len);
+  }
+  h.Add(static_cast<int64_t>(plan.chunk_home.size()));
+  for (DeviceId d : plan.chunk_home) {
+    h.Add(int64_t{d});
+  }
+  const PlanStats& stats = plan.stats;
+  h.Add(stats.total_comm_bytes);
+  h.Add(stats.inter_node_comm_bytes);
+  h.Add(stats.max_device_comm_bytes);
+  h.Add(stats.total_flops);
+  h.Add(stats.max_device_flops);
+  h.Add(stats.max_device_owned_bytes);
+  h.Add(stats.min_device_owned_bytes);
+  h.Add(stats.planning_seconds);
+  h.Add(stats.partition_cost);
+  h.Add(static_cast<int64_t>(plan.devices.size()));
+  for (const DevicePlan& dev : plan.devices) {
+    for (int32_t slots : dev.num_slots) {
+      h.Add(int64_t{slots});
+    }
+    h.Add(static_cast<int64_t>(dev.local_chunks.size()));
+    for (const LocalChunk& chunk : dev.local_chunks) {
+      h.Add(int64_t{chunk.seq});
+      h.Add(int64_t{chunk.chunk});
+      h.Add(int64_t{chunk.group});
+      h.Add(int64_t{chunk.q_slot});
+      h.Add(int64_t{chunk.kv_slot});
+    }
+    for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
+      h.Add(static_cast<int64_t>(stream->size()));
+      for (const Instruction& instr : *stream) {
+        h.Add(InstrKindName(instr.kind));
+        h.Add(int64_t{instr.backward});
+        h.Add(int64_t{instr.is_send});
+        h.Add(int64_t{instr.transfer_id});
+        h.Add(int64_t{instr.peer});
+        h.Add(instr.flops);
+        h.Add(instr.comm_bytes);
+        h.Add(instr.mem_bytes);
+        h.Add(instr.host_overhead);
+        h.Add(static_cast<int64_t>(instr.attn_range.size()));
+        for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
+          AddAttentionItem(h, layout, instr.backward, item);
+        }
+        h.Add(static_cast<int64_t>(instr.reduce_range.size()));
+        for (const ReduceItem& item : dev.reduce_items_of(instr)) {
+          h.Add(ReduceModeName(item.mode));
+          h.Add(item.dst);
+          h.Add(item.src0);
+          h.Add(item.src1);
+          h.Add(item.token_count);
+        }
+        h.Add(static_cast<int64_t>(instr.block_range.size()));
+        for (const TransferBlock& block : dev.blocks_of(instr)) {
+          h.Add(block.ref);
+          h.Add(block.bytes);
+          h.Add(block.token_count);
+        }
+      }
+    }
+  }
+  return h.digest();
+}
+
+std::string Hex(uint64_t v) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "0x%016llx", static_cast<unsigned long long>(v));
+  return hex;
+}
+
 PlannerOptions GoldenPlannerOptions() {
   PlannerOptions options;
   options.block_size = 2048;
@@ -51,18 +191,28 @@ std::vector<Batch> GoldenBatches() {
 
 struct Golden {
   MaskKind kind;
-  uint64_t digests[2];
+  uint64_t digests[2];             // Of the binary encoding.
+  uint64_t structural_digests[2];  // Of StructuralDigest.
 };
 
-// Recorded from the per-token mask lowering that predates segment-encoded masks.
+// Byte digests recorded from the per-token mask lowering that predates segment-encoded
+// masks; structural digests recorded from the same plans.
 constexpr Golden kGolden[] = {
-    {MaskKind::kCausal, {0x444dd691dc1ce469ull, 0x0e6740ef2f2ea2d4ull}},
-    {MaskKind::kLambda, {0xadafcbae8ff341f5ull, 0x249953dd536379cdull}},
-    {MaskKind::kCausalBlockwise, {0x6521d5ac917e8569ull, 0xdb8611dafa4c3b23ull}},
-    {MaskKind::kSharedQuestion, {0xcfdb76beaaf72dc4ull, 0x9e7379d448d08582ull}},
+    {MaskKind::kCausal,
+     {0x444dd691dc1ce469ull, 0x0e6740ef2f2ea2d4ull},
+     {0x464524588619116dull, 0x363f5c1d0ebbc232ull}},
+    {MaskKind::kLambda,
+     {0xadafcbae8ff341f5ull, 0x249953dd536379cdull},
+     {0x5ebde9b237fe2391ull, 0x04ff3a26a9705be6ull}},
+    {MaskKind::kCausalBlockwise,
+     {0x6521d5ac917e8569ull, 0xdb8611dafa4c3b23ull},
+     {0x308598cb07fe486aull, 0x39fe85974e54f7bcull}},
+    {MaskKind::kSharedQuestion,
+     {0xcfdb76beaaf72dc4ull, 0x9e7379d448d08582ull},
+     {0xf1e3cc33bc15f650ull, 0x009a042670aa489full}},
 };
 
-TEST(PlanGolden, PlanBytesMatchRecordedDigests) {
+TEST(PlanGolden, PlansMatchRecordedDigests) {
   const std::vector<Batch> batches = GoldenBatches();
   ASSERT_EQ(batches.size(), 2u);
   const ClusterSpec cluster = ClusterSpec::EndToEndTestbed();
@@ -74,10 +224,12 @@ TEST(PlanGolden, PlanBytesMatchRecordedDigests) {
       BatchPlan plan = PlanBatch(seqlens, BuildBatchMasks(spec, seqlens), cluster, options);
       plan.stats.planning_seconds = 0.0;
       const uint64_t digest = Fnv1a64(SerializePlanBinary(plan));
-      char hex[32];
-      std::snprintf(hex, sizeof(hex), "0x%016llx", static_cast<unsigned long long>(digest));
       EXPECT_EQ(digest, golden.digests[b])
-          << MaskKindName(golden.kind) << " batch " << b << " digest " << hex;
+          << MaskKindName(golden.kind) << " batch " << b << " digest " << Hex(digest);
+      const uint64_t structural = StructuralDigest(plan);
+      EXPECT_EQ(structural, golden.structural_digests[b])
+          << MaskKindName(golden.kind) << " batch " << b << " structural digest "
+          << Hex(structural);
     }
   }
 }
