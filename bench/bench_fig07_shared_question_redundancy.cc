@@ -41,7 +41,7 @@ void Run() {
       if (instr.kind == InstrKind::kBlockwiseAttention) {
         flops[static_cast<size_t>(d)] += instr.flops;
         for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
-          consumed_kv_slots.insert(item.kv.slot);
+          consumed_kv_slots.insert(item.kv_slot);
         }
       }
     }

@@ -45,8 +45,8 @@ class Group:
 GROUPS = (
     Group("plan-binary",
           ("BatchPlan", "BatchLayout", "PlanStats", "DevicePlan", "LocalChunk",
-           "Instruction", "AttentionWorkItem", "ReduceItem", "CopyItem",
-           "TransferBlock", "BlockRef"),
+           "Instruction", "AttentionWorkItem", "ReduceItem", "TransferBlock",
+           "BlockRef"),
           "SerializePlanBinary", "DeserializePlanBinary"),
     Group("service-request", ("PlanServiceRequest", "MaskSpec"),
           "SerializePlanServiceRequest", "DeserializePlanServiceRequest"),

@@ -345,32 +345,21 @@ class PlanCompiler {
       const int kv_gc = layout_.GlobalChunkId(block.seq, block.kv_chunk);
       const int64_t q_key = Key(q_gc, block.group, layout_.num_groups);
       const int64_t kv_key = Key(kv_gc, block.group, layout_.num_groups);
-      const int32_t q_slot = build.qside.at(q_key);
-      const int32_t kv_slot = build.kvside.at(kv_key);
       AttentionWorkItem item;
-      item.q = {BufKind::kQ, q_slot};
-      item.kv = {BufKind::kKV, kv_slot};
-      item.acc = {BufKind::kAcc, q_slot};
       item.seq = block.seq;
       item.group = block.group;
-      item.q_begin = layout_.ChunkBegin(block.seq, block.q_chunk);
-      item.q_end = layout_.ChunkEnd(block.seq, block.q_chunk);
-      item.kv_begin = layout_.ChunkBegin(block.seq, block.kv_chunk);
-      item.kv_end = layout_.ChunkEnd(block.seq, block.kv_chunk);
+      item.q_chunk = block.q_chunk;
+      item.kv_chunk = block.kv_chunk;
+      item.q_slot = build.qside.at(q_key);
+      item.kv_slot = build.kvside.at(kv_key);
       item.full = block.full;
-      if (backward) {
-        item.dout = {BufKind::kDO, q_slot};
-        item.delta = {BufKind::kDelta, q_slot};
-        item.dq = {BufKind::kDQ, q_slot};
-        item.dkv = {BufKind::kDKV, kv_slot};
-      }
       plan.Add(instr, item);
       instr.flops += backward ? block.flops * kBackwardFlopsFactor : block.flops;
       // Memory traffic of the tile: every tile re-reads its Q and KV blocks and updates
       // the output accumulator (backward also reads dO and writes dQ/dKV — roughly 2x).
       // This is the per-step kernel overhead the paper's §7.5 decomposition observes.
-      const int64_t q_len = item.q_end - item.q_begin;
-      const int64_t kv_len = item.kv_end - item.kv_begin;
+      const int64_t q_len = layout_.ChunkLen(block.seq, block.q_chunk);
+      const int64_t kv_len = layout_.ChunkLen(block.seq, block.kv_chunk);
       const Bytes tile_bytes = layout_.QBlockBytes(q_len) + layout_.KvBlockBytes(kv_len) +
                                2 * layout_.OBlockBytes(q_len);
       instr.mem_bytes += backward ? 2 * tile_bytes : tile_bytes;

@@ -17,7 +17,7 @@ namespace {
 
 constexpr char kRecordMagic[8] = {'D', 'C', 'P', 'S', 'T', 'O', 'R', 'E'};
 constexpr char kBundleMagic[8] = {'D', 'C', 'P', 'B', 'U', 'N', 'D', 'L'};
-constexpr uint32_t kRecordVersion = 1;
+constexpr uint32_t kRecordVersion = 2;
 constexpr uint32_t kBundleVersion = 1;
 constexpr uint32_t kSectionPlan = 1;
 constexpr size_t kRecordHeaderBytes = 8 + 4 + 16;  // Magic + version + signature.

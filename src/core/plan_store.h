@@ -16,7 +16,7 @@
 // (all integers little-endian, fixed width):
 //
 //   offset 0   "DCPSTORE"             8-byte magic
-//          8   u32 format version     (currently 1)
+//          8   u32 format version     (currently 2; older records are replanned)
 //         12   u64 signature.lo
 //         20   u64 signature.hi
 //         28   sections               repeated { u32 tag, u64 length, payload }

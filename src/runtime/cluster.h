@@ -33,7 +33,7 @@ struct ClusterSpec {
   double inter_latency_us = 25.0;
 
   // Device memory bandwidth (A100-80GB HBM2e ~2 TB/s; effective ~1.6 TB/s); prices
-  // memory-bound reductions and copies.
+  // the HBM traffic of attention tiles and memory-bound reductions.
   double hbm_gbps = 1600.0;
 
   // Fixed overhead charged per compute instruction (kernel launch, argument setup).

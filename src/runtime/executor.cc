@@ -135,9 +135,6 @@ bool NumericExecutor::TryExecute(DeviceId device, const Instruction& instr) {
     case InstrKind::kBlockwiseReduction:
       ExecuteReduction(device, instr);
       return true;
-    case InstrKind::kBlockwiseCopy:
-      ExecuteCopy(device, instr);
-      return true;
     case InstrKind::kCommLaunch:
       ExecuteCommLaunch(device, instr);
       return true;
@@ -157,18 +154,19 @@ void NumericExecutor::ExecuteAttention(DeviceId device, const Instruction& instr
     args.heads = layout.heads_per_group;
     args.block_size = layout.block_size;
     args.head_dim = layout.head_dim;
-    args.q_begin = item.q_begin;
-    args.q_end = item.q_end;
-    args.kv_begin = item.kv_begin;
-    args.kv_end = item.kv_end;
+    args.q_begin = layout.ChunkBegin(item.seq, item.q_chunk);
+    args.q_end = layout.ChunkEnd(item.seq, item.q_chunk);
+    args.kv_begin = layout.ChunkBegin(item.seq, item.kv_chunk);
+    args.kv_end = layout.ChunkEnd(item.seq, item.kv_chunk);
     args.full = item.full;
     if (!instr.backward) {
-      AttentionTileForward(mask, args, buf.Slot(item.q), buf.Slot(item.kv),
-                           buf.Slot(item.acc));
+      AttentionTileForward(mask, args, buf.Slot(item.q()), buf.Slot(item.kv()),
+                           buf.Slot(item.acc()));
     } else {
-      AttentionTileBackward(mask, args, buf.Slot(item.q), buf.Slot(item.kv),
-                            buf.Slot(item.acc), buf.Slot(item.dout), buf.Slot(item.delta),
-                            buf.Slot(item.dq), buf.Slot(item.dkv));
+      AttentionTileBackward(mask, args, buf.Slot(item.q()), buf.Slot(item.kv()),
+                            buf.Slot(item.acc()), buf.Slot(item.dout()),
+                            buf.Slot(item.delta()), buf.Slot(item.dq()),
+                            buf.Slot(item.dkv()));
     }
   }
 }
@@ -203,16 +201,6 @@ void NumericExecutor::ExecuteReduction(DeviceId device, const Instruction& instr
                      d, item.token_count);
         break;
     }
-  }
-}
-
-void NumericExecutor::ExecuteCopy(DeviceId device, const Instruction& instr) {
-  DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
-  for (const CopyItem& item : DeviceOf(device).copy_items_of(instr)) {
-    std::span<float> dst = buf.Slot(item.dst);
-    std::span<const float> src = buf.Slot(item.src);
-    DCP_CHECK_EQ(dst.size(), src.size());
-    std::memcpy(dst.data(), src.data(), src.size() * sizeof(float));
   }
 }
 

@@ -58,7 +58,6 @@ class NumericExecutor {
   bool TryExecute(DeviceId device, const Instruction& instr);
   void ExecuteAttention(DeviceId device, const Instruction& instr);
   void ExecuteReduction(DeviceId device, const Instruction& instr);
-  void ExecuteCopy(DeviceId device, const Instruction& instr);
   void ExecuteCommLaunch(DeviceId device, const Instruction& instr);
   bool TryCommWait(DeviceId device, const Instruction& instr);
 

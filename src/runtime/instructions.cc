@@ -39,8 +39,6 @@ std::string InstrKindName(InstrKind kind) {
       return "BlockwiseAttention";
     case InstrKind::kBlockwiseReduction:
       return "BlockwiseReduction";
-    case InstrKind::kBlockwiseCopy:
-      return "BlockwiseCopy";
     case InstrKind::kCommLaunch:
       return "CommLaunch";
     case InstrKind::kCommWait:
@@ -84,7 +82,6 @@ Instruction& DevicePlan::Append(std::vector<Instruction>& stream, InstrKind kind
   };
   instr.attn_range = open(attn_items.size());
   instr.reduce_range = open(reduce_items.size());
-  instr.copy_range = open(copy_items.size());
   instr.block_range = open(blocks.size());
   return instr;
 }
@@ -94,9 +91,6 @@ void DevicePlan::Add(Instruction& instr, const AttentionWorkItem& item) {
 }
 void DevicePlan::Add(Instruction& instr, const ReduceItem& item) {
   AppendItem(reduce_items, instr.reduce_range, item);
-}
-void DevicePlan::Add(Instruction& instr, const CopyItem& item) {
-  AppendItem(copy_items, instr.copy_range, item);
 }
 void DevicePlan::Add(Instruction& instr, const TransferBlock& block) {
   AppendItem(blocks, instr.block_range, block);
@@ -127,9 +121,6 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
         case InstrKind::kBlockwiseReduction:
           out << " items=" << instr.reduce_range.size();
           break;
-        case InstrKind::kBlockwiseCopy:
-          out << " items=" << instr.copy_range.size();
-          break;
         case InstrKind::kCommLaunch:
           out << (instr.is_send ? " send" : " recv") << " id=" << instr.transfer_id
               << " peer=" << instr.peer << " bytes=" << instr.comm_bytes;
@@ -151,13 +142,19 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
 // positive-or-negative ids real plans are full of take one byte), doubles are bit_cast
 // to fixed 8-byte little-endian words (exact, no decimal round-trip). Layout:
 //
-//   "DCPB" u32 version
+//   "DCPB" u32 version (2)
 //   layout   block_size, num_groups/heads_per_group/head_dim/bytes_per_element,
 //            num_seqs, seqlens[]
 //   home     num_chunks, devices[]
 //   stats    all nine PlanStats fields
 //   devices  count, then per device: num_slots[kNumBufKinds],
 //            num_local/num_fw/num_bw, local chunks, fw instrs, bw instrs
+//   instr    kind, flags, cost annotations, transfer_id, peer, then its attention,
+//            reduce and transfer-block counts, each followed by its items; an attention
+//            item is seq, group, q_chunk, kv_chunk, q_slot, kv_slot, full
+//
+// Version 2 stores attention items as their decisions only and has no copy items. No
+// version 1 decoder is kept: plans are cached, so a version 1 plan is replanned.
 
 namespace {
 
@@ -169,7 +166,7 @@ constexpr int kMaxInstrKind = static_cast<int>(InstrKind::kCommWait);
 constexpr int kMaxReduceMode = static_cast<int>(ReduceMode::kComputeDelta);
 
 constexpr char kBinaryMagic[4] = {'D', 'C', 'P', 'B'};
-constexpr uint32_t kPlanBinaryVersion = 1;
+constexpr uint32_t kPlanBinaryVersion = 2;
 
 class ByteWriter {
  public:
@@ -407,12 +404,11 @@ class ByteReader {
 // Minimum encoded sizes (every varint is at least one byte), used to bound counts
 // before allocating.
 constexpr size_t kRefBytes = 2;                            // u8 kind + varint slot.
-constexpr size_t kAttnItemBytes = 7 * kRefBytes + 2 + 4 + 1;
+constexpr size_t kAttnItemBytes = 7;
 constexpr size_t kReduceItemBytes = 1 + 3 * kRefBytes + 1;
-constexpr size_t kCopyItemBytes = 2 * kRefBytes + 1;
 constexpr size_t kTransferBlockBytes = kRefBytes + 2;
 constexpr size_t kLocalChunkBytes = 5;
-constexpr size_t kInstrHeaderBytes = 2 + 8 + 2 + 8 + 2 + 4;
+constexpr size_t kInstrHeaderBytes = 2 + 8 + 2 + 8 + 2 + 3;
 constexpr size_t kDeviceHeaderBytes = kNumBufKinds + 3;
 
 void WriteRefBin(ByteWriter& w, const BlockRef& ref) {
@@ -437,7 +433,6 @@ void WriteRefBin(ByteWriter& w, const BlockRef& ref) {
 struct PoolCursor {
   uint32_t attn = 0;
   uint32_t reduce = 0;
-  uint32_t copy = 0;
   uint32_t blocks = 0;
 };
 
@@ -451,7 +446,6 @@ void WriteInstructionBin(ByteWriter& w, const DevicePlan& dev, const Instruction
                          PoolCursor& cursor) {
   CheckCanonical(instr.attn_range, &cursor.attn, "attention item");
   CheckCanonical(instr.reduce_range, &cursor.reduce, "reduce item");
-  CheckCanonical(instr.copy_range, &cursor.copy, "copy item");
   CheckCanonical(instr.block_range, &cursor.blocks, "transfer block");
   w.U8(static_cast<uint8_t>(instr.kind));
   w.U8(static_cast<uint8_t>((instr.backward ? 1 : 0) | (instr.is_send ? 2 : 0)));
@@ -463,34 +457,21 @@ void WriteInstructionBin(ByteWriter& w, const DevicePlan& dev, const Instruction
   w.Zig(instr.peer);
   w.Count(instr.attn_range.size());
   w.Count(instr.reduce_range.size());
-  w.Count(instr.copy_range.size());
   w.Count(instr.block_range.size());
   for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
-    WriteRefBin(w, item.q);
-    WriteRefBin(w, item.kv);
-    WriteRefBin(w, item.acc);
     w.Zig(item.seq);
     w.Zig(item.group);
-    w.Zig(item.q_begin);
-    w.Zig(item.q_end);
-    w.Zig(item.kv_begin);
-    w.Zig(item.kv_end);
+    w.Zig(item.q_chunk);
+    w.Zig(item.kv_chunk);
+    w.Zig(item.q_slot);
+    w.Zig(item.kv_slot);
     w.U8(item.full ? 1 : 0);
-    WriteRefBin(w, item.dout);
-    WriteRefBin(w, item.delta);
-    WriteRefBin(w, item.dq);
-    WriteRefBin(w, item.dkv);
   }
   for (const ReduceItem& item : dev.reduce_items_of(instr)) {
     w.U8(static_cast<uint8_t>(item.mode));
     WriteRefBin(w, item.dst);
     WriteRefBin(w, item.src0);
     WriteRefBin(w, item.src1);
-    w.Zig(item.token_count);
-  }
-  for (const CopyItem& item : dev.copy_items_of(instr)) {
-    WriteRefBin(w, item.dst);
-    WriteRefBin(w, item.src);
     w.Zig(item.token_count);
   }
   for (const TransferBlock& block : dev.blocks_of(instr)) {
@@ -507,7 +488,6 @@ void WriteInstructionBin(ByteWriter& w, const DevicePlan& dev, const Instruction
 struct PoolScratch {
   std::vector<AttentionWorkItem> attn;
   std::vector<ReduceItem> reduce;
-  std::vector<CopyItem> copy;
   std::vector<TransferBlock> blocks;
 
   // Empties the pools. One that a large hostile plan grew past any real device's size
@@ -516,7 +496,6 @@ struct PoolScratch {
   void Clear() {
     ClearPool(attn);
     ClearPool(reduce);
-    ClearPool(copy);
     ClearPool(blocks);
   }
 
@@ -558,7 +537,6 @@ Status ReadInstructionBin(ByteReader& r, PoolScratch& pools, Instruction* instr)
   instr->peer = r.Zig32("peer device out of range");
   const uint32_t num_attn = r.BoundedCount(kAttnItemBytes, "attention item count");
   const uint32_t num_reduce = r.BoundedCount(kReduceItemBytes, "reduce item count");
-  const uint32_t num_copy = r.BoundedCount(kCopyItemBytes, "copy item count");
   const uint32_t num_blocks = r.BoundedCount(kTransferBlockBytes, "transfer count");
   if (r.failed()) {
     return r.TakeStatus();
@@ -566,24 +544,17 @@ Status ReadInstructionBin(ByteReader& r, PoolScratch& pools, Instruction* instr)
   const size_t attn_begin = pools.attn.size();
   for (uint32_t i = 0; i < num_attn; ++i) {
     AttentionWorkItem& item = pools.attn.emplace_back();
-    item.q = ReadRefBin(r);
-    item.kv = ReadRefBin(r);
-    item.acc = ReadRefBin(r);
     item.seq = r.Zig32("attention seq out of range");
     item.group = r.Zig32("attention group out of range");
-    item.q_begin = r.Zig();
-    item.q_end = r.Zig();
-    item.kv_begin = r.Zig();
-    item.kv_end = r.Zig();
+    item.q_chunk = r.Zig32("attention q chunk out of range");
+    item.kv_chunk = r.Zig32("attention kv chunk out of range");
+    item.q_slot = r.Zig32("attention q slot out of range");
+    item.kv_slot = r.Zig32("attention kv slot out of range");
     const uint8_t full = r.U8();
     if (full > 1) {
       return r.Fail("attention item full flag out of range");
     }
     item.full = full != 0;
-    item.dout = ReadRefBin(r);
-    item.delta = ReadRefBin(r);
-    item.dq = ReadRefBin(r);
-    item.dkv = ReadRefBin(r);
     if (r.failed()) {
       return r.TakeStatus();
     }
@@ -606,17 +577,6 @@ Status ReadInstructionBin(ByteReader& r, PoolScratch& pools, Instruction* instr)
     }
   }
   instr->reduce_range = RangeFrom(reduce_begin, pools.reduce.size());
-  const size_t copy_begin = pools.copy.size();
-  for (uint32_t i = 0; i < num_copy; ++i) {
-    CopyItem& item = pools.copy.emplace_back();
-    item.dst = ReadRefBin(r);
-    item.src = ReadRefBin(r);
-    item.token_count = r.Zig();
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
-  }
-  instr->copy_range = RangeFrom(copy_begin, pools.copy.size());
   const size_t blocks_begin = pools.blocks.size();
   for (uint32_t i = 0; i < num_blocks; ++i) {
     TransferBlock& block = pools.blocks.emplace_back();
@@ -685,8 +645,7 @@ std::string SerializePlanBinary(const BatchPlan& plan) {
       WriteInstructionBin(w, dev, instr, cursor);
     }
     DCP_CHECK(cursor.attn == dev.attn_items.size() &&
-              cursor.reduce == dev.reduce_items.size() &&
-              cursor.copy == dev.copy_items.size() && cursor.blocks == dev.blocks.size())
+              cursor.reduce == dev.reduce_items.size() && cursor.blocks == dev.blocks.size())
         << "pool items no instruction references; the plan has no encoding";
   }
   return w.Take();
@@ -779,7 +738,6 @@ StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
     }
     dev.attn_items.assign(pools.attn.begin(), pools.attn.end());
     dev.reduce_items.assign(pools.reduce.begin(), pools.reduce.end());
-    dev.copy_items.assign(pools.copy.begin(), pools.copy.end());
     dev.blocks.assign(pools.blocks.begin(), pools.blocks.end());
   }
   if (r.failed()) {

@@ -1,6 +1,6 @@
-// The DCP instruction set (paper §5): five instruction kinds operating on block buffers.
+// The DCP instruction set (paper §5): four instruction kinds operating on block buffers.
 // Instructions are fixed-size headers; their work items (attention tiles, reductions,
-// copies, transfer blocks) live in per-device pools (DevicePlan). Execution plans built
+// transfer blocks) live in per-device pools (DevicePlan). Execution plans built
 // from these instructions are consumed by both the numeric executor (real tensor math)
 // and the discrete-event simulator (timing) — the same plan, two backends.
 #ifndef DCP_RUNTIME_INSTRUCTIONS_H_
@@ -49,35 +49,38 @@ struct BlockRef {
 enum class InstrKind : uint8_t {
   kBlockwiseAttention = 0,
   kBlockwiseReduction,
-  kBlockwiseCopy,
   kCommLaunch,
   kCommWait,
 };
 std::string InstrKindName(InstrKind kind);
 
-// One attention tile: Q block x KV block -> accumulator, with the mask evaluated through
-// the sequence's range pairs. `backward` items additionally read dO/delta and accumulate
-// into dQ/dKV accumulators.
+// One attention tile: the q chunk x kv chunk of one sequence and head group, with the
+// mask evaluated through the sequence's range pairs. It stores only what the planner
+// decides: which tile, and the slots its q and kv chunks occupy on this device. Every
+// per-q-chunk buffer shares the q slot and every per-kv-chunk buffer the kv slot, so the
+// operands are derived (below), as are the token bounds (BatchLayout::ChunkBegin/End).
+// `backward` items additionally read dO/delta and accumulate into dQ/dKV accumulators.
 struct AttentionWorkItem {
-  BlockRef q;
-  BlockRef kv;
-  BlockRef acc;  // Forward: kAcc accumulator of the q chunk (on this device).
   SeqId seq = 0;
   GroupId group = 0;
-  int64_t q_begin = 0;  // Token ranges in sequence coordinates.
-  int64_t q_end = 0;
-  int64_t kv_begin = 0;
-  int64_t kv_end = 0;
+  ChunkId q_chunk = 0;
+  ChunkId kv_chunk = 0;
+  int32_t q_slot = 0;
+  int32_t kv_slot = 0;
   bool full = false;  // Dense tile: kernel may skip mask checks.
 
+  BlockRef q() const { return {BufKind::kQ, q_slot}; }
+  BlockRef kv() const { return {BufKind::kKV, kv_slot}; }
+  BlockRef acc() const { return {BufKind::kAcc, q_slot}; }
   // Backward-only operands (unused when the instruction's `backward` flag is false).
-  BlockRef dout;   // kDO block of the q chunk.
-  BlockRef delta;  // kDelta block of the q chunk.
-  BlockRef dq;     // kDQ accumulator of the q chunk.
-  BlockRef dkv;    // kDKV accumulator of the kv chunk.
+  BlockRef dout() const { return {BufKind::kDO, q_slot}; }
+  BlockRef delta() const { return {BufKind::kDelta, q_slot}; }
+  BlockRef dq() const { return {BufKind::kDQ, q_slot}; }
+  BlockRef dkv() const { return {BufKind::kDKV, kv_slot}; }
 
   bool operator==(const AttentionWorkItem&) const = default;
 };
+static_assert(sizeof(AttentionWorkItem) <= 28, "tiles are the bulk of every plan");
 
 enum class ReduceMode : uint8_t {
   kMergeSoftmax = 0,  // Merge a partial (U, m, l) accumulator into another.
@@ -95,14 +98,6 @@ struct ReduceItem {
   int64_t token_count = 0;  // Valid tokens in the (possibly ragged) chunk.
 
   bool operator==(const ReduceItem&) const = default;
-};
-
-struct CopyItem {
-  BlockRef dst;
-  BlockRef src;
-  int64_t token_count = 0;
-
-  bool operator==(const CopyItem&) const = default;
 };
 
 struct TransferBlock {
@@ -133,7 +128,7 @@ auto PoolSlice(Pool& pool, ItemRange range) {
 }
 
 // An instruction is a fixed-size header: its items live in its DevicePlan's pools, and
-// the four ranges say which. Any kind may carry items of any kind; the executor and the
+// the three ranges say which. Any kind may carry items of any kind; the executor and the
 // validator only read the items that match `kind`.
 struct Instruction {
   InstrKind kind = InstrKind::kBlockwiseAttention;
@@ -147,13 +142,12 @@ struct Instruction {
 
   ItemRange attn_range;    // DevicePlan::attn_items (kBlockwiseAttention).
   ItemRange reduce_range;  // DevicePlan::reduce_items (kBlockwiseReduction).
-  ItemRange copy_range;    // DevicePlan::copy_items (kBlockwiseCopy).
   ItemRange block_range;   // DevicePlan::blocks (kCommLaunch).
 
   // Cost annotations for the simulator (numeric executor ignores them).
   Flops flops = 0.0;
   Bytes comm_bytes = 0;
-  Bytes mem_bytes = 0;  // HBM traffic of reductions/copies (memory-bound ops).
+  Bytes mem_bytes = 0;  // HBM traffic of tiles and reductions (memory-bound work).
   // Extra fixed host-side cost in seconds (e.g. TransformerEngine's per-step varlen
   // argument construction); added to the launch overhead by the simulator.
   double host_overhead = 0.0;
@@ -191,7 +185,6 @@ struct DevicePlan {
   std::vector<LocalChunk> local_chunks;
   std::vector<AttentionWorkItem> attn_items;
   std::vector<ReduceItem> reduce_items;
-  std::vector<CopyItem> copy_items;
   std::vector<TransferBlock> blocks;
 
   bool operator==(const DevicePlan&) const = default;
@@ -202,9 +195,6 @@ struct DevicePlan {
   }
   std::span<const ReduceItem> reduce_items_of(const Instruction& instr) const {
     return PoolSlice(reduce_items, instr.reduce_range);
-  }
-  std::span<const CopyItem> copy_items_of(const Instruction& instr) const {
-    return PoolSlice(copy_items, instr.copy_range);
   }
   std::span<const TransferBlock> blocks_of(const Instruction& instr) const {
     return PoolSlice(blocks, instr.block_range);
@@ -220,7 +210,6 @@ struct DevicePlan {
   // Appends one item to `instr`, the instruction most recently appended.
   void Add(Instruction& instr, const AttentionWorkItem& item);
   void Add(Instruction& instr, const ReduceItem& item);
-  void Add(Instruction& instr, const CopyItem& item);
   void Add(Instruction& instr, const TransferBlock& block);
 };
 

@@ -123,9 +123,18 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
 
   // Instruction-level checks.
   std::map<int32_t, TransferEnds> transfers;
-  std::set<std::tuple<SeqId, GroupId, int64_t, int64_t>> forward_tiles;
+  std::set<std::tuple<SeqId, GroupId, ChunkId, ChunkId>> forward_tiles;
   for (int d = 0; d < plan.num_devices(); ++d) {
     const DevicePlan& dev = plan.devices[static_cast<size_t>(d)];
+    // False (and one error) when `index` is outside [0, count).
+    auto check_index = [&](int64_t index, int64_t count, const char* what) {
+      if (index < 0 || index >= count) {
+        result.Fail(std::string(what) + " " + std::to_string(index) + " out of [0, " +
+                    std::to_string(count) + ") on device " + std::to_string(d));
+        return false;
+      }
+      return true;
+    };
     auto check_ref = [&](const BlockRef& ref, const char* where) {
       if (ref.slot < 0 || ref.slot >= dev.num_slots[static_cast<size_t>(ref.kind)]) {
         result.Fail(std::string(where) + ": " + BufKindName(ref.kind) + " slot " +
@@ -136,7 +145,6 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
     };
     PoolWalk attn_walk("attention item", dev.attn_items.size(), d, result);
     PoolWalk reduce_walk("reduce item", dev.reduce_items.size(), d, result);
-    PoolWalk copy_walk("copy item", dev.copy_items.size(), d, result);
     PoolWalk block_walk("transfer block", dev.blocks.size(), d, result);
     bool forward_stream = true;
     for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
@@ -144,32 +152,39 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
         // Every range is walked, whatever the kind.
         const bool attn_ok = attn_walk.Step(instr.attn_range);
         const bool reduce_ok = reduce_walk.Step(instr.reduce_range);
-        const bool copy_ok = copy_walk.Step(instr.copy_range);
         const bool blocks_ok = block_walk.Step(instr.block_range);
-        if (!(attn_ok && reduce_ok && copy_ok && blocks_ok)) {
+        if (!(attn_ok && reduce_ok && blocks_ok)) {
           continue;
         }
         switch (instr.kind) {
           case InstrKind::kBlockwiseAttention:
             for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
-              check_ref(item.q, "attention q");
-              check_ref(item.kv, "attention kv");
-              check_ref(item.acc, "attention acc");
-              if (instr.backward) {
-                check_ref(item.dout, "attention dout");
-                check_ref(item.delta, "attention delta");
-                check_ref(item.dq, "attention dq");
-                check_ref(item.dkv, "attention dkv");
+              // The tile must name a real (sequence, group, chunk, chunk) before its
+              // token bounds and mask can be derived from it.
+              if (!check_index(item.seq, layout.num_sequences(), "attention seq") ||
+                  !check_index(item.group, layout.num_groups, "attention group") ||
+                  !check_index(item.q_chunk, layout.NumChunks(item.seq),
+                               "attention q chunk") ||
+                  !check_index(item.kv_chunk, layout.NumChunks(item.seq),
+                               "attention kv chunk")) {
+                continue;
               }
-              if (forward_stream && !instr.backward) {
-                if (!forward_tiles
-                         .insert({item.seq, item.group, item.q_begin, item.kv_begin})
-                         .second) {
-                  result.Fail("tile (seq " + std::to_string(item.seq) + ", group " +
-                              std::to_string(item.group) + ", q " +
-                              std::to_string(item.q_begin) + ", kv " +
-                              std::to_string(item.kv_begin) + ") computed twice");
-                }
+              check_ref(item.q(), "attention q");
+              check_ref(item.kv(), "attention kv");
+              check_ref(item.acc(), "attention acc");
+              if (instr.backward) {
+                check_ref(item.dout(), "attention dout");
+                check_ref(item.delta(), "attention delta");
+                check_ref(item.dq(), "attention dq");
+                check_ref(item.dkv(), "attention dkv");
+              }
+              if (forward_stream && !instr.backward &&
+                  !forward_tiles.insert({item.seq, item.group, item.q_chunk, item.kv_chunk})
+                       .second) {
+                result.Fail("tile (seq " + std::to_string(item.seq) + ", group " +
+                            std::to_string(item.group) + ", q chunk " +
+                            std::to_string(item.q_chunk) + ", kv chunk " +
+                            std::to_string(item.kv_chunk) + ") computed twice");
               }
             }
             break;
@@ -180,12 +195,6 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
               if (item.mode == ReduceMode::kComputeDelta) {
                 check_ref(item.src1, "reduce src1");
               }
-            }
-            break;
-          case InstrKind::kBlockwiseCopy:
-            for (const CopyItem& item : dev.copy_items_of(instr)) {
-              check_ref(item.dst, "copy dst");
-              check_ref(item.src, "copy src");
             }
             break;
           case InstrKind::kCommLaunch: {
@@ -217,7 +226,6 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
     }
     attn_walk.Finish();
     reduce_walk.Finish();
-    copy_walk.Finish();
     block_walk.Finish();
   }
 

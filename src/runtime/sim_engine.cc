@@ -57,7 +57,7 @@ double SimResult::MeanAttentionCompute() const {
 double SimResult::MaxComputeBusy() const {
   double worst = 0.0;
   for (const auto& dev : devices) {
-    worst = std::max(worst, dev.attention + dev.reduction + dev.copy + dev.overhead);
+    worst = std::max(worst, dev.attention + dev.reduction + dev.overhead);
   }
   return worst;
 }
@@ -133,15 +133,6 @@ SimResult SimEngine::Simulate(const BatchPlan& plan, bool backward) const {
             now += launch + compute;
             break;
           }
-          case InstrKind::kBlockwiseCopy: {
-            const double launch = cost_.KernelLaunchSeconds();
-            const double compute =
-                static_cast<double>(instr.mem_bytes) / (cluster.hbm_gbps * 1e9);
-            breakdown.overhead += launch;
-            breakdown.copy += compute;
-            now += launch + compute;
-            break;
-          }
           case InstrKind::kCommLaunch: {
             const double post = cluster.comm_launch_us * 1e-6;
             breakdown.overhead += post;
@@ -203,7 +194,6 @@ SimResult SimEngine::SimulateFwBw(const BatchPlan& plan) const {
     const auto& add = bw.devices[d];
     out.attention += add.attention;
     out.reduction += add.reduction;
-    out.copy += add.copy;
     out.overhead += add.overhead;
     out.comm_exposed += add.comm_exposed;
     out.comm_busy += add.comm_busy;

@@ -16,7 +16,6 @@ namespace dcp {
 struct DeviceTimeBreakdown {
   double attention = 0.0;     // Attention kernel busy time.
   double reduction = 0.0;     // Reduction kernel busy time.
-  double copy = 0.0;          // Copy kernel busy time.
   double overhead = 0.0;      // Kernel-launch / comm-post fixed overheads.
   double comm_exposed = 0.0;  // Stall time at CommWait (non-overlapped communication).
   double comm_busy = 0.0;     // Total wire time of transfers received by this device.

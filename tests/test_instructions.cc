@@ -53,9 +53,9 @@ TEST(PlanSerialization, BinaryRoundTripPreservesAllStatsFields) {
   EXPECT_EQ(restored.value().stats.partition_cost, 1009.0625);
 }
 
-// A plan no planner emits: one device whose pools hold all four item kinds — including
-// copy items, which compiled plans never carry — and one instruction with items of two
-// kinds, which the format allows. Field values are distinct and non-default.
+// A plan no planner emits: one device whose pools hold all three item kinds, and one
+// instruction with items of two kinds, which the format allows. Field values are
+// distinct and non-default.
 BatchPlan MakeHandBuiltPlan() {
   BatchPlan plan;
   plan.layout.block_size = 16;
@@ -70,20 +70,16 @@ BatchPlan MakeHandBuiltPlan() {
   attn.flops = 12.5;
   attn.mem_bytes = 77;
   AttentionWorkItem tile;
-  tile.q = {BufKind::kQ, 1};
-  tile.kv = {BufKind::kKV, 2};
-  tile.acc = {BufKind::kAcc, 3};
   tile.seq = 0;
   tile.group = 1;
-  tile.q_begin = 16;
-  tile.q_end = 32;
-  tile.kv_begin = 0;
-  tile.kv_end = 16;
+  tile.q_chunk = 2;
+  tile.kv_chunk = 0;
+  tile.q_slot = 1;
+  tile.kv_slot = 2;
   tile.full = true;
   dev.Add(attn, tile);
   tile.full = false;
-  tile.kv_begin = 16;
-  tile.kv_end = 32;
+  tile.kv_chunk = 1;
   dev.Add(attn, tile);
 
   Instruction& send = dev.Append(dev.instructions, InstrKind::kCommLaunch);
@@ -93,11 +89,6 @@ BatchPlan MakeHandBuiltPlan() {
   send.comm_bytes = 4096;
   dev.Add(send, TransferBlock{{BufKind::kKV, 2}, 2048, 16});
   dev.Add(send, TransferBlock{{BufKind::kQ, 1}, 2048, 15});
-
-  Instruction& copy = dev.Append(dev.instructions, InstrKind::kBlockwiseCopy);
-  copy.mem_bytes = 512;
-  dev.Add(copy, CopyItem{{BufKind::kAcc, 3}, {BufKind::kAcc, 0}, 16});
-  dev.Add(copy, CopyItem{{BufKind::kDQ, 2}, {BufKind::kDQ, 3}, 9});
 
   dev.Append(dev.instructions, InstrKind::kCommWait).transfer_id = 7;
 
@@ -116,10 +107,7 @@ BatchPlan MakeHandBuiltPlan() {
   Instruction& bw_attn =
       dev.Append(dev.backward_instructions, InstrKind::kBlockwiseAttention);
   bw_attn.backward = true;
-  tile.dout = {BufKind::kDO, 1};
-  tile.delta = {BufKind::kDelta, 1};
-  tile.dq = {BufKind::kDQ, 1};
-  tile.dkv = {BufKind::kDKV, 2};
+  tile.q_slot = 2;
   dev.Add(bw_attn, tile);
   return plan;
 }
@@ -129,7 +117,6 @@ TEST(PlanSerialization, HandBuiltPoolsRoundTrip) {
   const DevicePlan& dev = plan.devices[0];
   EXPECT_EQ(dev.attn_items.size(), 3u);
   EXPECT_EQ(dev.reduce_items.size(), 1u);
-  EXPECT_EQ(dev.copy_items.size(), 2u);
   EXPECT_EQ(dev.blocks.size(), 3u);
   const Instruction& mixed = dev.backward_instructions[0];
   EXPECT_EQ(dev.reduce_items_of(mixed).size(), 1u);
@@ -167,7 +154,7 @@ TEST(PlanEquality, DetectsDeepFieldDifferences) {
     return p.devices.front();
   };
   BatchPlan changed = plan;
-  last_with(changed, &DevicePlan::attn_items).attn_items.back().dkv.slot += 1;
+  last_with(changed, &DevicePlan::attn_items).attn_items.back().kv_slot += 1;
   EXPECT_FALSE(changed == plan);
   changed = plan;
   last_with(changed, &DevicePlan::reduce_items).reduce_items.back().token_count += 1;
@@ -178,7 +165,7 @@ TEST(PlanEquality, DetectsDeepFieldDifferences) {
 
   BatchPlan hand = MakeHandBuiltPlan();
   const BatchPlan hand_copy = hand;
-  hand.devices[0].copy_items.back().src.slot += 1;
+  hand.devices[0].attn_items.back().q_chunk += 1;
   EXPECT_FALSE(hand == hand_copy);
 
   // Same pools, one tile moved from an instruction to the next one with tiles.
@@ -204,6 +191,21 @@ TEST(PlanEquality, DetectsDeepFieldDifferences) {
   BatchPlan other_stats = plan;
   other_stats.stats.planning_seconds += 1.0;
   EXPECT_FALSE(other_stats == plan);
+}
+
+// A tile stores two slots; every operand it reads or writes is one of them in the
+// buffer kind the operand names.
+TEST(AttentionWorkItem, OperandsAreDerivedFromTheTwoSlots) {
+  AttentionWorkItem tile;
+  tile.q_slot = 5;
+  tile.kv_slot = 9;
+  EXPECT_EQ(tile.q(), (BlockRef{BufKind::kQ, 5}));
+  EXPECT_EQ(tile.acc(), (BlockRef{BufKind::kAcc, 5}));
+  EXPECT_EQ(tile.dout(), (BlockRef{BufKind::kDO, 5}));
+  EXPECT_EQ(tile.delta(), (BlockRef{BufKind::kDelta, 5}));
+  EXPECT_EQ(tile.dq(), (BlockRef{BufKind::kDQ, 5}));
+  EXPECT_EQ(tile.kv(), (BlockRef{BufKind::kKV, 9}));
+  EXPECT_EQ(tile.dkv(), (BlockRef{BufKind::kDKV, 9}));
 }
 
 TEST(PlanToString, MentionsDevicesAndInstructionKinds) {

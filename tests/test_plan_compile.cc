@@ -82,15 +82,15 @@ TEST(PlanCompile, EveryTransferHasMatchedSendAndRecvWithEqualPayload) {
 
 TEST(PlanCompile, EveryCompBlockTileAppearsExactlyOnce) {
   PlanFixture f = MakeFixture(MaskKind::kSharedQuestion, {64, 40, 28}, 8);
-  // Count tiles per (seq, group, q_begin, kv_begin) across all devices.
-  std::map<std::tuple<SeqId, GroupId, int64_t, int64_t>, int> tiles;
+  // Count tiles per (seq, group, q_chunk, kv_chunk) across all devices.
+  std::map<std::tuple<SeqId, GroupId, ChunkId, ChunkId>, int> tiles;
   for (const DevicePlan& dev : f.plan.devices) {
     for (const Instruction& instr : dev.instructions) {
       if (instr.kind != InstrKind::kBlockwiseAttention) {
         continue;
       }
       for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
-        ++tiles[{item.seq, item.group, item.q_begin, item.kv_begin}];
+        ++tiles[{item.seq, item.group, item.q_chunk, item.kv_chunk}];
       }
     }
   }
@@ -127,14 +127,14 @@ TEST(PlanCompile, SlotReferencesAreInBounds) {
     for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
       for (const Instruction& instr : *stream) {
         for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
-          check_ref(item.q);
-          check_ref(item.kv);
-          check_ref(item.acc);
+          check_ref(item.q());
+          check_ref(item.kv());
+          check_ref(item.acc());
           if (instr.backward) {
-            check_ref(item.dout);
-            check_ref(item.delta);
-            check_ref(item.dq);
-            check_ref(item.dkv);
+            check_ref(item.dout());
+            check_ref(item.delta());
+            check_ref(item.dq());
+            check_ref(item.dkv());
           }
         }
         for (const ReduceItem& item : dev.reduce_items_of(instr)) {

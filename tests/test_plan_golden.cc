@@ -70,21 +70,21 @@ void AddAttentionItem(StructuralHasher& h, const BatchLayout& layout, bool backw
                       const AttentionWorkItem& item) {
   h.Add(int64_t{item.seq});
   h.Add(int64_t{item.group});
-  h.Add(item.q_begin / layout.block_size);
-  h.Add(item.kv_begin / layout.block_size);
+  h.Add(int64_t{item.q_chunk});
+  h.Add(int64_t{item.kv_chunk});
   h.Add(int64_t{item.full});
-  h.Add(item.q_begin);
-  h.Add(item.q_end);
-  h.Add(item.kv_begin);
-  h.Add(item.kv_end);
-  h.Add(item.q);
-  h.Add(item.kv);
-  h.Add(item.acc);
+  h.Add(layout.ChunkBegin(item.seq, item.q_chunk));
+  h.Add(layout.ChunkEnd(item.seq, item.q_chunk));
+  h.Add(layout.ChunkBegin(item.seq, item.kv_chunk));
+  h.Add(layout.ChunkEnd(item.seq, item.kv_chunk));
+  h.Add(item.q());
+  h.Add(item.kv());
+  h.Add(item.acc());
   if (backward) {
-    h.Add(item.dout);
-    h.Add(item.delta);
-    h.Add(item.dq);
-    h.Add(item.dkv);
+    h.Add(item.dout());
+    h.Add(item.delta());
+    h.Add(item.dq());
+    h.Add(item.dkv());
   }
 }
 
@@ -195,20 +195,21 @@ struct Golden {
   uint64_t structural_digests[2];  // Of StructuralDigest.
 };
 
-// Byte digests recorded from the per-token mask lowering that predates segment-encoded
-// masks; structural digests recorded from the same plans.
+// Structural digests recorded from the per-token mask lowering that predates
+// segment-encoded masks, before attention items dropped their derived fields; byte
+// digests re-recorded for plan format version 2 from plans with the same structure.
 constexpr Golden kGolden[] = {
     {MaskKind::kCausal,
-     {0x444dd691dc1ce469ull, 0x0e6740ef2f2ea2d4ull},
+     {0x0b6f015dea572c61ull, 0x30c7e386381bcc1full},
      {0x464524588619116dull, 0x363f5c1d0ebbc232ull}},
     {MaskKind::kLambda,
-     {0xadafcbae8ff341f5ull, 0x249953dd536379cdull},
+     {0x181cfed11248c261ull, 0x43fbc6957824d3eeull},
      {0x5ebde9b237fe2391ull, 0x04ff3a26a9705be6ull}},
     {MaskKind::kCausalBlockwise,
-     {0x6521d5ac917e8569ull, 0xdb8611dafa4c3b23ull},
+     {0xaa3da9c801399f2full, 0xa35db6fb6256681dull},
      {0x308598cb07fe486aull, 0x39fe85974e54f7bcull}},
     {MaskKind::kSharedQuestion,
-     {0xcfdb76beaaf72dc4ull, 0x9e7379d448d08582ull},
+     {0xaa2b247733e6b1e7ull, 0x07b6098fe8a09f2full},
      {0xf1e3cc33bc15f650ull, 0x009a042670aa489full}},
 };
 

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -192,7 +193,7 @@ TEST(PlanBinaryCodec, CorruptCountsAndEnumsAreRejectedWithoutAllocating) {
   // rejected by the count-vs-remaining-payload bound, not by an OOM.
   {
     std::string bad("DCPB", 4);
-    bad += std::string("\x01\x00\x00\x00", 4);  // Version 1.
+    bad += std::string("\x02\x00\x00\x00", 4);  // Version 2.
     auto zig = [&bad](int64_t v) {
       uint64_t u = (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
       while (u >= 0x80) {
@@ -215,7 +216,7 @@ TEST(PlanBinaryCodec, CorruptCountsAndEnumsAreRejectedWithoutAllocating) {
   // not a silent truncation: craft one as the first field (block_size).
   {
     std::string bad("DCPB", 4);
-    bad += std::string("\x01\x00\x00\x00", 4);  // Version 1.
+    bad += std::string("\x02\x00\x00\x00", 4);  // Version 2.
     bad += std::string(9, '\x80');
     bad += '\x7E';  // 10th byte with overflowing payload bits.
     StatusOr<BatchPlan> parsed = DeserializePlanBinary(bad);
@@ -503,6 +504,66 @@ TEST_F(PlanStoreTest, EngineSkipsCorruptStoreRecordAndRecovers) {
   ASSERT_TRUE(warm.ok());
   EXPECT_EQ(healed.cache_stats().store_hits, 1);
   EXPECT_EQ(SerializeTimeless(warm.value()->plan), canonical);
+}
+
+// Stores are caches, so a record from an older format is not decoded: it is skipped
+// as corrupt, replanned, and rewritten in the current format.
+TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
+  Rng rng(19);
+  const GeneratedCase c = GenerateCase(rng);
+  ClusterSpec cluster;
+  cluster.num_nodes = 1;
+  cluster.devices_per_node = 2;
+  const MaskSpec spec = SmallMaskSpec(c.mask_kind);
+
+  EngineOptions engine_options;
+  engine_options.planner = MakeOptions(c);
+  engine_options.planner_threads = 1;
+  engine_options.plan_store_path = StorePath();
+  {
+    Engine writer(cluster, engine_options);
+    ASSERT_TRUE(writer.Plan(c.seqlens, spec).ok());
+  }
+  // Rewrite the record's version word to 1 under a valid checksum, so the version is
+  // the only thing wrong with it.
+  const PlanSignature sig = ComputePlanSignature(c.seqlens, spec, cluster,
+                                                 engine_options.planner);
+  const fs::path record_path = fs::path(StorePath()) / (sig.ToHex() + ".dcpplan");
+  std::string record;
+  {
+    std::ifstream in(record_path, std::ios::binary);
+    record.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  ASSERT_GT(record.size(), 16u);
+  ASSERT_NE(record.substr(8, 4), std::string("\x01\x00\x00\x00", 4));
+  record.replace(8, 4, std::string("\x01\x00\x00\x00", 4));
+  const size_t body_end = record.size() - 4;
+  const uint32_t crc = Crc32(std::string_view(record).substr(0, body_end));
+  for (int i = 0; i < 4; ++i) {
+    record[body_end + static_cast<size_t>(i)] = static_cast<char>(crc >> (8 * i));
+  }
+  {
+    std::ofstream out(record_path, std::ios::binary | std::ios::trunc);
+    out << record;
+  }
+
+  {
+    Engine reader(cluster, engine_options);
+    StatusOr<Engine::PlannedOutcome> outcome = reader.PlanDetailed(c.seqlens, spec);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_EQ(outcome.value().origin, PlanOrigin::kFresh);
+    const PlanCacheStats stats = reader.cache_stats();
+    EXPECT_EQ(stats.store_corrupt_skipped, 1);
+    EXPECT_EQ(stats.store_hits, 0);
+    EXPECT_EQ(stats.store_writes, 1);
+  }
+
+  Engine rewritten(cluster, engine_options);
+  StatusOr<Engine::PlannedOutcome> warm = rewritten.PlanDetailed(c.seqlens, spec);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  EXPECT_EQ(warm.value().origin, PlanOrigin::kStoreCache);
+  EXPECT_EQ(rewritten.cache_stats().store_hits, 1);
+  EXPECT_EQ(rewritten.cache_stats().store_corrupt_skipped, 0);
 }
 
 TEST_F(PlanStoreTest, BundleExportImportMovesRecordsBetweenStores) {

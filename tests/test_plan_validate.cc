@@ -55,7 +55,7 @@ TEST(ValidatePlan, DetectsOutOfRangeSlot) {
   for (DevicePlan& dev : plan.devices) {
     for (Instruction& instr : dev.instructions) {
       if (instr.kind == InstrKind::kBlockwiseAttention && !instr.attn_range.empty()) {
-        dev.attn_items_of(instr)[0].q.slot = 10000;
+        dev.attn_items_of(instr)[0].q_slot = 10000;
         const PlanValidation validation = ValidatePlan(plan);
         EXPECT_FALSE(validation.ok);
         EXPECT_NE(validation.Summary().find("out of"), std::string::npos);
@@ -130,8 +130,9 @@ TEST(ValidatePlan, DetectsUnreferencedPoolItems) {
   BatchPlan plan = MakeValidPlan();
   DevicePlan& dev = plan.devices[0];
   ASSERT_FALSE(dev.attn_items.empty());
+  ASSERT_FALSE(dev.reduce_items.empty());
   dev.attn_items.push_back(dev.attn_items.front());
-  dev.copy_items.push_back(CopyItem{});
+  dev.reduce_items.push_back(dev.reduce_items.front());
   const PlanValidation validation = ValidatePlan(plan);
   EXPECT_FALSE(validation.ok);
   EXPECT_EQ(CountErrors(validation, "no instruction references"), 2)
@@ -158,6 +159,48 @@ TEST(ValidatePlan, DetectsDroppedSend) {
   const PlanValidation validation = ValidatePlan(plan);
   EXPECT_FALSE(validation.ok);
   EXPECT_NE(validation.Summary().find("sends"), std::string::npos);
+}
+
+// A tile names its sequence, group and chunks; each must exist before the executor
+// indexes the sequence's mask and derives the tile's token bounds from them.
+TEST(ValidatePlan, DetectsOutOfRangeTileCoordinates) {
+  const BatchPlan valid = MakeValidPlan();
+  const BatchLayout& layout = valid.layout;
+  struct Case {
+    const char* error;
+    void (*mutate)(AttentionWorkItem&, const BatchLayout&);
+  };
+  const Case cases[] = {
+      {"attention seq",
+       [](AttentionWorkItem& t, const BatchLayout& l) { t.seq = l.num_sequences(); }},
+      {"attention seq", [](AttentionWorkItem& t, const BatchLayout&) { t.seq = -1; }},
+      {"attention group",
+       [](AttentionWorkItem& t, const BatchLayout& l) { t.group = l.num_groups; }},
+      {"attention q chunk",
+       [](AttentionWorkItem& t, const BatchLayout& l) { t.q_chunk = l.NumChunks(t.seq); }},
+      {"attention kv chunk", [](AttentionWorkItem& t, const BatchLayout&) { t.kv_chunk = -1; }},
+  };
+  ASSERT_GT(layout.num_sequences(), 0);
+  for (const Case& c : cases) {
+    for (bool backward : {false, true}) {
+      SCOPED_TRACE(std::string(c.error) + (backward ? " (backward)" : " (forward)"));
+      BatchPlan plan = valid;
+      AttentionWorkItem* tile = nullptr;
+      for (DevicePlan& dev : plan.devices) {
+        for (Instruction& instr : backward ? dev.backward_instructions : dev.instructions) {
+          if (tile == nullptr && instr.kind == InstrKind::kBlockwiseAttention &&
+              !instr.attn_range.empty()) {
+            tile = &dev.attn_items_of(instr)[0];
+          }
+        }
+      }
+      ASSERT_NE(tile, nullptr);
+      c.mutate(*tile, layout);
+      const PlanValidation validation = ValidatePlan(plan);
+      EXPECT_FALSE(validation.ok);
+      EXPECT_EQ(CountErrors(validation, c.error), 1) << validation.Summary();
+    }
+  }
 }
 
 TEST(ValidatePlan, DetectsDuplicatedTile) {
