@@ -153,8 +153,8 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
 //            reduce and transfer-block counts, each followed by its items; an attention
 //            item is seq, group, q_chunk, kv_chunk, q_slot, kv_slot, full
 //
-// Version 2 stores attention items as their decisions only and has no copy items. No
-// version 1 decoder is kept: plans are cached, so a version 1 plan is replanned.
+// Only the current version decodes: plans are cached, so a plan in an older version
+// is replanned.
 
 namespace {
 

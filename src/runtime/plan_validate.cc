@@ -162,11 +162,12 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
               // The tile must name a real (sequence, group, chunk, chunk) before its
               // token bounds and mask can be derived from it.
               if (!check_index(item.seq, layout.num_sequences(), "attention seq") ||
-                  !check_index(item.group, layout.num_groups, "attention group") ||
-                  !check_index(item.q_chunk, layout.NumChunks(item.seq),
-                               "attention q chunk") ||
-                  !check_index(item.kv_chunk, layout.NumChunks(item.seq),
-                               "attention kv chunk")) {
+                  !check_index(item.group, layout.num_groups, "attention group")) {
+                continue;
+              }
+              const int num_chunks = layout.NumChunks(item.seq);
+              if (!check_index(item.q_chunk, num_chunks, "attention q chunk") ||
+                  !check_index(item.kv_chunk, num_chunks, "attention kv chunk")) {
                 continue;
               }
               check_ref(item.q(), "attention q");
@@ -178,9 +179,9 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
                 check_ref(item.dq(), "attention dq");
                 check_ref(item.dkv(), "attention dkv");
               }
-              if (forward_stream && !instr.backward &&
-                  !forward_tiles.insert({item.seq, item.group, item.q_chunk, item.kv_chunk})
-                       .second) {
+              const auto tile = std::tuple(item.seq, item.group, item.q_chunk,
+                                           item.kv_chunk);
+              if (forward_stream && !instr.backward && !forward_tiles.insert(tile).second) {
                 result.Fail("tile (seq " + std::to_string(item.seq) + ", group " +
                             std::to_string(item.group) + ", q chunk " +
                             std::to_string(item.q_chunk) + ", kv chunk " +

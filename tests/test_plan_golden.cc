@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,26 +25,21 @@ namespace dcp {
 namespace {
 
 // FNV-1a, 64-bit: a digest that is identical on every platform and standard library.
-uint64_t Fnv1a64(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<uint8_t>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// FNV-1a over a stream of 64-bit words, each fed as 8 little-endian bytes, and of
+// Besides raw bytes it takes 64-bit words, each as 8 little-endian bytes, and
 // length-prefixed names. Enums are fed by name, so renumbering one moves no digest.
-class StructuralHasher {
+class Fnv1a64 {
  public:
+  void AddBytes(std::string_view bytes) {
+    for (const char c : bytes) {
+      h_ ^= static_cast<uint8_t>(c);
+      h_ *= 1099511628211ull;
+    }
+  }
   void Add(int64_t v) { AddWord(static_cast<uint64_t>(v)); }
   void Add(double v) { AddWord(std::bit_cast<uint64_t>(v)); }
   void Add(const std::string& name) {
     AddWord(name.size());
-    for (const char c : name) {
-      AddByte(static_cast<uint8_t>(c));
-    }
+    AddBytes(name);
   }
   void Add(const BlockRef& ref) {
     Add(BufKindName(ref.kind));
@@ -53,20 +49,18 @@ class StructuralHasher {
 
  private:
   void AddWord(uint64_t w) {
+    char bytes[8];
     for (int i = 0; i < 8; ++i) {
-      AddByte(static_cast<uint8_t>(w >> (8 * i)));
+      bytes[i] = static_cast<char>(w >> (8 * i));
     }
-  }
-  void AddByte(uint8_t b) {
-    h_ ^= b;
-    h_ *= 1099511628211ull;
+    AddBytes(std::string_view(bytes, 8));
   }
   uint64_t h_ = 1469598103934665603ull;
 };
 
 // One attention tile as the executor sees it: its tile coordinates, token bounds and
 // every operand it reads or writes (backward operands only on backward tiles).
-void AddAttentionItem(StructuralHasher& h, const BatchLayout& layout, bool backward,
+void AddAttentionItem(Fnv1a64& h, const BatchLayout& layout, bool backward,
                       const AttentionWorkItem& item) {
   h.Add(int64_t{item.seq});
   h.Add(int64_t{item.group});
@@ -90,7 +84,7 @@ void AddAttentionItem(StructuralHasher& h, const BatchLayout& layout, bool backw
 
 // A format-independent digest of every field of `plan`, walked in stream order.
 uint64_t StructuralDigest(const BatchPlan& plan) {
-  StructuralHasher h;
+  Fnv1a64 h;
   const BatchLayout& layout = plan.layout;
   h.Add(layout.block_size);
   h.Add(int64_t{layout.num_groups});
@@ -224,7 +218,9 @@ TEST(PlanGolden, PlansMatchRecordedDigests) {
       const std::vector<int64_t>& seqlens = batches[b].seqlens;
       BatchPlan plan = PlanBatch(seqlens, BuildBatchMasks(spec, seqlens), cluster, options);
       plan.stats.planning_seconds = 0.0;
-      const uint64_t digest = Fnv1a64(SerializePlanBinary(plan));
+      Fnv1a64 bytes;
+      bytes.AddBytes(SerializePlanBinary(plan));
+      const uint64_t digest = bytes.digest();
       EXPECT_EQ(digest, golden.digests[b])
           << MaskKindName(golden.kind) << " batch " << b << " digest " << Hex(digest);
       const uint64_t structural = StructuralDigest(plan);

@@ -166,24 +166,11 @@ TEST(ValidatePlan, DetectsDroppedSend) {
 TEST(ValidatePlan, DetectsOutOfRangeTileCoordinates) {
   const BatchPlan valid = MakeValidPlan();
   const BatchLayout& layout = valid.layout;
-  struct Case {
-    const char* error;
-    void (*mutate)(AttentionWorkItem&, const BatchLayout&);
-  };
-  const Case cases[] = {
-      {"attention seq",
-       [](AttentionWorkItem& t, const BatchLayout& l) { t.seq = l.num_sequences(); }},
-      {"attention seq", [](AttentionWorkItem& t, const BatchLayout&) { t.seq = -1; }},
-      {"attention group",
-       [](AttentionWorkItem& t, const BatchLayout& l) { t.group = l.num_groups; }},
-      {"attention q chunk",
-       [](AttentionWorkItem& t, const BatchLayout& l) { t.q_chunk = l.NumChunks(t.seq); }},
-      {"attention kv chunk", [](AttentionWorkItem& t, const BatchLayout&) { t.kv_chunk = -1; }},
-  };
-  ASSERT_GT(layout.num_sequences(), 0);
-  for (const Case& c : cases) {
+  // Applies `mutate` to the first tile of the forward, then the backward stream, and
+  // expects exactly one `error` each time.
+  auto expect_rejected = [&](const char* error, auto mutate) {
     for (bool backward : {false, true}) {
-      SCOPED_TRACE(std::string(c.error) + (backward ? " (backward)" : " (forward)"));
+      SCOPED_TRACE(std::string(error) + (backward ? " (backward)" : " (forward)"));
       BatchPlan plan = valid;
       AttentionWorkItem* tile = nullptr;
       for (DevicePlan& dev : plan.devices) {
@@ -195,12 +182,20 @@ TEST(ValidatePlan, DetectsOutOfRangeTileCoordinates) {
         }
       }
       ASSERT_NE(tile, nullptr);
-      c.mutate(*tile, layout);
+      mutate(*tile);
       const PlanValidation validation = ValidatePlan(plan);
       EXPECT_FALSE(validation.ok);
-      EXPECT_EQ(CountErrors(validation, c.error), 1) << validation.Summary();
+      EXPECT_EQ(CountErrors(validation, error), 1) << validation.Summary();
     }
-  }
+  };
+  expect_rejected("attention seq",
+                  [&](AttentionWorkItem& t) { t.seq = layout.num_sequences(); });
+  expect_rejected("attention seq", [](AttentionWorkItem& t) { t.seq = -1; });
+  expect_rejected("attention group",
+                  [&](AttentionWorkItem& t) { t.group = layout.num_groups; });
+  expect_rejected("attention q chunk",
+                  [&](AttentionWorkItem& t) { t.q_chunk = layout.NumChunks(t.seq); });
+  expect_rejected("attention kv chunk", [](AttentionWorkItem& t) { t.kv_chunk = -1; });
 }
 
 TEST(ValidatePlan, DetectsDuplicatedTile) {
