@@ -21,15 +21,6 @@ void DcpExecutor::Prepare(const PlanHandle& handle) {
   installed_ = handle;
 }
 
-void DcpExecutor::Prepare(const BatchPlan& plan, std::vector<SequenceMask> masks) {
-  // Legacy path: no signature, so the handle never matches and buffers are rebuilt —
-  // exactly the paper-facade behavior.
-  auto compiled = std::make_shared<CompiledPlan>();
-  compiled->plan = plan;
-  compiled->masks = std::move(masks);
-  Prepare(PlanHandle(std::move(compiled)));
-}
-
 const BatchPlan& DcpExecutor::plan() const {
   DCP_CHECK(exec_ != nullptr) << "DcpExecutor::Prepare not called";
   return installed_->plan;

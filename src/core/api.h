@@ -1,5 +1,5 @@
-// User-facing facade mirroring the paper's Listing 2, now as thin shims over the
-// session-scoped dcp::Engine (core/engine.h), which owns the planner configuration, the
+// User-facing facade mirroring the paper's Listing 2 over the session-scoped
+// dcp::Engine (core/engine.h), which owns the planner configuration, the
 // look-ahead thread pool, and the signature-keyed compiled-plan cache:
 //
 //   auto engine = std::make_shared<Engine>(cluster, engine_options);
@@ -11,11 +11,6 @@
 //     auto out = DcpAttention::Forward(executor, inputs);   // inside the model
 //     auto grads = DcpAttention::Backward(executor, dout);
 //   }
-//
-// The paper-verbatim spellings still work: the DcpDataLoader(stream, mask_spec, cluster,
-// options) constructor builds an internal Engine, and Prepare(plan, masks) wraps its
-// arguments in an unsigned one-off handle (it always reallocates buffers — only
-// signature-carrying handles from the Engine get the incremental path).
 #ifndef DCP_CORE_API_H_
 #define DCP_CORE_API_H_
 
@@ -39,9 +34,6 @@ class DcpExecutor {
   // matches the installed one (a plan-cache hit on a repeated batch), the device
   // buffers are kept and the executor is rebound in place instead of reallocated.
   void Prepare(const PlanHandle& handle);
-
-  // Paper-verbatim spelling: copies the plan/masks into a one-off unsigned handle.
-  void Prepare(const BatchPlan& plan, std::vector<SequenceMask> masks);
 
   bool ready() const { return exec_ != nullptr; }
   const BatchPlan& plan() const;

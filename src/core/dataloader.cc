@@ -8,11 +8,6 @@
 namespace dcp {
 
 DcpDataLoader::DcpDataLoader(BatchStream stream, MaskSpec mask_spec,
-                             std::shared_ptr<Engine> engine, int lookahead)
-    : DcpDataLoader(std::move(stream), mask_spec,
-                    std::static_pointer_cast<Planner>(engine), lookahead) {}
-
-DcpDataLoader::DcpDataLoader(BatchStream stream, MaskSpec mask_spec,
                              std::shared_ptr<Planner> planner, int lookahead)
     : stream_(std::move(stream)),
       mask_spec_(mask_spec),
@@ -38,19 +33,6 @@ DcpDataLoader::DcpDataLoader(BatchStream stream, MaskSpec mask_spec,
     EnqueueOne();
   }
 }
-
-DcpDataLoader::DcpDataLoader(BatchStream stream, MaskSpec mask_spec, ClusterSpec cluster,
-                             PlannerOptions options, int lookahead, int planner_threads)
-    : DcpDataLoader(std::move(stream), mask_spec,
-                    std::make_shared<Engine>(cluster,
-                                             [&] {
-                                               EngineOptions engine_options;
-                                               engine_options.planner = options;
-                                               engine_options.planner_threads =
-                                                   planner_threads;
-                                               return engine_options;
-                                             }()),
-                    lookahead) {}
 
 DcpDataLoader::~DcpDataLoader() {
   // Drain in-flight planning jobs before tearing down the engine pool.

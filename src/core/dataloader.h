@@ -33,24 +33,15 @@ struct PlannedIteration {
 
 class DcpDataLoader {
  public:
-  // Session-API constructor: plans on `engine` (shared with other loaders/tools so they
-  // see one plan cache). `lookahead` is the paper's kappa: iterations planned ahead of
-  // consumption. When engine->options().auto_tune_block_size is set, every batch goes
-  // through the per-signature block-size tuner instead of the fixed block size.
-  DcpDataLoader(BatchStream stream, MaskSpec mask_spec, std::shared_ptr<Engine> engine,
-                int lookahead = 2);
-
-  // Planner-interface constructor: plans on any Planner — an Engine, or a
-  // service::PlanClient pointed at a remote planning service. Look-ahead jobs run on
-  // the planner's pool either way, so planning (local or RPC) still overlaps "model
-  // execution".
+  // Plans on any Planner: an Engine (shared with other loaders/tools so they see one
+  // plan cache), or a service::PlanClient pointed at a remote planning service.
+  // Look-ahead jobs run on the planner's pool either way, so planning (local or RPC)
+  // still overlaps "model execution". `lookahead` is the paper's kappa: iterations
+  // planned ahead of consumption. When an Engine's options().auto_tune_block_size is
+  // set, every batch goes through the per-signature block-size tuner instead of the
+  // fixed block size.
   DcpDataLoader(BatchStream stream, MaskSpec mask_spec,
                 std::shared_ptr<Planner> planner, int lookahead = 2);
-
-  // Paper-facade constructor (Listing 2 spelling): builds a private Engine from the
-  // cluster spec and planner options. `planner_threads` sizes its pool (paper §6.1).
-  DcpDataLoader(BatchStream stream, MaskSpec mask_spec, ClusterSpec cluster,
-                PlannerOptions options, int lookahead = 2, int planner_threads = 2);
   ~DcpDataLoader();
 
   // Blocks until the next iteration's plan is ready (usually instant once warmed up).
@@ -59,8 +50,8 @@ class DcpDataLoader {
   // True while the look-ahead window is fully planned (for tests/diagnostics).
   int PendingPlans() const;
 
-  // The backing Engine. Only valid when the loader was constructed over one (directly
-  // or via the facade ctor); a loader over a remote PlanClient has no local engine.
+  // The backing Engine. Only valid when the loader was constructed over one; a loader
+  // over a remote PlanClient has no local engine.
   Engine& engine() {
     DCP_CHECK(engine_ != nullptr) << "loader is backed by a remote planner, not an Engine";
     return *engine_;

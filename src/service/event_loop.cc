@@ -1,18 +1,12 @@
 #include "service/event_loop.h"
 
-#include <poll.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <utility>
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define DCP_HAVE_EPOLL 1
-#else
-#define DCP_HAVE_EPOLL 0
-#endif
 
 namespace dcp {
 namespace {
@@ -21,18 +15,6 @@ std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
-short PollMask(bool want_read, bool want_write) {
-  short mask = 0;
-  if (want_read) {
-    mask |= POLLIN;
-  }
-  if (want_write) {
-    mask |= POLLOUT;
-  }
-  return mask;
-}
-
-#if DCP_HAVE_EPOLL
 uint32_t EpollMask(bool want_read, bool want_write) {
   uint32_t mask = 0;
   if (want_read) {
@@ -43,23 +25,15 @@ uint32_t EpollMask(bool want_read, bool want_write) {
   }
   return mask;
 }
-#endif
 
 }  // namespace
 
-Poller::Poller(bool prefer_epoll) {
-#if DCP_HAVE_EPOLL
-  if (prefer_epoll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ >= 0) {
-      backend_ = Backend::kEpoll;
-      return;
-    }
+StatusOr<Poller> Poller::Create() {
+  const int epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd < 0) {
+    return Status::Internal(Errno("epoll_create1 failed"));
   }
-#else
-  (void)prefer_epoll;
-#endif
-  backend_ = Backend::kPoll;
+  return Poller(epoll_fd);
 }
 
 Poller::~Poller() {
@@ -69,9 +43,7 @@ Poller::~Poller() {
 }
 
 Poller::Poller(Poller&& other) noexcept
-    : backend_(other.backend_),
-      epoll_fd_(other.epoll_fd_),
-      interest_(std::move(other.interest_)) {
+    : epoll_fd_(other.epoll_fd_), interest_(std::move(other.interest_)) {
   other.epoll_fd_ = -1;
   other.interest_.clear();
 }
@@ -81,7 +53,6 @@ Poller& Poller::operator=(Poller&& other) noexcept {
     if (epoll_fd_ >= 0) {
       ::close(epoll_fd_);
     }
-    backend_ = other.backend_;
     epoll_fd_ = other.epoll_fd_;
     interest_ = std::move(other.interest_);
     other.epoll_fd_ = -1;
@@ -94,41 +65,31 @@ Status Poller::Add(int fd, bool want_read, bool want_write) {
   if (fd < 0) {
     return Status::InvalidArgument("poller: add of invalid fd");
   }
-  if (!interest_.emplace(fd, PollMask(want_read, want_write)).second) {
+  if (!interest_.insert(fd).second) {
     return Status::FailedPrecondition("poller: fd " + std::to_string(fd) +
                                       " already registered");
   }
-#if DCP_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EpollMask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      interest_.erase(fd);
-      return Status::Internal(Errno("epoll_ctl(ADD) failed"));
-    }
+  epoll_event ev{};
+  ev.events = EpollMask(want_read, want_write);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    interest_.erase(fd);
+    return Status::Internal(Errno("epoll_ctl(ADD) failed"));
   }
-#endif
   return Status::Ok();
 }
 
 Status Poller::Modify(int fd, bool want_read, bool want_write) {
-  const auto it = interest_.find(fd);
-  if (it == interest_.end()) {
+  if (interest_.count(fd) == 0) {
     return Status::FailedPrecondition("poller: modify of unregistered fd " +
                                       std::to_string(fd));
   }
-  it->second = PollMask(want_read, want_write);
-#if DCP_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ev{};
-    ev.events = EpollMask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
-      return Status::Internal(Errno("epoll_ctl(MOD) failed"));
-    }
+  epoll_event ev{};
+  ev.events = EpollMask(want_read, want_write);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) {
+    return Status::Internal(Errno("epoll_ctl(MOD) failed"));
   }
-#endif
   return Status::Ok();
 }
 
@@ -136,63 +97,28 @@ void Poller::Remove(int fd) {
   if (interest_.erase(fd) == 0) {
     return;
   }
-#if DCP_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    // Ignore failures: the fd may already be closed, which removed it implicitly.
-    epoll_event ev{};
-    (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
-  }
-#endif
+  // Ignore failures: the fd may already be closed, which removed it implicitly.
+  epoll_event ev{};
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, &ev);
 }
 
 Status Poller::Wait(int timeout_ms, std::vector<Event>* events) {
   events->clear();
-#if DCP_HAVE_EPOLL
-  if (backend_ == Backend::kEpoll) {
-    epoll_event ready[64];
-    const int n = ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) {
-        return Status::Ok();
-      }
-      return Status::Internal(Errno("epoll_wait failed"));
-    }
-    events->reserve(static_cast<size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = ready[i].data.fd;
-      ev.readable = (ready[i].events & EPOLLIN) != 0;
-      ev.writable = (ready[i].events & EPOLLOUT) != 0;
-      ev.hangup = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      events->push_back(ev);
-    }
-    return Status::Ok();
-  }
-#endif
-  std::vector<pollfd> pfds;
-  pfds.reserve(interest_.size());
-  for (const auto& [fd, mask] : interest_) {
-    pfds.push_back({fd, mask, 0});
-  }
-  const int n = ::poll(pfds.data(), pfds.size(), timeout_ms);
+  epoll_event ready[64];
+  const int n = ::epoll_wait(epoll_fd_, ready, 64, timeout_ms);
   if (n < 0) {
     if (errno == EINTR) {
       return Status::Ok();
     }
-    return Status::Internal(Errno("poll failed"));
+    return Status::Internal(Errno("epoll_wait failed"));
   }
-  if (n == 0) {
-    return Status::Ok();
-  }
-  for (const pollfd& pfd : pfds) {
-    if (pfd.revents == 0) {
-      continue;
-    }
+  events->reserve(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
     Event ev;
-    ev.fd = pfd.fd;
-    ev.readable = (pfd.revents & POLLIN) != 0;
-    ev.writable = (pfd.revents & POLLOUT) != 0;
-    ev.hangup = (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+    ev.fd = ready[i].data.fd;
+    ev.readable = (ready[i].events & EPOLLIN) != 0;
+    ev.writable = (ready[i].events & EPOLLOUT) != 0;
+    ev.hangup = (ready[i].events & (EPOLLERR | EPOLLHUP)) != 0;
     events->push_back(ev);
   }
   return Status::Ok();

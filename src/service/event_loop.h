@@ -1,8 +1,7 @@
 // Readiness multiplexing for the planning service's IO threads: one Poller per IO
-// thread watches every socket that thread owns. The primary backend is epoll
+// thread watches every socket that thread owns through one epoll instance
 // (level-triggered — the server drains until EAGAIN, so level semantics are exact and
-// re-arm free); a portable poll(2) backend backs it up and is selectable per server
-// (PlanServerOptions::force_poll_backend) so the fallback stays tested, not bit-rotted.
+// re-arm free). epoll is Linux-only, like the eventfd wakeups the server is built on.
 //
 // A Poller is single-threaded by design: Add/Modify/Remove/Wait are only ever called
 // from the loop thread that owns it. Cross-thread wakeups go through an eventfd the
@@ -10,8 +9,7 @@
 #ifndef DCP_SERVICE_EVENT_LOOP_H_
 #define DCP_SERVICE_EVENT_LOOP_H_
 
-#include <cstdint>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -20,19 +18,14 @@ namespace dcp {
 
 class Poller {
  public:
-  enum class Backend { kEpoll, kPoll };
-
-  // `prefer_epoll` falls back to poll when epoll is unavailable (non-Linux builds, or
-  // epoll_create failure); backend() reports what was actually chosen.
-  explicit Poller(bool prefer_epoll = true);
+  // Opens the epoll instance; fails when epoll_create1 does.
+  static StatusOr<Poller> Create();
   ~Poller();
 
   Poller(Poller&& other) noexcept;
   Poller& operator=(Poller&& other) noexcept;
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
-
-  Backend backend() const { return backend_; }
 
   // Watches `fd`. want_read/want_write may both be false: the fd stays registered
   // (errors and hangups are still reported) but produces no readiness events.
@@ -44,8 +37,8 @@ class Poller {
     int fd = -1;
     bool readable = false;
     bool writable = false;
-    // POLLERR/POLLHUP: the owner should attempt a read (to harvest the error or EOF)
-    // and close.
+    // EPOLLERR/EPOLLHUP: the owner should attempt a read (to harvest the error or
+    // EOF) and close.
     bool hangup = false;
   };
 
@@ -54,11 +47,11 @@ class Poller {
   Status Wait(int timeout_ms, std::vector<Event>* events);
 
  private:
-  Backend backend_ = Backend::kPoll;
+  explicit Poller(int epoll_fd) : epoll_fd_(epoll_fd) {}
+
   int epoll_fd_ = -1;
-  // Poll backend interest set; also the registration record both backends validate
-  // against (double-add and modify-of-unknown are bugs worth catching in either).
-  std::unordered_map<int, short> interest_;
+  // Registered fds: double-add and modify-of-unknown are bugs worth catching.
+  std::unordered_set<int> interest_;
 };
 
 }  // namespace dcp

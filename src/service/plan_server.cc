@@ -126,9 +126,24 @@ Status PlanServer::Start(const ServiceAddress& address) {
     return Status::Internal("cannot make listener non-blocking");
   }
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.workers));
+  // Undoes a partial start: the loops built so far (and their eventfds), the pool and
+  // the listener.
+  const auto abort_start = [this](Status status) {
+    for (auto& loop : loops_) {
+      ::close(loop->wake_fd);
+    }
+    loops_.clear();
+    pool_.reset();
+    listener_.Close();
+    return status;
+  };
   const int num_loops = std::max(1, options_.io_threads);
   for (int i = 0; i < num_loops; ++i) {
-    auto loop = std::make_unique<IoLoop>(!options_.force_poll_backend);
+    StatusOr<Poller> poller = Poller::Create();
+    if (!poller.ok()) {
+      return abort_start(poller.status());
+    }
+    auto loop = std::make_unique<IoLoop>(std::move(poller).value());
     loop->index = i;
     const std::vector<metrics::Label> loop_labels = {{"loop", std::to_string(i)}};
     loop->queue_depth = metrics_->GetGauge(
@@ -139,10 +154,7 @@ Status PlanServer::Start(const ServiceAddress& address) {
         "Response bytes queued across this IO loop's connections");
     loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (loop->wake_fd < 0) {
-      loops_.clear();
-      pool_.reset();
-      listener_.Close();
-      return Status::Internal("cannot create IO loop eventfd");
+      return abort_start(Status::Internal("cannot create IO loop eventfd"));
     }
     Status added = loop->poller.Add(loop->wake_fd, /*want_read=*/true,
                                     /*want_write=*/false);
@@ -152,19 +164,14 @@ Status PlanServer::Start(const ServiceAddress& address) {
     }
     if (!added.ok()) {
       ::close(loop->wake_fd);
-      loops_.clear();
-      pool_.reset();
-      listener_.Close();
-      return added;
+      return abort_start(added);
     }
     loops_.push_back(std::move(loop));
   }
-  // Publish the loops_ facts stats pollers read, BEFORE running_ flips: a bench or
+  // Publish the loop count stats pollers read, BEFORE running_ flips: a bench or
   // stats thread observing running() must never deref loops_ itself — Stop() clears
   // that vector concurrently with late pollers.
   io_thread_count_.store(static_cast<int>(loops_.size()), std::memory_order_release);
-  poller_backend_.store(static_cast<int>(loops_[0]->poller.backend()),
-                        std::memory_order_release);
   running_.store(true, std::memory_order_release);
   for (auto& loop : loops_) {
     IoLoop* raw = loop.get();

@@ -7,7 +7,7 @@
 //
 // Threading model — event-driven, bounded thread count independent of connections:
 //   - a fixed pool of `io_threads` loop threads, each multiplexing its share of the
-//     connections through a Poller (epoll on Linux, poll fallback). Loop 0 also owns
+//     connections through an epoll Poller. Loop 0 also owns
 //     the non-blocking listener: accept errors are transient operational conditions
 //     (EMFILE, ECONNABORTED), answered with backoff + retry, never loop exit.
 //   - non-blocking reads into a per-connection FrameAssembler; complete frames are
@@ -64,9 +64,6 @@ struct PlanServerOptions {
   // responses is closed once this many queued bytes accumulate (slow-reader shedding);
   // the buffers a dead-slow reader pins are otherwise unbounded.
   size_t max_output_queue_bytes = size_t{8} << 20;
-  // Test/diagnostic knob: use the portable poll(2) backend even where epoll exists,
-  // so the fallback stays continuously exercised.
-  bool force_poll_backend = false;
   // In-flight request bound (queued + executing). At the bound, requests are rejected
   // with UNAVAILABLE ("overloaded") instead of queued. 0 rejects everything — useful
   // for drain/maintenance mode and for testing client backoff paths.
@@ -157,12 +154,6 @@ class PlanServer {
   int io_thread_count() const {
     return io_thread_count_.load(std::memory_order_acquire);
   }
-  // The readiness backend the loops selected; meaningful only while running.
-  // Same publication discipline as io_thread_count().
-  Poller::Backend poller_backend() const {
-    return static_cast<Poller::Backend>(
-        poller_backend_.load(std::memory_order_acquire));
-  }
 
  private:
   // Write-drain bookkeeping riding 1:1 with one outbox entry. The trace (null for
@@ -213,7 +204,7 @@ class PlanServer {
   // One IO thread's state. `conns`/`graveyard` are owned by the loop thread alone;
   // `mu` guards the two cross-thread queues.
   struct IoLoop {
-    explicit IoLoop(bool prefer_epoll) : poller(prefer_epoll) {}
+    explicit IoLoop(Poller p) : poller(std::move(p)) {}
 
     int index = 0;
     Poller poller;
@@ -311,9 +302,8 @@ class PlanServer {
   std::thread gossip_thread_;
   std::atomic<bool> running_{false};
   std::atomic<int> in_flight_{0};
-  // Snapshots of loops_ facts for lock-free stats pollers (see io_thread_count()).
+  // Snapshot of loops_.size() for lock-free stats pollers (see io_thread_count()).
   std::atomic<int> io_thread_count_{0};
-  std::atomic<int> poller_backend_{static_cast<int>(Poller::Backend::kPoll)};
 
   Mutex gossip_mu_;  // Pairs with gossip_cv_ for an interruptible interval sleep.
   CondVar gossip_cv_;

@@ -24,8 +24,11 @@ TEST(DcpApi, ListingTwoWorkflowRunsEndToEnd) {
   options.heads_per_group = 2;
   options.head_dim = 8;
 
+  EngineOptions engine_options;
+  engine_options.planner = options;
   DcpDataLoader loader(BatchStream{LengthSampler(dataset), batching},
-                       MaskSpec::SharedQuestion(), cluster, options);
+                       MaskSpec::SharedQuestion(),
+                       std::make_shared<Engine>(cluster, engine_options));
   DcpExecutor executor;
   EXPECT_FALSE(executor.ready());
 

@@ -107,7 +107,7 @@ TEST(ConcurrencyStress, EnginePlanVsStatsVsEvictionChurn) {
   EXPECT_EQ(plans_done.load(), kPlanners * kPlansPerThread);
 }
 
-// Server stats/scrape/io_thread_count/poller_backend polled continuously across Stop():
+// Server stats/scrape/io_thread_count polled continuously across Stop():
 // the poller thread must never touch freed loop state (this raced loops_.clear()
 // before the counters were published atomically in Start/Stop).
 TEST(ConcurrencyStress, ServerStatsVsShutdown) {
@@ -129,7 +129,6 @@ TEST(ConcurrencyStress, ServerStatsVsShutdown) {
       const int io_threads = server.io_thread_count();
       EXPECT_GE(io_threads, 0);
       EXPECT_LE(io_threads, 2);
-      (void)server.poller_backend();
       std::this_thread::yield();
     }
   });
@@ -153,7 +152,6 @@ TEST(ConcurrencyStress, ServerStatsVsShutdown) {
   // Accessors must stay safe (and answer zeros) after shutdown.
   for (int i = 0; i < 100; ++i) {
     (void)server.stats();
-    (void)server.poller_backend();
   }
   stop.store(true, std::memory_order_release);
   poller.join();

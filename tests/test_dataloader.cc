@@ -23,6 +23,14 @@ PlannerOptions SmallPlanner() {
   return options;
 }
 
+// An Engine with the small planner options and a pool of `planner_threads` threads.
+std::shared_ptr<Engine> SmallEngine(const ClusterSpec& cluster, int planner_threads = 2) {
+  EngineOptions options;
+  options.planner = SmallPlanner();
+  options.planner_threads = planner_threads;
+  return std::make_shared<Engine>(cluster, options);
+}
+
 TEST(DcpDataLoader, ProducesPlansMatchingDirectPlanning) {
   ClusterSpec cluster;
   cluster.num_nodes = 2;
@@ -31,8 +39,8 @@ TEST(DcpDataLoader, ProducesPlansMatchingDirectPlanning) {
   batching.token_budget = 4096;
 
   DcpDataLoader loader(BatchStream{LengthSampler(SmallDataset()), batching},
-                       MaskSpec::Causal(), cluster, SmallPlanner(), /*lookahead=*/2,
-                       /*planner_threads=*/3);
+                       MaskSpec::Causal(), SmallEngine(cluster, /*planner_threads=*/3),
+                       /*lookahead=*/2);
   // Reference stream with identical config.
   BatchStream reference{LengthSampler(SmallDataset()), batching};
 
@@ -87,7 +95,7 @@ TEST(DcpDataLoader, MaintainsLookaheadWindow) {
   BatchingConfig batching;
   batching.token_budget = 2048;
   DcpDataLoader loader(BatchStream{LengthSampler(SmallDataset()), batching},
-                       MaskSpec::Lambda(), cluster, SmallPlanner(), /*lookahead=*/3);
+                       MaskSpec::Lambda(), SmallEngine(cluster), /*lookahead=*/3);
   EXPECT_EQ(loader.PendingPlans(), 4);  // lookahead + 1 in flight.
   (void)loader.Next();
   EXPECT_EQ(loader.PendingPlans(), 4);  // Refilled.

@@ -33,6 +33,14 @@ PlannerOptions SmallPlanner() {
   return options;
 }
 
+// An Engine with the small planner options and a pool of `planner_threads` threads.
+std::shared_ptr<Engine> SmallEngine(const ClusterSpec& cluster, int planner_threads = 2) {
+  EngineOptions options;
+  options.planner = SmallPlanner();
+  options.planner_threads = planner_threads;
+  return std::make_shared<Engine>(cluster, options);
+}
+
 // One loader's first `iterations` results, as (seqlens, serialized plan) pairs.
 struct IterationRecord {
   std::vector<int64_t> seqlens;
@@ -48,8 +56,8 @@ std::vector<IterationRecord> Drain(int planner_threads, int lookahead, int itera
   BatchingConfig batching;
   batching.token_budget = 2048;
   DcpDataLoader loader(BatchStream{LengthSampler(SmallDataset()), batching},
-                       MaskSpec::Causal(), cluster, SmallPlanner(), lookahead,
-                       planner_threads);
+                       MaskSpec::Causal(), SmallEngine(cluster, planner_threads),
+                       lookahead);
   std::vector<IterationRecord> records;
   for (int i = 0; i < iterations; ++i) {
     // The window is full after construction and refilled after every Next(): pending
@@ -88,8 +96,7 @@ TEST(DcpDataLoaderConcurrency, LookaheadWindowIsExactAndBounded) {
   batching.token_budget = 1024;
   for (int lookahead : {0, 1, 3}) {
     DcpDataLoader loader(BatchStream{LengthSampler(SmallDataset()), batching},
-                         MaskSpec::Causal(), cluster, SmallPlanner(), lookahead,
-                         /*planner_threads=*/2);
+                         MaskSpec::Causal(), SmallEngine(cluster), lookahead);
     EXPECT_EQ(loader.PendingPlans(), lookahead + 1);
     for (int i = 0; i < 3; ++i) {
       (void)loader.Next();

@@ -343,9 +343,14 @@ TEST(DcpExecutorIncremental, ReusesBuffersAcrossEqualSignaturesAndStaysCorrect) 
   EXPECT_EQ(executor.buffer_reuse_count(), 1);
   EXPECT_EQ(executor.prepare_count(), 3);
 
-  // The paper-facade Prepare carries no signature: never reused, still correct.
-  executor.Prepare(handle->plan, handle->masks);
-  executor.Prepare(handle->plan, handle->masks);
+  // A handle without a signature never reuses buffers, even twice in a row, and stays
+  // correct.
+  auto unsigned_plan = std::make_shared<CompiledPlan>();
+  unsigned_plan->plan = handle->plan;
+  unsigned_plan->masks = handle->masks;
+  const PlanHandle unsigned_handle(std::move(unsigned_plan));
+  executor.Prepare(unsigned_handle);
+  executor.Prepare(unsigned_handle);
   EXPECT_EQ(executor.buffer_reuse_count(), 1);
   run_and_check();
 }

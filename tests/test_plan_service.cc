@@ -898,26 +898,6 @@ TEST(PlanService, ServerSideTearOnNonBlockingWriteIsRecoverable) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
 }
 
-TEST(PlanService, PollBackendServesIdenticallyToEpoll) {
-  const ClusterSpec cluster = SmallCluster(2, 2);
-  const EngineOptions options = SmallEngineOptions(16);
-  PlanServerOptions poll_options;
-  poll_options.force_poll_backend = true;
-  poll_options.io_threads = 1;
-  ServiceFixture service({{"prod", cluster, options}}, poll_options);
-  EXPECT_EQ(service.server->poller_backend(), Poller::Backend::kPoll);
-  EXPECT_EQ(service.server->io_thread_count(), 1);
-
-  const std::vector<int64_t> seqlens = {60, 33, 18};
-  const MaskSpec mask = MaskSpec::Lambda(4, 13);
-  Engine local(cluster, options);
-  std::unique_ptr<PlanClient> client = service.Client("prod");
-  StatusOr<PlanHandle> remote = client->Plan(seqlens, mask);
-  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
-  EXPECT_EQ(SerializeTimeless(remote.value()->plan),
-            SerializeTimeless(local.Plan(seqlens, mask).value()->plan));
-}
-
 TEST(PlanService, WarmServesAreZeroCopy) {
   ServiceFixture service({{"prod", SmallCluster(1, 2), SmallEngineOptions(16)}});
   // Two fresh clients, same shape: both responses carry the record, and both frames
