@@ -89,7 +89,7 @@ done
       --require 'dcp_phase_us_total\{phase="cache_probe"\}' \
       --require 'dcp_phase_us_total\{phase="encode"\}' \
       --require 'dcp_server_requests_received_total' \
-      --require 'dcp_engine_cache_entries\{shard="[0-9]+",tenant="default"\}' \
+      --require 'dcp_engine_cache_entries\{tenant="default"\}' \
       --require 'dcp_store_writes_total\{tenant="default"\}'
 kill "${metrics_server_pid}" 2>/dev/null || true
 wait "${metrics_server_pid}" 2>/dev/null || true
@@ -98,8 +98,8 @@ rm -rf "${metrics_store}"
 echo "check.sh: metrics tier green (live scrape validated on port ${metrics_port})"
 
 if [[ "${DCP_SKIP_SANITIZERS:-0}" != "1" ]]; then
-  # ThreadSanitizer tier: every suite that spawns threads — the pool, the sharded
-  # engine cache, dataloader look-ahead, the epoll service, replica failover/hedging,
+  # ThreadSanitizer tier: every suite that spawns threads — the pool, the engine's
+  # plan cache, dataloader look-ahead, the epoll service, replica failover/hedging,
   # the dedicated contention stress test (Plan vs cache_stats vs eviction vs
   # shutdown), and concurrent readers of one shared mask. Any data race is a hard
   # failure.

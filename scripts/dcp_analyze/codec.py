@@ -49,7 +49,7 @@ GROUPS = (
            "BlockRef"),
           "SerializePlanBinary", "DeserializePlanBinary"),
     Group("service-request", ("PlanServiceRequest", "MaskSpec"),
-          "SerializePlanServiceRequest", "DeserializePlanServiceRequest"),
+          "SerializePlanServiceRequest", "DeserializePlanServiceRequestView"),
     Group("service-response", ("PlanServiceResponse",),
           "SerializePlanServiceResponse", "DeserializePlanServiceResponse"),
     Group("metrics-request", ("PlanServiceMetricsRequest",),
@@ -67,9 +67,6 @@ GROUPS = (
 
 # Codec-shaped functions that are deliberately not groups of their own.
 EXEMPT_CODECS = {
-    # Zero-copy mirror of DeserializePlanServiceRequest; byte-for-byte
-    # equivalence is pinned by test_service_wire.
-    "DeserializePlanServiceRequestView",
     # Partial by contract: writes everything except the record bytes, which
     # the server splices from the store; equivalence with the full serializer
     # is pinned by test_service_wire.

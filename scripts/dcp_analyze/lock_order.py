@@ -24,8 +24,8 @@ and nobody else's.  Emitted rules:
   lock-cycle   A cycle in the union of observed + documented edges, or a lock
                re-acquired while already held.
   lock-native  A `.native()` escape-hatch use outside the wrapper header; every
-               such site must carry a waiver explaining its protocol
-               (Engine::cache_stats()'s N-shard snapshot is the canonical one).
+               such site must carry a waiver explaining its protocol (the tree
+               has none today).
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@
 //     every timing span in the tree is greppable and mockable in one place.
 //
 // Naming scheme (see README "Observability"): dcp_<component>_<what>[_unit]
-// with `_total` for counters, e.g. dcp_engine_cache_hits_total{shard="0"},
+// with `_total` for counters, e.g. dcp_engine_cache_hits_total{tenant="alpha"},
 // dcp_server_plan_latency_us{tenant="alpha",source="memory_cache"}.
 #ifndef DCP_COMMON_METRICS_H_
 #define DCP_COMMON_METRICS_H_
@@ -232,7 +232,7 @@ class Registry {
 // array and the scrape aggregates per phase with zero allocation.
 enum class TracePhase {
   kQueueWait = 0,   // Admission -> worker pickup.
-  kCacheProbe,      // Signature hash + sharded LRU lookup.
+  kCacheProbe,      // Signature hash + plan LRU lookup.
   kStoreRead,       // PlanStore disk read + decode on a cache miss.
   kPlanCoarsen,     // Partitioner multilevel coarsening.
   kPlanInitial,     // Initial partition of the coarsest level.

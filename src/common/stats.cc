@@ -70,15 +70,4 @@ std::string Histogram::ToAscii(int max_width) const {
   return out.str();
 }
 
-double Percentile(std::vector<double> values, double p) {
-  DCP_CHECK(!values.empty());
-  DCP_CHECK(p >= 0.0 && p <= 100.0);
-  std::sort(values.begin(), values.end());
-  const double rank = p / 100.0 * static_cast<double>(values.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = static_cast<size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
 }  // namespace dcp

@@ -51,9 +51,6 @@ class Histogram {
   int64_t total_ = 0;
 };
 
-// Exact percentile of a sample (copies and sorts; fine for bench-sized data).
-double Percentile(std::vector<double> values, double p);
-
 }  // namespace dcp
 
 #endif  // DCP_COMMON_STATS_H_

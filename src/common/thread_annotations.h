@@ -12,9 +12,7 @@
 //   - helpers called with the lock held: void F() DCP_REQUIRES(mu_);
 //   - public APIs that take the lock:    void G() DCP_EXCLUDES(mu_);  // self-deadlock
 //   - raw Lock/Unlock pairs:             DCP_ACQUIRE(mu_) / DCP_RELEASE(mu_)
-// Functions whose locking pattern is correct but beyond the analysis (e.g. acquiring
-// every shard lock of a dynamically-sized vector for a coherent snapshot) carry
-// DCP_NO_THREAD_SAFETY_ANALYSIS with a comment saying why.
+// No function opts out of the analysis.
 #ifndef DCP_COMMON_THREAD_ANNOTATIONS_H_
 #define DCP_COMMON_THREAD_ANNOTATIONS_H_
 
@@ -46,8 +44,6 @@
   DCP_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
 #define DCP_EXCLUDES(...) DCP_THREAD_ANNOTATION_ATTRIBUTE(locks_excluded(__VA_ARGS__))
 #define DCP_RETURN_CAPABILITY(x) DCP_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
-#define DCP_NO_THREAD_SAFETY_ANALYSIS \
-  DCP_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)
 
 namespace dcp {
 
@@ -63,8 +59,7 @@ class DCP_CAPABILITY("mutex") Mutex {
   void Unlock() DCP_RELEASE() { mu_.unlock(); }
   bool TryLock() DCP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // The underlying std::mutex, for CondVar and for snapshot paths that build
-  // std::unique_lock vectors over dynamically many shards.
+  // The underlying std::mutex, for CondVar.
   std::mutex& native() { return mu_; }
 
  private:

@@ -102,6 +102,7 @@ Status ValidatePlanRequest(std::span<const int64_t> seqlens, const MaskSpec& mas
 Engine::Engine(ClusterSpec cluster, EngineOptions options)
     : cluster_(cluster),
       options_(std::move(options)),
+      cache_(options_.plan_cache_capacity),
       tune_lru_(options_.tune_cache_capacity) {
   DCP_CHECK_GE(options_.plan_cache_capacity, 0);
   DCP_CHECK_GE(options_.tune_cache_capacity, 0);
@@ -119,6 +120,17 @@ Engine::Engine(ClusterSpec cluster, EngineOptions options)
                                     "Auto-tune winner cache hits");
   tune_misses_ = metrics_->GetCounter("dcp_engine_tune_misses_total", {},
                                       "Auto-tune winner cache misses");
+  cache_hits_ =
+      metrics_->GetCounter("dcp_engine_cache_hits_total", {}, "Plan cache hits");
+  cache_misses_ =
+      metrics_->GetCounter("dcp_engine_cache_misses_total", {}, "Plan cache misses");
+  cache_evictions_ = metrics_->GetCounter("dcp_engine_cache_evictions_total", {},
+                                          "Plan cache LRU evictions");
+  cache_entries_ = metrics_->GetGauge("dcp_engine_cache_entries", {},
+                                      "Plans resident in the LRU");
+  cache_hit_latency_us_ = metrics_->GetHistogram(
+      "dcp_engine_cache_hit_latency_us", {},
+      "Signature + probe latency on the hit path (sampled 1 in 16 when untraced)");
   if (!options_.plan_store_path.empty()) {
     StatusOr<std::unique_ptr<PlanStore>> store =
         PlanStore::Open(options_.plan_store_path, metrics_.get());
@@ -132,69 +144,37 @@ Engine::Engine(ClusterSpec cluster, EngineOptions options)
                    store_status_.ToString().c_str());
     }
   }
-  // Never more shards than capacity: a zero-capacity shard would silently refuse to
-  // cache the signatures hashing into it.
-  const int shards = std::max(
-      1, std::min(options_.plan_cache_shards, std::max(1, options_.plan_cache_capacity)));
-  shards_.reserve(static_cast<size_t>(shards));
-  // Distribute the capacity exactly: the shard sum equals plan_cache_capacity, so the
-  // configured bound is never overshot (the first `capacity % shards` shards take the
-  // remainder).
-  const int64_t base = options_.plan_cache_capacity / shards;
-  const int64_t remainder = options_.plan_cache_capacity % shards;
-  for (int s = 0; s < shards; ++s) {
-    auto shard = std::make_unique<Shard>(base + (s < remainder ? 1 : 0));
-    const std::vector<metrics::Label> labels = {{"shard", std::to_string(s)}};
-    shard->hits = metrics_->GetCounter("dcp_engine_cache_hits_total", labels,
-                                       "Plan cache hits");
-    shard->misses = metrics_->GetCounter("dcp_engine_cache_misses_total", labels,
-                                         "Plan cache misses");
-    shard->evictions = metrics_->GetCounter("dcp_engine_cache_evictions_total", labels,
-                                            "Plan cache LRU evictions");
-    shard->entries = metrics_->GetGauge("dcp_engine_cache_entries", labels,
-                                        "Plans resident in the shard's LRU");
-    shard->hit_latency_us = metrics_->GetHistogram(
-        "dcp_engine_cache_hit_latency_us", labels,
-        "Signature + probe latency on the hit path (sampled 1 in 16 when untraced)");
-    shards_.push_back(std::move(shard));
-  }
 }
 
 Engine::~Engine() = default;
 
-Engine::Shard& Engine::ShardFor(const PlanSignature& sig) {
-  return *shards_[static_cast<size_t>(sig.lo % shards_.size())];
-}
-
 PlanHandle Engine::CacheLookup(const PlanSignature& sig) {
-  Shard& shard = ShardFor(sig);
-  MutexLock lock(shard.mu);
-  PlanHandle* cached = shard.lru.Find(sig);
+  MutexLock lock(cache_mu_);
+  PlanHandle* cached = cache_.Find(sig);
   if (cached == nullptr) {
     // Counted even with caching disabled so cache_stats() reports the true cold-plan
     // rate instead of pretending the cache saw no traffic.
-    shard.misses->Increment();
+    cache_misses_->Increment();
     return nullptr;
   }
-  shard.hits->Increment();
+  cache_hits_->Increment();
   return *cached;
 }
 
 PlanHandle Engine::CacheInsert(PlanHandle handle, std::vector<PlanHandle>* evicted) {
-  Shard& shard = ShardFor(handle->signature);
   // Declared before the lock so handles nobody asked for are released outside it.
   std::vector<PlanHandle> dropped;
   if (evicted == nullptr) {
     evicted = &dropped;
   }
   const size_t evicted_before = evicted->size();
-  MutexLock lock(shard.mu);
+  MutexLock lock(cache_mu_);
   // A concurrent miss may have planned the same signature; Insert keeps the incumbent
   // so callers that raced still end up sharing one immutable plan.
   const PlanSignature sig = handle->signature;
-  PlanHandle resident = shard.lru.Insert(sig, std::move(handle), evicted);
-  shard.evictions->Add(static_cast<int64_t>(evicted->size() - evicted_before));
-  shard.entries->Set(static_cast<int64_t>(shard.lru.size()));
+  PlanHandle resident = cache_.Insert(sig, std::move(handle), evicted);
+  cache_evictions_->Add(static_cast<int64_t>(evicted->size() - evicted_before));
+  cache_entries_->Set(static_cast<int64_t>(cache_.size()));
   return resident;
 }
 
@@ -207,7 +187,7 @@ PlanHandle Engine::InsertAndPersist(std::shared_ptr<CompiledPlan> compiled) {
   }
   // Write through the fresh plan (only if we won any insert race: the incumbent was
   // already persisted by whoever planted it) and any LRU evictions that somehow never
-  // reached disk — both outside the shard lock. Write failures are non-fatal: the store
+  // reached disk — both outside cache_mu_. Write failures are non-fatal: the store
   // is an accelerator, not a source of truth.
   if (inserted.get() == fresh && !store_->Contains(inserted->signature)) {
     (void)store_->Put(inserted->signature, inserted->plan);
@@ -258,7 +238,7 @@ StatusOr<PlanHandle> Engine::PlanWithBlockSize(std::span<const int64_t> seqlens,
 
   // The repeat-batch hit path runs in well under a microsecond, so even one clock
   // read per request is measurable. Counters stay exact and always-on (a single
-  // fetch_add under the shard lock); latency is timed for every traced request but
+  // fetch_add under cache_mu_); latency is timed for every traced request but
   // only 1 in 16 of the untraced ones — a histogram sample rate, not a data loss.
   metrics::Trace* trace = metrics::TraceContext::Current();
   const bool timed =
@@ -272,7 +252,7 @@ StatusOr<PlanHandle> Engine::PlanWithBlockSize(std::span<const int64_t> seqlens,
     if (timed) {
       const int64_t probe_us = (metrics::MonotonicNanos() - probe_start_ns) / 1000;
       metrics::RecordPhase(metrics::TracePhase::kCacheProbe, probe_us);
-      ShardFor(sig).hit_latency_us->Record(probe_us);
+      cache_hit_latency_us_->Record(probe_us);
     }
     if (origin != nullptr) {
       *origin = PlanOrigin::kMemoryCache;
@@ -308,12 +288,10 @@ StatusOr<PlanHandle> Engine::PlanWithBlockSize(std::span<const int64_t> seqlens,
 
 std::vector<PlanHandle> Engine::CachedPlans() const {
   std::vector<PlanHandle> plans;
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->lru.ForEach([&plans](const PlanSignature&, const PlanHandle& handle) {
-      plans.push_back(handle);
-    });
-  }
+  MutexLock lock(cache_mu_);
+  cache_.ForEach([&plans](const PlanSignature&, const PlanHandle& handle) {
+    plans.push_back(handle);
+  });
   return plans;
 }
 
@@ -441,29 +419,15 @@ StatusOr<PlanHandle> Engine::PlanForLoader(const std::vector<int64_t>& seqlens,
   return tuned.value().plan;
 }
 
-// NO_THREAD_SAFETY_ANALYSIS: acquiring every shard lock of a dynamically-sized vector
-// for one coherent snapshot is beyond the analysis (it cannot name N capabilities at
-// once); the locking pattern below is the proof the annotation would have demanded.
-PlanCacheStats Engine::cache_stats() const DCP_NO_THREAD_SAFETY_ANALYSIS {
+PlanCacheStats Engine::cache_stats() const {
   PlanCacheStats stats;
-  // Acquire every shard lock before reading any counter: a sequential shard-by-shard
-  // walk lets a concurrent Plan() land a hit in an already-read shard and an insert in
-  // a not-yet-read one, so the reported totals never corresponded to any real instant.
-  // Service worker threads poll this concurrently with planners, so the snapshot must
-  // be coherent. Deadlock-free: every other path locks at most one shard at a time.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    // dcp-analyze: allow(lock-native): N-shard coherent snapshot (see above).
-    locks.emplace_back(shard->mu.native());
+  {
+    MutexLock lock(cache_mu_);
+    stats.hits = cache_hits_->value();
+    stats.misses = cache_misses_->value();
+    stats.evictions = cache_evictions_->value();
+    stats.entries = cache_entries_->value();
   }
-  for (const auto& shard : shards_) {
-    stats.hits += shard->hits->value();
-    stats.misses += shard->misses->value();
-    stats.evictions += shard->evictions->value();
-    stats.entries += shard->entries->value();
-  }
-  locks.clear();
   {
     MutexLock lock(tune_mu_);
     stats.tune_hits = tune_hits_->value();
@@ -479,10 +443,10 @@ PlanCacheStats Engine::cache_stats() const DCP_NO_THREAD_SAFETY_ANALYSIS {
 }
 
 void Engine::ClearCache() {
-  for (const auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->lru.Clear();
-    shard->entries->Set(0);
+  {
+    MutexLock lock(cache_mu_);
+    cache_.Clear();
+    cache_entries_->Set(0);
   }
   MutexLock lock(tune_mu_);
   tune_lru_.Clear();

@@ -1,6 +1,6 @@
 // The DCP session engine: the one object a training job constructs per (cluster,
 // configuration) pair. It owns what the free-function facade used to scatter across
-// callers — the planner options, the look-ahead thread pool, and a sharded LRU cache of
+// callers — the planner options, the look-ahead thread pool, and one LRU cache of
 // compiled plans keyed by PlanSignature — and hands plans out as shared immutable
 // handles, so repeated batches (dataset buckets recur constantly in production traffic)
 // skip planning entirely and flow through the lookahead queue and the executor without
@@ -80,9 +80,8 @@ struct EngineOptions {
   // Threads for look-ahead planning (the paper's §6.1 overlap); the partitioner
   // portfolio inside each PlanBatch additionally fans out on the global pool.
   int planner_threads = 2;
-  // Total cached plans across all shards (exact bound); 0 disables caching entirely.
+  // Cached plans (exact bound); 0 disables caching entirely.
   int plan_cache_capacity = 64;
-  int plan_cache_shards = 4;
   // Bound on AutoTune's per-signature winner table (tiny entries, but long-running
   // sessions with churning batch shapes must not grow without limit).
   int tune_cache_capacity = 1024;
@@ -207,10 +206,10 @@ class Engine : public Planner {
   // The engine-owned pool the data loader schedules look-ahead planning on.
   ThreadPool& pool() override { return *pool_; }
 
-  // A snapshot of every compiled plan currently in the in-memory LRU (shard by shard,
-  // MRU first within a shard). The planning service's anti-entropy gossip enumerates
-  // this to learn what the replica can ship; handles are immutable, so the snapshot
-  // stays valid however the cache churns afterwards.
+  // A snapshot of every compiled plan currently in the in-memory LRU, most recently
+  // used first. The planning service's anti-entropy gossip enumerates this to learn
+  // what the replica can ship; handles are immutable, so the snapshot stays valid
+  // however the cache churns afterwards.
   std::vector<PlanHandle> CachedPlans() const;
 
   // The canonical signature PlanWithBlockSize would assign to this request (block_size
@@ -222,10 +221,10 @@ class Engine : public Planner {
                                            const MaskSpec& mask_spec,
                                            int64_t block_size = 0) const;
 
-  // A coherent snapshot of every counter: all shard locks are held simultaneously
-  // while the shard counters are read, so concurrent Plan() callers (service worker
-  // threads) can never make `hits + misses` disagree with the number of completed
-  // lookups, and `entries` always matches a real instant of the cache.
+  // A coherent snapshot of every counter: the cache counters are bumped and read under
+  // cache_mu_, so concurrent Plan() callers (service worker threads) can never make
+  // `hits + misses` disagree with the number of completed lookups, and `entries`
+  // always matches a real instant of the cache.
   PlanCacheStats cache_stats() const;
   void ClearCache();
 
@@ -241,30 +240,12 @@ class Engine : public Planner {
   metrics::Registry* metrics_registry() const { return metrics_.get(); }
 
  private:
-  struct Shard {
-    explicit Shard(int64_t capacity) : lru(capacity) {}
-
-    mutable Mutex mu;
-    SignatureLru<PlanHandle> lru DCP_GUARDED_BY(mu);
-    // Registry-backed counters (PlanCacheStats is a view over them). The
-    // pointers are immutable after construction; every Add() happens with mu
-    // held, so the all-shard-lock snapshot in cache_stats() stays exact even
-    // though the storage is atomic.
-    metrics::Counter* hits = nullptr;
-    metrics::Counter* misses = nullptr;
-    metrics::Counter* evictions = nullptr;
-    metrics::Gauge* entries = nullptr;  // lru.size(), Set() with mu held.
-    // Sampled (1 in 16) end-to-end hit latency: signature hash + LRU probe.
-    metrics::Histogram* hit_latency_us = nullptr;
-  };
-
-  Shard& ShardFor(const PlanSignature& sig);
   // Returns the cached handle and records a hit, or nullptr and records a miss.
   PlanHandle CacheLookup(const PlanSignature& sig);
   // Inserts `handle`, evicting LRU entries over capacity. If another thread planted the
   // same signature first, returns the incumbent so equal signatures share one handle.
   // Evicted handles are appended to `evicted` (when non-null) so the caller can write
-  // them through to the store outside the shard lock.
+  // them through to the store outside cache_mu_.
   PlanHandle CacheInsert(PlanHandle handle, std::vector<PlanHandle>* evicted = nullptr);
   // CacheInsert + store write-through for the fresh plan and any evictions.
   PlanHandle InsertAndPersist(std::shared_ptr<CompiledPlan> compiled);
@@ -276,22 +257,34 @@ class Engine : public Planner {
   ClusterSpec cluster_;
   EngineOptions options_;
   std::unique_ptr<ThreadPool> pool_;
-  // Child registry holding every instrument below; created before the shards
-  // and the store so their instrument pointers can be resolved at construction.
+  // Child registry holding every instrument below; created before the store so
+  // its instrument pointers can be resolved at construction.
   std::shared_ptr<metrics::Registry> metrics_;
   metrics::Histogram* plan_latency_us_ = nullptr;  // Fresh-plan (miss) latency.
   metrics::Histogram* tune_latency_us_ = nullptr;  // Full block-size searches.
   // Hit-path timing sampler: a clock pair on every ~0.4us cache hit would blow
   // the observability overhead budget, so only 1 in 16 untraced hits is timed.
   std::atomic<uint64_t> probe_ticker_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  mutable Mutex cache_mu_;
+  SignatureLru<PlanHandle> cache_ DCP_GUARDED_BY(cache_mu_);
+  // Registry-backed counters (PlanCacheStats is a view over them). The pointers are
+  // immutable after construction; every Add() and Set() happens with cache_mu_ held,
+  // so cache_stats() reads one instant of the cache even though the storage is atomic.
+  metrics::Counter* cache_hits_ = nullptr;
+  metrics::Counter* cache_misses_ = nullptr;
+  metrics::Counter* cache_evictions_ = nullptr;
+  metrics::Gauge* cache_entries_ = nullptr;  // cache_.size().
+  // Sampled (1 in 16) end-to-end hit latency: signature hash + LRU probe.
+  metrics::Histogram* cache_hit_latency_us_ = nullptr;
+
   std::unique_ptr<PlanStore> store_;
   Status store_status_;
 
   // AutoTune winner table: LRU-bounded by tune_cache_capacity.
   mutable Mutex tune_mu_;
   SignatureLru<int64_t> tune_lru_ DCP_GUARDED_BY(tune_mu_);
-  // Registry-backed (see Shard counters): bumped with tune_mu_ held.
+  // Registry-backed (see the cache counters): bumped with tune_mu_ held.
   metrics::Counter* tune_hits_ = nullptr;
   metrics::Counter* tune_misses_ = nullptr;
 };

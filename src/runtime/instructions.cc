@@ -871,33 +871,6 @@ std::string SerializePlanServiceRequest(const PlanServiceRequest& request) {
   return w.Take();
 }
 
-StatusOr<PlanServiceRequest> DeserializePlanServiceRequest(std::string_view bytes) {
-  ByteReader r(bytes);
-  uint32_t version = 0;
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "plan request", &version));
-  PlanServiceRequest request;
-  request.tenant = r.Str(kMaxTenantNameBytes, "tenant name too long");
-  const uint32_t num_seqs = r.BoundedCount(1, "request sequence count");
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  request.seqlens.reserve(num_seqs);
-  for (uint32_t s = 0; s < num_seqs; ++s) {
-    request.seqlens.push_back(r.Zig());
-  }
-  DCP_RETURN_IF_ERROR(ReadMaskSpecBin(r, &request.mask_spec));
-  request.block_size = r.Zig();
-  request.deadline_ms = r.Zig();
-  if (!r.failed() && request.deadline_ms < 0) {
-    return r.Fail("negative request deadline");
-  }
-  if (version >= 3) {
-    request.trace_id = r.U64();
-  }
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "plan request"));
-  return request;
-}
-
 StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
     std::string_view bytes, Arena* arena) {
   ByteReader r(bytes);

@@ -348,7 +348,6 @@ std::string SerializePlanSyncResponse(const PlanSyncResponse& response);
 StatusOr<PlanSyncResponse> DeserializePlanSyncResponse(std::string_view bytes);
 
 std::string SerializePlanServiceRequest(const PlanServiceRequest& request);
-StatusOr<PlanServiceRequest> DeserializePlanServiceRequest(std::string_view bytes);
 std::string SerializePlanServiceResponse(const PlanServiceResponse& response);
 StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes);
 
@@ -366,8 +365,8 @@ struct PlanServiceRequestView {
   uint64_t trace_id = 0;  // v3 field; 0 when absent (v2 body) or untraced.
 };
 
-// Wire-compatible with DeserializePlanServiceRequest (same validation, same errors);
-// only the ownership of the decoded fields differs.
+// The plan request decoder: reads what SerializePlanServiceRequest writes (v2 bodies
+// without trace_id too) and rejects truncation, trailing bytes and bad fields.
 StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
     std::string_view bytes, Arena* arena);
 

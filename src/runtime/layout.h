@@ -36,14 +36,6 @@ struct BatchLayout {
   }
   int64_t ChunkLen(SeqId s, ChunkId c) const { return ChunkEnd(s, c) - ChunkBegin(s, c); }
 
-  int TotalChunks() const {
-    int total = 0;
-    for (SeqId s = 0; s < num_sequences(); ++s) {
-      total += NumChunks(s);
-    }
-    return total;
-  }
-
   // Dense index over (sequence, chunk) pairs.
   int GlobalChunkId(SeqId s, ChunkId c) const {
     int base = 0;

@@ -108,11 +108,6 @@ std::shared_ptr<FaultInjector> GlobalFaultInjector() {
   return GlobalSlot();
 }
 
-Socket FaultInjectingSocket(Socket base, std::shared_ptr<FaultInjector> injector) {
-  base.set_fault_injector(std::move(injector));
-  return base;
-}
-
 uint64_t FaultSeedFromEnv(uint64_t fallback) {
   const char* text = std::getenv("DCP_FAULT_SEED");
   if (text == nullptr || *text == '\0') {

@@ -19,7 +19,6 @@
 #include <memory>
 
 #include "common/thread_annotations.h"
-#include "service/transport.h"
 
 namespace dcp {
 
@@ -101,15 +100,10 @@ class FaultInjector {
 
 // Process-global injector consulted by ConnectSocket and Listener::Accept: when
 // installed, every new socket in the process carries it (dcpctl serve --chaos).
-// Install nullptr to disarm. Tests that need isolation attach per-socket injectors via
-// FaultInjectingSocket / per-server options instead.
+// Install nullptr to disarm. Tests that need isolation set
+// PlanServerOptions::fault_injector on their server instead.
 void InstallGlobalFaultInjector(std::shared_ptr<FaultInjector> injector);
 std::shared_ptr<FaultInjector> GlobalFaultInjector();
-
-// Attaches `injector` to a connected socket: every subsequent SendAll/RecvAll consults
-// it first. Returns the same socket (move-through), so call sites wrap in place:
-//   Socket s = FaultInjectingSocket(std::move(plain), injector);
-Socket FaultInjectingSocket(Socket base, std::shared_ptr<FaultInjector> injector);
 
 // The CI chaos knob: DCP_FAULT_SEED parsed as an unsigned integer, or `fallback` when
 // the variable is unset/empty/non-numeric.

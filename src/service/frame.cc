@@ -52,6 +52,26 @@ bool IsKnownFrameType(uint32_t type) {
   return false;
 }
 
+// Checks a 16-byte frame header (magic, known type, bounded length) before any payload
+// byte is read or buffered; both readers share it so they reject with one vocabulary.
+Status ParseFrameHeader(const char* header, uint64_t max_payload_bytes, FrameType* type,
+                        uint64_t* length) {
+  if (ReadU32At(header) != kFrameMagic) {
+    return Status::DataLoss("frame: bad magic");
+  }
+  const uint32_t raw_type = ReadU32At(header + 4);
+  if (!IsKnownFrameType(raw_type)) {
+    return Status::DataLoss("frame: unknown type " + std::to_string(raw_type));
+  }
+  *length = ReadU64At(header + 8);
+  if (*length > max_payload_bytes) {
+    return Status::DataLoss("frame: implausible payload length " +
+                            std::to_string(*length));
+  }
+  *type = static_cast<FrameType>(raw_type);
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
@@ -68,21 +88,9 @@ std::string EncodeFrame(FrameType type, std::string_view payload) {
 StatusOr<Frame> ReadFrame(Socket& socket, uint64_t max_payload_bytes) {
   char header[kHeaderBytes];
   DCP_RETURN_IF_ERROR(socket.RecvAll(header, sizeof(header)));
-  const uint32_t magic = ReadU32At(header);
-  if (magic != kFrameMagic) {
-    return Status::DataLoss("frame: bad magic");
-  }
-  const uint32_t type = ReadU32At(header + 4);
-  if (!IsKnownFrameType(type)) {
-    return Status::DataLoss("frame: unknown type " + std::to_string(type));
-  }
-  const uint64_t length = ReadU64At(header + 8);
-  if (length > max_payload_bytes) {
-    return Status::DataLoss("frame: implausible payload length " +
-                            std::to_string(length));
-  }
   Frame frame;
-  frame.type = static_cast<FrameType>(type);
+  uint64_t length = 0;
+  DCP_RETURN_IF_ERROR(ParseFrameHeader(header, max_payload_bytes, &frame.type, &length));
   frame.payload.resize(static_cast<size_t>(length));
   if (length > 0) {
     Status read = socket.RecvAll(frame.payload.data(), frame.payload.size());
@@ -166,23 +174,12 @@ StatusOr<Frame> FrameAssembler::Next() {
   const char* header = buffer_.data() + consumed_;
   // Header validation runs as soon as 16 bytes exist: garbage is rejected without
   // waiting for (or allocating) a payload the claimed length implies.
-  const uint32_t magic = ReadU32At(header);
-  if (magic != kFrameMagic) {
+  Frame frame;
+  uint64_t length = 0;
+  Status header_ok = ParseFrameHeader(header, max_payload_bytes_, &frame.type, &length);
+  if (!header_ok.ok()) {
     failed_ = true;
-    error_ = Status::DataLoss("frame: bad magic");
-    return error_;
-  }
-  const uint32_t type = ReadU32At(header + 4);
-  if (!IsKnownFrameType(type)) {
-    failed_ = true;
-    error_ = Status::DataLoss("frame: unknown type " + std::to_string(type));
-    return error_;
-  }
-  const uint64_t length = ReadU64At(header + 8);
-  if (length > max_payload_bytes_) {
-    failed_ = true;
-    error_ =
-        Status::DataLoss("frame: implausible payload length " + std::to_string(length));
+    error_ = std::move(header_ok);
     return error_;
   }
   const size_t total = kHeaderBytes + static_cast<size_t>(length) + 4;
@@ -196,8 +193,6 @@ StatusOr<Frame> FrameAssembler::Next() {
     error_ = Status::DataLoss("frame: checksum mismatch");
     return error_;
   }
-  Frame frame;
-  frame.type = static_cast<FrameType>(type);
   frame.payload.assign(header + kHeaderBytes, static_cast<size_t>(length));
   consumed_ += total;
   return frame;

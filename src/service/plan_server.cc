@@ -603,7 +603,7 @@ void PlanServer::FlushWrites(IoLoop& loop, Connection* conn) {
         size_t frames = 0;
         for (auto it = conn->outbox.begin();
              it != conn->outbox.end() && frames < kMaxFramesPerWritev; ++it, ++frames) {
-          const FrameParts& parts = *it;
+          const FrameParts& parts = it->parts;
           if (offset < parts.head.size()) {
             iov[iovcnt].iov_base = const_cast<char*>(parts.head.data()) + offset;
             iov[iovcnt].iov_len = parts.head.size() - offset;
@@ -656,15 +656,16 @@ void PlanServer::FlushWrites(IoLoop& loop, Connection* conn) {
           MutexLock lock(conn->mu);
           conn->front_offset += r.bytes;
           while (!conn->outbox.empty() &&
-                 conn->front_offset >= conn->outbox.front().TotalBytes()) {
-            conn->front_offset -= conn->outbox.front().TotalBytes();
-            conn->outbox_bytes -= conn->outbox.front().TotalBytes();
-            completed_bytes += conn->outbox.front().TotalBytes();
-            conn->outbox.pop_front();
-            if (conn->outbox_traces.front().armed()) {
-              drained_traces.push_back(std::move(conn->outbox_traces.front()));
+                 conn->front_offset >= conn->outbox.front().parts.TotalBytes()) {
+            OutboxEntry& front = conn->outbox.front();
+            const size_t bytes = front.parts.TotalBytes();
+            conn->front_offset -= bytes;
+            conn->outbox_bytes -= bytes;
+            completed_bytes += bytes;
+            if (front.trace.armed()) {
+              drained_traces.push_back(std::move(front.trace));
             }
-            conn->outbox_traces.pop_front();
+            conn->outbox.pop_front();
             ++completed;
           }
         }
@@ -703,13 +704,12 @@ void PlanServer::CloseConn(IoLoop& loop, Connection* conn) {
       loop.queue_depth->Add(-static_cast<int64_t>(conn->outbox.size()));
       loop.output_queue_bytes->Add(-static_cast<int64_t>(conn->outbox_bytes));
     }
-    conn->outbox.clear();
-    for (PendingResponseTrace& pending : conn->outbox_traces) {
-      if (pending.armed()) {
-        discarded.push_back(std::move(pending));
+    for (OutboxEntry& entry : conn->outbox) {
+      if (entry.trace.armed()) {
+        discarded.push_back(std::move(entry.trace));
       }
     }
-    conn->outbox_traces.clear();
+    conn->outbox.clear();
     conn->outbox_bytes = 0;
   }
   // Undelivered responses still leave a trace (ok stays as served; the write-drain
@@ -783,8 +783,7 @@ void PlanServer::QueueResponse(Connection* conn, FrameParts parts,
       shed = true;
     } else {
       conn->outbox_bytes += total_bytes;
-      conn->outbox.push_back(std::move(parts));
-      conn->outbox_traces.push_back(std::move(trace));
+      conn->outbox.push_back({std::move(parts), std::move(trace)});
       queued = true;
     }
     if (!conn->notified) {

@@ -156,7 +156,7 @@ class PlanServer {
   }
 
  private:
-  // Write-drain bookkeeping riding 1:1 with one outbox entry. The trace (null for
+  // Write-drain bookkeeping carried by one outbox entry. The trace (null for
   // non-plan frames) is finalized — write-drain phase, total latency into the
   // serve-source histogram, ring push, slow log — when its frame's last byte is
   // handed to the kernel, or when the connection dies with the frame still queued.
@@ -168,6 +168,12 @@ class PlanServer {
     metrics::Histogram* latency_hist;  // Resolved by the enqueuing worker.
     int64_t enqueue_us;
     bool armed() const { return trace != nullptr; }
+  };
+
+  // One queued response frame and the trace finalized when it drains.
+  struct OutboxEntry {
+    FrameParts parts;
+    PendingResponseTrace trace;
   };
 
   // One accepted connection. The fields below `mu` are shared between the owning loop
@@ -182,15 +188,13 @@ class PlanServer {
     bool read_open = true;          // recv still expected; cleared on EOF/desync.
     bool close_after_drain = false; // Malformed stream: close once the outbox drains.
     bool registered_write = false;  // Poller currently watches writability.
-    size_t front_offset = 0;        // Bytes of outbox.front() already written.
+    size_t front_offset = 0;        // Bytes of outbox.front().parts already written.
 
     // Innermost: QueueResponse takes it last, nothing is acquired under it.
     // dcp-analyze: allow(lock-order): leaf lock.
     Mutex mu;
     // Only the loop thread pops; workers only push.
-    std::deque<FrameParts> outbox DCP_GUARDED_BY(mu);
-    // Element i annotates outbox[i]; pushed and popped in lockstep with it.
-    std::deque<PendingResponseTrace> outbox_traces DCP_GUARDED_BY(mu);
+    std::deque<OutboxEntry> outbox DCP_GUARDED_BY(mu);
     size_t outbox_bytes DCP_GUARDED_BY(mu) = 0;
     // A pointer to this conn sits in the loop's notify queue.
     bool notified DCP_GUARDED_BY(mu) = false;

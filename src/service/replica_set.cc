@@ -355,7 +355,7 @@ StatusOr<PlanHandle> ReplicaSet::LocalFallbackPlan(
   }
   counters_.local_fallbacks->Increment();
   // Fallback planning is deliberately serialized under fallback_mu_: the embedded
-  // Engine's internal locks (tune/shard/store/pool) nest strictly under it and no
+  // Engine's internal locks (tune/cache/store/pool) nest strictly under it and no
   // path acquires fallback_mu_ under any of them.
   // dcp-analyze: allow(lock-order): cross-class nesting documented above.
   StatusOr<Engine::PlannedOutcome> planned = fallback_engine_->PlanDetailed(

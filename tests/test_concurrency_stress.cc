@@ -44,7 +44,6 @@ EngineOptions TinyEngineOptions(int cache_capacity) {
   options.planner.seed = 7;
   options.planner_threads = 1;
   options.plan_cache_capacity = cache_capacity;
-  options.plan_cache_shards = 2;
   return options;
 }
 

@@ -1,5 +1,5 @@
 // The session Engine: plan signatures (canonical fingerprints never alias across
-// distinct requests), the sharded LRU compiled-plan cache (hit/miss/eviction accounting,
+// distinct requests), the LRU compiled-plan cache (hit/miss/eviction accounting,
 // cached plans bit-identical to fresh ones), recoverable Status errors on user-input
 // paths, AutoTune's per-signature winner table, and the executor's incremental prepare
 // (device buffers reused across equal signatures).
@@ -167,7 +167,6 @@ TEST(Engine, CachedPlansAreBitIdenticalToFreshPlans) {
 TEST(Engine, LruEvictsOldestAndRecountsThemAsMisses) {
   EngineOptions options = SmallEngineOptions();
   options.plan_cache_capacity = 2;
-  options.plan_cache_shards = 1;  // One shard so the LRU order is globally observable.
   Engine engine(SmallCluster(), options);
 
   const std::vector<int64_t> a = {40}, b = {41}, c = {42};
@@ -195,15 +194,30 @@ TEST(Engine, LruEvictsOldestAndRecountsThemAsMisses) {
   EXPECT_EQ(engine.cache_stats().hits, hits_before + 1);
 }
 
-TEST(Engine, CapacityIsAnExactBoundAcrossShards) {
+TEST(Engine, CapacityHoldsThatManyDistinctPlans) {
+  // plan_cache_capacity is one bound over one LRU: a working set of exactly that many
+  // shapes replays as all hits, whatever their signatures hash to.
   EngineOptions options = SmallEngineOptions();
-  options.plan_cache_capacity = 2;
-  options.plan_cache_shards = 4;  // More shards than capacity: clamped, never overshoots.
+  options.plan_cache_capacity = 4;
   Engine engine(SmallCluster(), options);
-  for (int64_t len = 40; len < 48; ++len) {
-    (void)engine.Plan({len}, MaskSpec::Causal()).value();
-    EXPECT_LE(engine.cache_stats().entries, 2) << "after planning length " << len;
+  const std::vector<std::vector<int64_t>> shapes = {{40}, {41}, {42}, {43}};
+  for (const std::vector<int64_t>& seqlens : shapes) {
+    (void)engine.Plan(seqlens, MaskSpec::Causal()).value();
   }
+  for (const std::vector<int64_t>& seqlens : shapes) {
+    (void)engine.Plan(seqlens, MaskSpec::Causal()).value();
+  }
+  PlanCacheStats stats = engine.cache_stats();
+  EXPECT_EQ(stats.hits, 4);
+  EXPECT_EQ(stats.misses, 4);
+  EXPECT_EQ(stats.evictions, 0);
+  EXPECT_EQ(stats.entries, 4);
+
+  // One shape more: the bound is exact, so the least recent plan makes room.
+  (void)engine.Plan({44}, MaskSpec::Causal()).value();
+  stats = engine.cache_stats();
+  EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(stats.entries, 4);
 }
 
 TEST(Engine, DisabledCacheStillCountsMisses) {
@@ -362,7 +376,6 @@ TEST(DcpExecutorIncremental, HandlesOutliveTheEngineAndTheCache) {
   {
     EngineOptions options = SmallEngineOptions();
     options.plan_cache_capacity = 1;
-    options.plan_cache_shards = 1;
     Engine engine(SmallCluster(), options);
     handle = engine.Plan({40, 25}, MaskSpec::Causal()).value();
     (void)engine.Plan({41}, MaskSpec::Causal()).value();  // Evicts the first plan.
@@ -378,7 +391,7 @@ TEST(DcpExecutorIncremental, HandlesOutliveTheEngineAndTheCache) {
 
 TEST(EngineCacheStats, CoherentUnderConcurrentPlanCallers) {
   // Service worker threads hammer Plan() while another thread polls cache_stats().
-  // The snapshot must be coherent (all shard locks held at once): lookups never run
+  // The snapshot must be coherent (read under the cache lock): lookups never run
   // backwards between snapshots, entries never exceed capacity, and the final counters
   // account for every call exactly.
   ClusterSpec cluster;
@@ -386,7 +399,6 @@ TEST(EngineCacheStats, CoherentUnderConcurrentPlanCallers) {
   cluster.devices_per_node = 2;
   EngineOptions options = SmallEngineOptions();
   options.plan_cache_capacity = 8;
-  options.plan_cache_shards = 4;
   Engine engine(cluster, options);
 
   constexpr int kThreads = 4;

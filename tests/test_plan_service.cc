@@ -59,7 +59,7 @@ EngineOptions SmallEngineOptions(int64_t block_size, uint64_t seed = 7) {
 
 // Sum of every sample of `family` in a Prometheus text scrape whose labels include
 // `label` (e.g. tenant="x"; empty matches any), or nullopt when there is no such
-// sample. Engine series carry one sample per cache shard; the sum is the tenant total.
+// sample.
 std::optional<int64_t> ScrapeSum(const std::string& text, const std::string& family,
                                  const std::string& label = "") {
   std::optional<int64_t> sum;
@@ -361,7 +361,6 @@ TEST(PlanService, ScrapeSeparatesPerTenantEngineAndStoreSeries) {
   EngineOptions alpha_options = SmallEngineOptions(16);
   alpha_options.plan_store_path = store_dir.string();
   alpha_options.plan_cache_capacity = 1;  // Every new shape evicts the last one.
-  alpha_options.plan_cache_shards = 1;
   const std::vector<int64_t> shape_x = {64, 32};
   const std::vector<int64_t> shape_torn = {48, 24};
   const MaskSpec mask = MaskSpec::Causal();

@@ -51,9 +51,10 @@ PlanServiceRequest MakeRequest() {
   return request;
 }
 
-void ExpectRequestsEqual(const PlanServiceRequest& a, const PlanServiceRequest& b) {
+void ExpectRequestDecodedAs(const PlanServiceRequest& a,
+                            const PlanServiceRequestView& b) {
   EXPECT_EQ(a.tenant, b.tenant);
-  EXPECT_EQ(a.seqlens, b.seqlens);
+  EXPECT_EQ(a.seqlens, std::vector<int64_t>(b.seqlens.begin(), b.seqlens.end()));
   EXPECT_EQ(a.mask_spec.kind, b.mask_spec.kind);
   EXPECT_EQ(a.mask_spec.sink_tokens, b.mask_spec.sink_tokens);
   EXPECT_EQ(a.mask_spec.window_tokens, b.mask_spec.window_tokens);
@@ -61,6 +62,7 @@ void ExpectRequestsEqual(const PlanServiceRequest& a, const PlanServiceRequest& 
   EXPECT_EQ(a.mask_spec.num_answers, b.mask_spec.num_answers);
   EXPECT_DOUBLE_EQ(a.mask_spec.answer_fraction, b.mask_spec.answer_fraction);
   EXPECT_EQ(a.block_size, b.block_size);
+  EXPECT_EQ(a.deadline_ms, b.deadline_ms);
 }
 
 TEST(ServiceMessages, PlanRequestRoundTripsForEveryMaskKind) {
@@ -68,21 +70,24 @@ TEST(ServiceMessages, PlanRequestRoundTripsForEveryMaskKind) {
     PlanServiceRequest request = MakeRequest();
     request.mask_spec = MaskSpec::ForKind(kind);
     const std::string bytes = SerializePlanServiceRequest(request);
-    StatusOr<PlanServiceRequest> decoded = DeserializePlanServiceRequest(bytes);
+    Arena arena;
+    StatusOr<PlanServiceRequestView> decoded =
+        DeserializePlanServiceRequestView(bytes, &arena);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ExpectRequestsEqual(request, decoded.value());
+    ExpectRequestDecodedAs(request, decoded.value());
   }
 }
 
 TEST(ServiceMessages, PlanRequestTruncationAlwaysRejected) {
   const std::string bytes = SerializePlanServiceRequest(MakeRequest());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    StatusOr<PlanServiceRequest> decoded =
-        DeserializePlanServiceRequest(bytes.substr(0, len));
-    EXPECT_FALSE(decoded.ok()) << "prefix of " << len << " bytes decoded";
+    Arena arena;
+    EXPECT_FALSE(DeserializePlanServiceRequestView(bytes.substr(0, len), &arena).ok())
+        << "prefix of " << len << " bytes decoded";
   }
   // Trailing garbage is rejected too.
-  EXPECT_FALSE(DeserializePlanServiceRequest(bytes + "x").ok());
+  Arena arena;
+  EXPECT_FALSE(DeserializePlanServiceRequestView(bytes + "x", &arena).ok());
 }
 
 TEST(ServiceMessages, PlanRequestBitFlipsNeverCrash) {
@@ -93,7 +98,8 @@ TEST(ServiceMessages, PlanRequestBitFlipsNeverCrash) {
       corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
       // Must return (ok or not), never abort; a flip that survives decoding must be a
       // flip that changed a value, not the structure.
-      (void)DeserializePlanServiceRequest(corrupt);
+      Arena arena;
+      (void)DeserializePlanServiceRequestView(corrupt, &arena);
     }
   }
 }
@@ -312,14 +318,6 @@ TEST(ServiceMessages, RequestViewDecodesIdenticallyInOneArenaBlock) {
   EXPECT_GE(view.value().tenant.data(), bytes.data());
   EXPECT_LT(view.value().tenant.data(), bytes.data() + bytes.size());
   EXPECT_EQ(arena.block_count(), 1u);
-
-  // Same validation as the owning decoder: every truncation rejected.
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    Arena scratch;
-    EXPECT_FALSE(
-        DeserializePlanServiceRequestView(bytes.substr(0, len), &scratch).ok())
-        << "prefix of " << len << " bytes decoded";
-  }
 }
 
 TEST(ServiceFrame, AssemblerReassemblesFramesFedByteByByte) {
@@ -388,7 +386,9 @@ TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndV2StillParses) {
   PlanServiceRequest request = MakeRequest();
   request.trace_id = 0xabcdef0123456789ULL;
   const std::string bytes = SerializePlanServiceRequest(request);
-  StatusOr<PlanServiceRequest> decoded = DeserializePlanServiceRequest(bytes);
+  Arena arena;
+  StatusOr<PlanServiceRequestView> decoded =
+      DeserializePlanServiceRequestView(bytes, &arena);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().trace_id, request.trace_id);
 
@@ -399,35 +399,23 @@ TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndV2StillParses) {
   std::string v2 = bytes.substr(0, bytes.size() - 8);
   v2[0] = 2;
   v2[1] = v2[2] = v2[3] = 0;
-  StatusOr<PlanServiceRequest> old = DeserializePlanServiceRequest(v2);
+  StatusOr<PlanServiceRequestView> old = DeserializePlanServiceRequestView(v2, &arena);
   ASSERT_TRUE(old.ok()) << old.status().ToString();
-  ExpectRequestsEqual(request, old.value());
+  ExpectRequestDecodedAs(request, old.value());
   EXPECT_EQ(old.value().trace_id, 0u);
-
-  // The zero-copy view decoder applies the same version gate.
-  Arena arena;
-  StatusOr<PlanServiceRequestView> view =
-      DeserializePlanServiceRequestView(v2, &arena);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-  EXPECT_EQ(view.value().trace_id, 0u);
-  Arena arena_v3;
-  StatusOr<PlanServiceRequestView> view_v3 =
-      DeserializePlanServiceRequestView(bytes, &arena_v3);
-  ASSERT_TRUE(view_v3.ok());
-  EXPECT_EQ(view_v3.value().trace_id, request.trace_id);
 
   // A message claiming v2 but carrying the v3 trailer has trailing garbage.
   std::string v2_with_trailer = bytes;
   v2_with_trailer[0] = 2;
-  EXPECT_FALSE(DeserializePlanServiceRequest(v2_with_trailer).ok());
+  EXPECT_FALSE(DeserializePlanServiceRequestView(v2_with_trailer, &arena).ok());
 
   // Versions outside [min, current] are rejected in both directions.
   std::string v1 = v2;
   v1[0] = 1;
-  EXPECT_FALSE(DeserializePlanServiceRequest(v1).ok());
+  EXPECT_FALSE(DeserializePlanServiceRequestView(v1, &arena).ok());
   std::string v4 = bytes;
   v4[0] = 4;
-  EXPECT_FALSE(DeserializePlanServiceRequest(v4).ok());
+  EXPECT_FALSE(DeserializePlanServiceRequestView(v4, &arena).ok());
 }
 
 TEST(ServiceMessages, MetricsMessagesRoundTripAndRejectTruncation) {

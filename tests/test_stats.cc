@@ -50,12 +50,5 @@ TEST(Histogram, AsciiRenderingHasOneRowPerBin) {
   EXPECT_NE(art.find('#'), std::string::npos);
 }
 
-TEST(Percentile, InterpolatesBetweenRanks) {
-  std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
-  EXPECT_DOUBLE_EQ(Percentile(values, 0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(values, 100), 4.0);
-  EXPECT_DOUBLE_EQ(Percentile(values, 50), 2.5);
-}
-
 }  // namespace
 }  // namespace dcp
