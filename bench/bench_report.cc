@@ -732,8 +732,8 @@ std::vector<Row> MeasureServiceScaling(const Point& p) {
             "scaling warmup RPC failed");
     StatusOr<Frame> reply = ReadFrame(warm.value(), kMaxFramePayloadBytes);
     Require(reply.ok(), "scaling warmup read failed");
-    StatusOr<PlanServiceResponse> response =
-        DeserializePlanServiceResponse(reply.value().payload);
+    StatusOr<PlanServiceResponseView> response =
+        DeserializePlanServiceResponseView(reply.value().payload);
     Require(response.ok() && response.value().code == StatusCode::kOk,
             "scaling warmup response not OK");
     StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
@@ -783,8 +783,8 @@ std::vector<Row> MeasureServiceScaling(const Point& p) {
               return;
             }
             mine.push_back(MsSince(start));
-            StatusOr<PlanServiceResponse> response =
-                DeserializePlanServiceResponse(reply.value().payload);
+            StatusOr<PlanServiceResponseView> response =
+                DeserializePlanServiceResponseView(reply.value().payload);
             if (!response.ok() || response.value().code != StatusCode::kOk ||
                 response.value().record != expected_record) {
               failed.store(true);

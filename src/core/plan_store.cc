@@ -17,7 +17,7 @@ namespace {
 
 constexpr char kRecordMagic[8] = {'D', 'C', 'P', 'S', 'T', 'O', 'R', 'E'};
 constexpr char kBundleMagic[8] = {'D', 'C', 'P', 'B', 'U', 'N', 'D', 'L'};
-constexpr uint32_t kRecordVersion = 2;
+constexpr uint32_t kRecordVersion = 3;
 constexpr uint32_t kBundleVersion = 1;
 constexpr uint32_t kSectionPlan = 1;
 constexpr size_t kRecordHeaderBytes = 8 + 4 + 16;  // Magic + version + signature.
@@ -109,16 +109,21 @@ StatusOr<std::string> ReadFileBytes(const std::string& path,
 }  // namespace
 
 std::string PlanStore::EncodeRecord(const PlanSignature& sig, const BatchPlan& plan) {
-  const std::string payload = SerializePlanBinary(plan);
+  // The payload is encoded in place after its section header; its length is patched
+  // in once known, and the CRC trailer fits in the room AppendPlanBinary reserved.
   std::string out;
-  out.reserve(kMinRecordBytes + 12 + payload.size());
   out.append(kRecordMagic, sizeof(kRecordMagic));
   AppendU32(out, kRecordVersion);
   AppendU64(out, sig.lo);
   AppendU64(out, sig.hi);
   AppendU32(out, kSectionPlan);
-  AppendU64(out, payload.size());
-  out += payload;
+  const size_t length_at = out.size();
+  AppendU64(out, 0);
+  AppendPlanBinary(plan, out, /*trailer_bytes=*/4);
+  const uint64_t length = out.size() - length_at - 8;
+  for (int i = 0; i < 8; ++i) {
+    out[length_at + static_cast<size_t>(i)] = static_cast<char>(length >> (8 * i));
+  }
   AppendU32(out, Crc32(out));
   return out;
 }

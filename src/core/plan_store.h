@@ -16,13 +16,19 @@
 // (all integers little-endian, fixed width):
 //
 //   offset 0   "DCPSTORE"             8-byte magic
-//          8   u32 format version     (currently 2; older records are replanned)
+//          8   u32 format version     (currently 3; older records are replanned)
 //         12   u64 signature.lo
 //         20   u64 signature.hi
 //         28   sections               repeated { u32 tag, u64 length, payload }
 //          ⋮                          tag 1 = plan payload (SerializePlanBinary bytes);
 //                                     unknown tags are skipped for forward compatibility
 //   size - 4   u32 CRC32              over every byte before the trailer
+//
+// The plan payload is version 3 of the binary plan format (runtime/instructions.cc
+// documents it): varint layout, chunk-home and stats sections, then per device a
+// header (slot counts and six pool counts) and one frame-of-reference column per item
+// field — {zigzag base, byte width in 0/1/2/4/8}, then one little-endian value − base
+// per item. EncodeRecord encodes the payload in place, after its section header.
 //
 // Decoding validates, in order: minimum length, magic, version, the CRC32 trailer
 // (catching bit flips and torn writes before any byte reaches the plan decoder), section

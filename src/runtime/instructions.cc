@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "common/check.h"
@@ -137,21 +139,39 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
 
 // --- Binary encoding -------------------------------------------------------
 //
-// Compact byte-oriented encoding, assembled byte by byte so it is identical on any
-// host: integers are LEB128 varints (signed values zigzag-folded first, so the small
-// positive-or-negative ids real plans are full of take one byte), doubles are bit_cast
-// to fixed 8-byte little-endian words (exact, no decimal round-trip). Layout:
+// Compact byte-oriented encoding, little-endian and identical on any host. The header
+// sections use LEB128 varints (signed values zigzag-folded first, so the small
+// positive-or-negative ids real plans are full of take one byte); doubles are bit_cast
+// to fixed 8-byte words (exact, no decimal round-trip). Layout:
 //
-//   "DCPB" u32 version (2)
+//   "DCPB" u32 version (3)
 //   layout   block_size, num_groups/heads_per_group/head_dim/bytes_per_element,
 //            num_seqs, seqlens[]
 //   home     num_chunks, devices[]
 //   stats    all nine PlanStats fields
-//   devices  count, then per device: num_slots[kNumBufKinds],
-//            num_local/num_fw/num_bw, local chunks, fw instrs, bw instrs
-//   instr    kind, flags, cost annotations, transfer_id, peer, then its attention,
-//            reduce and transfer-block counts, each followed by its items; an attention
-//            item is seq, group, q_chunk, kv_chunk, q_slot, kv_slot, full
+//   devices  count, then per device a header and 35 columns
+//
+// A device header is num_slots[kNumBufKinds] and its six pool counts: local chunks, fw
+// instructions, bw instructions, tiles, reduce items, transfer blocks. Each field of a
+// pool then gets one column, in this order:
+//
+//   instructions (fw then bw)  kind, flags (1 backward, 2 is_send), flops,
+//                              comm_bytes, mem_bytes, host_overhead, transfer_id,
+//                              peer, tile count, reduce item count, block count
+//   local chunks               seq, chunk, group, q_slot, kv_slot
+//   tiles                      seq, group, q_chunk, kv_chunk, q_slot, kv_slot, full
+//   reduce items               mode, dst/src0/src1 as (kind, slot), token_count
+//   transfer blocks            kind, slot, bytes, token_count
+//
+// A column is frame-of-reference coded: a header {zigzag varint base, u8 width}, then
+// one `width`-byte little-endian word per item holding value − base (doubles as their
+// bit patterns). The encoder picks base = the column's minimum and the fewest bytes in
+// {0, 1, 2, 4, 8} that hold max − min, and never width 0 for a pool's anchor column
+// (its first), so every item of a pool costs at least one byte. An empty column is
+// {0, 0}. The instruction ranges are not stored: they are the prefix sums of the
+// three count columns. Columns are byte-aligned because bit-packed ones, though ~35%
+// smaller, decoded no faster than varints; they are per device because whole-plan
+// columns were no smaller and no faster.
 //
 // Only the current version decodes: plans are cached, so a plan in an older version
 // is replanned.
@@ -166,21 +186,73 @@ constexpr int kMaxInstrKind = static_cast<int>(InstrKind::kCommWait);
 constexpr int kMaxReduceMode = static_cast<int>(ReduceMode::kComputeDelta);
 
 constexpr char kBinaryMagic[4] = {'D', 'C', 'P', 'B'};
-constexpr uint32_t kPlanBinaryVersion = 2;
+constexpr uint32_t kPlanBinaryVersion = 3;
+
+// Pools of a device, in header order, and columns of a device.
+constexpr int kDevicePools = 6;
+constexpr int kDeviceColumns = 11 + 5 + 7 + 8 + 4;
+// A device is at least its header varints and a two-byte header per column; bounds
+// the device count before allocating.
+constexpr size_t kMinDeviceBytes = kNumBufKinds + kDevicePools + 2 * kDeviceColumns;
+
+// Bytes of the unsigned LEB128 form of `v`.
+constexpr size_t VarBytes(uint64_t v) {
+  size_t n = 1;
+  while (v >= 0x80) {
+    v >>= 7;
+    ++n;
+  }
+  return n;
+}
+
+constexpr uint64_t ZigZag(int64_t v) {
+  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
+}
+
+// Unsigned integer of kWidth bytes.
+template <size_t kWidth>
+using UintOf = std::conditional_t<
+    kWidth == 1, uint8_t,
+    std::conditional_t<kWidth == 2, uint16_t,
+                       std::conditional_t<kWidth == 4, uint32_t, uint64_t>>>;
+
+// Stores the low kWidth bytes of `v` at `out`, little-endian.
+template <size_t kWidth>
+void StoreLE(unsigned char* out, uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    const auto word = static_cast<UintOf<kWidth>>(v);
+    std::memcpy(out, &word, kWidth);
+  } else {
+    for (size_t i = 0; i < kWidth; ++i) {
+      out[i] = static_cast<unsigned char>(v >> (8 * i));
+    }
+  }
+}
+
+// The kWidth-byte little-endian word at `in`.
+template <size_t kWidth>
+uint64_t LoadLE(const unsigned char* in) {
+  if constexpr (std::endian::native == std::endian::little) {
+    UintOf<kWidth> word;
+    std::memcpy(&word, in, kWidth);
+    return word;
+  } else {
+    uint64_t v = 0;
+    for (size_t i = 0; i < kWidth; ++i) {
+      v |= uint64_t{in[i]} << (8 * i);
+    }
+    return v;
+  }
+}
 
 class ByteWriter {
  public:
+  // Appends to `buf`'s bytes.
+  explicit ByteWriter(std::string buf = {}) : buf_(std::move(buf)) {}
+
   void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      U8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      U8(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
+  void U32(uint32_t v) { StoreLE<4>(Extend(4), v); }
+  void U64(uint64_t v) { StoreLE<8>(Extend(8), v); }
   // Unsigned LEB128.
   void Var(uint64_t v) {
     while (v >= 0x80) {
@@ -190,9 +262,7 @@ class ByteWriter {
     U8(static_cast<uint8_t>(v));
   }
   // Zigzag-folded varint for signed values.
-  void Zig(int64_t v) {
-    Var((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
-  }
+  void Zig(int64_t v) { Var(ZigZag(v)); }
   void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
   void Count(size_t v) {
     DCP_CHECK_LE(v, kMaxPlanItems);
@@ -203,6 +273,14 @@ class ByteWriter {
     Count(s.size());
     buf_.append(s);
   }
+  // Room for `n` more bytes without reallocating.
+  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
+  // Appends `n` bytes for the caller to fill in.
+  unsigned char* Extend(size_t n) {
+    const size_t at = buf_.size();
+    buf_.resize(at + n);
+    return reinterpret_cast<unsigned char*>(buf_.data() + at);
+  }
 
   std::string Take() { return std::move(buf_); }
 
@@ -212,12 +290,8 @@ class ByteWriter {
 
 // Bounds-checked cursor over the binary form. Reads return values directly and latch
 // the FIRST failure (with its offset) instead of threading a Status through every field
-// read — the decoder checks `failed()` at item granularity, which keeps full validation
-// while running several times faster than a Status-per-byte design (the store hit path
-// decodes ~100KB records; this is its inner loop). After a failure every further read
-// returns 0, so a checkpoint per loop iteration bounds the garbage work to one item.
-// The per-field reads are forced inline: an attention item is ~15 of them, and as
-// calls they cost about a sixth of a record decode.
+// read; after a failure every further read returns 0 (and Take returns null), so the
+// decoders check `failed()` at section or column granularity.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -239,7 +313,7 @@ class ByteReader {
                             std::to_string(pos_));
   }
 
-  [[gnu::always_inline]] uint8_t U8() {
+  uint8_t U8() {
     if (pos_ >= data_.size()) {
       SetFail("truncated byte");
       return 0;
@@ -247,33 +321,15 @@ class ByteReader {
     return static_cast<uint8_t>(data_[pos_++]);
   }
   uint32_t U32() {
-    if (remaining() < 4) {
-      SetFail("truncated u32");
-      pos_ = data_.size();
-      return 0;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
-    return v;
+    const unsigned char* p = Take(4, "truncated u32");
+    return p == nullptr ? 0 : static_cast<uint32_t>(LoadLE<4>(p));
   }
   uint64_t U64() {
-    if (remaining() < 8) {
-      SetFail("truncated u64");
-      pos_ = data_.size();
-      return 0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    return v;
+    const unsigned char* p = Take(8, "truncated u64");
+    return p == nullptr ? 0 : LoadLE<8>(p);
   }
-  [[gnu::always_inline]] uint64_t Var() {
-    // One-byte varints — most slots, ids, counts and flags in a plan — stay inline.
+  uint64_t Var() {
+    // One-byte varints — most ids, counts and flags in a plan — stay inline.
     if (!failed_ && pos_ < data_.size()) {
       const auto b = static_cast<uint8_t>(data_[pos_]);
       if (b < 0x80) {
@@ -283,11 +339,11 @@ class ByteReader {
     }
     return VarSlow();
   }
-  [[gnu::always_inline]] int64_t Zig() {
+  int64_t Zig() {
     const uint64_t v = Var();
     return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
   }
-  [[gnu::always_inline]] int32_t Zig32(const char* what) {
+  int32_t Zig32(const char* what) {
     const int64_t v = Zig();
     if (v < INT32_MIN || v > INT32_MAX) {
       SetFail(what);
@@ -295,35 +351,13 @@ class ByteReader {
     }
     return static_cast<int32_t>(v);
   }
-  double F64() {
-    if (remaining() < 8) {
-      SetFail("truncated f64");
-      pos_ = data_.size();
-      return 0.0;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    return std::bit_cast<double>(v);
-  }
+  double F64() { return std::bit_cast<double>(U64()); }
   // Length-prefixed byte string, bounded both by the caller's limit and the remaining
   // payload before any allocation.
   std::string Str(size_t max_len, const char* what) {
-    const uint64_t len = Var();
-    if (failed_) {
-      return {};
-    }
-    if (len > max_len || len > remaining()) {
-      SetFail(what);
-      return {};
-    }
-    std::string out(data_.substr(pos_, static_cast<size_t>(len)));
-    pos_ += static_cast<size_t>(len);
-    return out;
+    return std::string(StrView(max_len, what));
   }
-  // Like Str, but aliases the input instead of copying — the zero-copy request decode.
+  // Like Str, but aliases the input instead of copying — the zero-copy decoders.
   std::string_view StrView(size_t max_len, const char* what) {
     const uint64_t len = Var();
     if (failed_) {
@@ -335,6 +369,16 @@ class ByteReader {
     }
     std::string_view out = data_.substr(pos_, static_cast<size_t>(len));
     pos_ += static_cast<size_t>(len);
+    return out;
+  }
+  // The next `n` bytes, or null (failing) when fewer remain.
+  const unsigned char* Take(size_t n, const char* what) {
+    if (failed_ || n > remaining()) {
+      SetFail(what);
+      return nullptr;
+    }
+    const auto* out = reinterpret_cast<const unsigned char*>(data_.data() + pos_);
+    pos_ += n;
     return out;
   }
   // Reads a count and proves `count * min_item_bytes` fits in the remaining payload, so
@@ -356,7 +400,9 @@ class ByteReader {
   // per-byte bounds check is needed, and a varint of at most 9 bytes (63 payload bits)
   // cannot overflow. Anything else — a failed reader, the payload's tail, a 10-byte
   // varint — takes the checked loop from the start, so results and errors are exactly
-  // the loop's.
+  // the loop's. A varint whose last byte is zero is rejected: it has a shorter form,
+  // and the encoder only writes the shortest, so every accepted byte string
+  // re-encodes to itself.
   uint64_t VarSlow() {
     if (!failed_ && remaining() >= 9) {
       const char* p = data_.data() + pos_;
@@ -365,6 +411,9 @@ class ByteReader {
         const auto b = static_cast<uint8_t>(p[i]);
         v |= static_cast<uint64_t>(b & 0x7F) << (7 * i);
         if (b < 0x80) {
+          if (b == 0) {
+            break;  // Overlong: the checked loop below reports it.
+          }
           pos_ += static_cast<size_t>(i) + 1;
           return v;
         }
@@ -389,6 +438,10 @@ class ByteReader {
       }
       v |= static_cast<uint64_t>(b & 0x7F) << shift;
       if ((b & 0x80) == 0) {
+        if (b == 0 && shift > 0) {
+          SetFail("overlong varint");
+          return 0;
+        }
         return v;
       }
       shift += 7;
@@ -401,200 +454,451 @@ class ByteReader {
   std::string error_;
 };
 
-// Minimum encoded sizes (every varint is at least one byte), used to bound counts
-// before allocating.
-constexpr size_t kRefBytes = 2;                            // u8 kind + varint slot.
-constexpr size_t kAttnItemBytes = 7;
-constexpr size_t kReduceItemBytes = 1 + 3 * kRefBytes + 1;
-constexpr size_t kTransferBlockBytes = kRefBytes + 2;
-constexpr size_t kLocalChunkBytes = 5;
-constexpr size_t kInstrHeaderBytes = 2 + 8 + 2 + 8 + 2 + 3;
-constexpr size_t kDeviceHeaderBytes = kNumBufKinds + 3;
+// The items one column covers: a pool, or for instructions the forward stream followed
+// by the backward one.
+template <typename T>
+struct Items {
+  std::span<T> first;
+  std::span<T> second = {};
 
-void WriteRefBin(ByteWriter& w, const BlockRef& ref) {
-  w.U8(static_cast<uint8_t>(ref.kind));
-  w.Zig(ref.slot);
+  size_t size() const { return first.size() + second.size(); }
+};
+
+// Whether a column is its pool's anchor (its first), which is never written at width 0.
+constexpr bool kAnchor = true;
+constexpr bool kField = false;
+
+// Enums are stored as their underlying byte.
+template <typename Enum>
+int64_t ByteOf(Enum e) {
+  return static_cast<uint8_t>(e);
+}
+template <typename Enum>
+Enum EnumOf(int64_t v) {
+  return static_cast<Enum>(static_cast<uint8_t>(v));
 }
 
-[[gnu::always_inline]] inline BlockRef ReadRefBin(ByteReader& r) {
-  BlockRef ref;
-  const uint8_t kind = r.U8();
-  if (kind >= kNumBufKinds) {
-    r.SetFail("block-ref kind out of range");
-    return ref;
+// Fewest bytes in {0, 1, 2, 4, 8} that hold every value in [0, range].
+constexpr uint8_t WidthFor(uint64_t range) {
+  return range == 0             ? 0
+         : range <= 0xFF        ? 1
+         : range <= 0xFFFF      ? 2
+         : range <= 0xFFFFFFFFu ? 4
+                                : 8;
+}
+
+// A column's frame of reference: its minimum and the width of its max − min.
+struct ColumnHeader {
+  int64_t base = 0;
+  uint8_t width = 0;
+};
+
+template <size_t kWidth, typename T>
+void PackColumn(unsigned char* out, Items<const T> items, uint64_t base,
+                const auto& get) {
+  for (const auto span : {items.first, items.second}) {
+    for (const T& item : span) {
+      StoreLE<kWidth>(out, static_cast<uint64_t>(get(item)) - base);
+      out += kWidth;
+    }
   }
-  ref.kind = static_cast<BufKind>(kind);
-  ref.slot = r.Zig32("block-ref slot out of range");
-  return ref;
 }
 
-// Next unwritten index of each pool while a device's instructions are encoded: the
-// format carries per-instruction counts, so the ranges must tile each pool in order.
-struct PoolCursor {
+// Calls `column(items, anchor, get)` for each column of `dev` in format order, where
+// `get(item)` is the column's value for one item as an int64.
+template <typename Column>
+void VisitDeviceColumns(const DevicePlan& dev, Column&& column) {
+  using I = const Instruction&;
+  const Items<const Instruction> instrs{dev.instructions, dev.backward_instructions};
+  column(instrs, kAnchor, [](I in) { return ByteOf(in.kind); });
+  column(instrs, kField, [](I in) -> int64_t { return in.backward | (in.is_send << 1); });
+  column(instrs, kField, [](I in) { return std::bit_cast<int64_t>(in.flops); });
+  column(instrs, kField, [](I in) -> int64_t { return in.comm_bytes; });
+  column(instrs, kField, [](I in) -> int64_t { return in.mem_bytes; });
+  column(instrs, kField, [](I in) { return std::bit_cast<int64_t>(in.host_overhead); });
+  column(instrs, kField, [](I in) -> int64_t { return in.transfer_id; });
+  column(instrs, kField, [](I in) -> int64_t { return in.peer; });
+  column(instrs, kField, [](I in) -> int64_t { return in.attn_range.size(); });
+  column(instrs, kField, [](I in) -> int64_t { return in.reduce_range.size(); });
+  column(instrs, kField, [](I in) -> int64_t { return in.block_range.size(); });
+
+  using L = const LocalChunk&;
+  const Items<const LocalChunk> local{dev.local_chunks};
+  column(local, kAnchor, [](L c) -> int64_t { return c.seq; });
+  column(local, kField, [](L c) -> int64_t { return c.chunk; });
+  column(local, kField, [](L c) -> int64_t { return c.group; });
+  column(local, kField, [](L c) -> int64_t { return c.q_slot; });
+  column(local, kField, [](L c) -> int64_t { return c.kv_slot; });
+
+  using A = const AttentionWorkItem&;
+  const Items<const AttentionWorkItem> tiles{dev.attn_items};
+  column(tiles, kAnchor, [](A t) -> int64_t { return t.seq; });
+  column(tiles, kField, [](A t) -> int64_t { return t.group; });
+  column(tiles, kField, [](A t) -> int64_t { return t.q_chunk; });
+  column(tiles, kField, [](A t) -> int64_t { return t.kv_chunk; });
+  column(tiles, kField, [](A t) -> int64_t { return t.q_slot; });
+  column(tiles, kField, [](A t) -> int64_t { return t.kv_slot; });
+  column(tiles, kField, [](A t) -> int64_t { return t.full; });
+
+  using R = const ReduceItem&;
+  const Items<const ReduceItem> reduce{dev.reduce_items};
+  column(reduce, kAnchor, [](R e) { return ByteOf(e.mode); });
+  column(reduce, kField, [](R e) { return ByteOf(e.dst.kind); });
+  column(reduce, kField, [](R e) -> int64_t { return e.dst.slot; });
+  column(reduce, kField, [](R e) { return ByteOf(e.src0.kind); });
+  column(reduce, kField, [](R e) -> int64_t { return e.src0.slot; });
+  column(reduce, kField, [](R e) { return ByteOf(e.src1.kind); });
+  column(reduce, kField, [](R e) -> int64_t { return e.src1.slot; });
+  column(reduce, kField, [](R e) -> int64_t { return e.token_count; });
+
+  using B = const TransferBlock&;
+  const Items<const TransferBlock> blocks{dev.blocks};
+  column(blocks, kAnchor, [](B b) { return ByteOf(b.ref.kind); });
+  column(blocks, kField, [](B b) -> int64_t { return b.ref.slot; });
+  column(blocks, kField, [](B b) -> int64_t { return b.bytes; });
+  column(blocks, kField, [](B b) -> int64_t { return b.token_count; });
+}
+
+// The encoder's precondition: each pool is tiled in stream order by its instructions'
+// ranges, which is what lets the format store counts instead of ranges.
+void CheckPoolsCanonical(const DevicePlan& dev) {
   uint32_t attn = 0;
   uint32_t reduce = 0;
   uint32_t blocks = 0;
-};
-
-void CheckCanonical(ItemRange range, uint32_t* next, const char* pool) {
-  DCP_CHECK_EQ(range.begin, *next)
-      << pool << " range is not in canonical stream order; the plan has no encoding";
-  *next = range.end;
-}
-
-void WriteInstructionBin(ByteWriter& w, const DevicePlan& dev, const Instruction& instr,
-                         PoolCursor& cursor) {
-  CheckCanonical(instr.attn_range, &cursor.attn, "attention item");
-  CheckCanonical(instr.reduce_range, &cursor.reduce, "reduce item");
-  CheckCanonical(instr.block_range, &cursor.blocks, "transfer block");
-  w.U8(static_cast<uint8_t>(instr.kind));
-  w.U8(static_cast<uint8_t>((instr.backward ? 1 : 0) | (instr.is_send ? 2 : 0)));
-  w.F64(instr.flops);
-  w.Zig(instr.comm_bytes);
-  w.Zig(instr.mem_bytes);
-  w.F64(instr.host_overhead);
-  w.Zig(instr.transfer_id);
-  w.Zig(instr.peer);
-  w.Count(instr.attn_range.size());
-  w.Count(instr.reduce_range.size());
-  w.Count(instr.block_range.size());
-  for (const AttentionWorkItem& item : dev.attn_items_of(instr)) {
-    w.Zig(item.seq);
-    w.Zig(item.group);
-    w.Zig(item.q_chunk);
-    w.Zig(item.kv_chunk);
-    w.Zig(item.q_slot);
-    w.Zig(item.kv_slot);
-    w.U8(item.full ? 1 : 0);
-  }
-  for (const ReduceItem& item : dev.reduce_items_of(instr)) {
-    w.U8(static_cast<uint8_t>(item.mode));
-    WriteRefBin(w, item.dst);
-    WriteRefBin(w, item.src0);
-    WriteRefBin(w, item.src1);
-    w.Zig(item.token_count);
-  }
-  for (const TransferBlock& block : dev.blocks_of(instr)) {
-    WriteRefBin(w, block.ref);
-    w.Zig(block.bytes);
-    w.Zig(block.token_count);
-  }
-}
-
-// One device's items, parsed in stream order before they are copied into the device's
-// pools: the per-instruction counts only add up to a pool's size at the end of the
-// device, and sizing each pool once, exactly, is what keeps a decode at a few
-// allocations per device. Thread-local so the capacity is reused across decodes.
-struct PoolScratch {
-  std::vector<AttentionWorkItem> attn;
-  std::vector<ReduceItem> reduce;
-  std::vector<TransferBlock> blocks;
-
-  // Empties the pools. One that a large hostile plan grew past any real device's size
-  // gives its memory back at the next device or decode instead of keeping it for the
-  // thread's lifetime.
-  void Clear() {
-    ClearPool(attn);
-    ClearPool(reduce);
-    ClearPool(blocks);
-  }
-
- private:
-  static constexpr size_t kMaxRetainedItems = size_t{1} << 16;
-
-  template <typename T>
-  static void ClearPool(std::vector<T>& pool) {
-    if (pool.capacity() > kMaxRetainedItems) {
-      std::vector<T>().swap(pool);
-    } else {
-      pool.clear();
+  const auto next = [](ItemRange range, uint32_t& cursor, const char* pool) {
+    DCP_CHECK_EQ(range.begin, cursor)
+        << pool << " range is not in canonical stream order; the plan has no encoding";
+    cursor = range.end;
+  };
+  for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
+    for (const Instruction& instr : *stream) {
+      next(instr.attn_range, attn, "attention item");
+      next(instr.reduce_range, reduce, "reduce item");
+      next(instr.block_range, blocks, "transfer block");
     }
   }
-};
-
-// The range a pool grew by since `begin` items.
-ItemRange RangeFrom(size_t begin, size_t pool_size) {
-  return {static_cast<uint32_t>(begin), static_cast<uint32_t>(pool_size)};
+  DCP_CHECK(attn == dev.attn_items.size() && reduce == dev.reduce_items.size() &&
+            blocks == dev.blocks.size())
+      << "pool items no instruction references; the plan has no encoding";
 }
 
-Status ReadInstructionBin(ByteReader& r, PoolScratch& pools, Instruction* instr) {
-  const uint8_t kind = r.U8();
-  if (kind > kMaxInstrKind) {
-    return r.Fail("instruction kind out of range");
+std::array<size_t, kDevicePools> PoolCounts(const DevicePlan& dev) {
+  return {dev.local_chunks.size(), dev.instructions.size(),
+          dev.backward_instructions.size(), dev.attn_items.size(),
+          dev.reduce_items.size(), dev.blocks.size()};
+}
+
+// Appends every device of `plan`: one pass picks each column's header and sizes the
+// section exactly, so `w` grows once (plus `trailer_bytes`), and a second writes it.
+void WriteDevicesBin(ByteWriter& w, const BatchPlan& plan, size_t trailer_bytes) {
+  std::vector<ColumnHeader> headers;
+  headers.reserve(plan.devices.size() * kDeviceColumns);
+  size_t bytes = VarBytes(plan.devices.size());
+  for (const DevicePlan& dev : plan.devices) {
+    CheckPoolsCanonical(dev);
+    for (int32_t slots : dev.num_slots) {
+      bytes += VarBytes(ZigZag(slots));
+    }
+    for (size_t count : PoolCounts(dev)) {
+      DCP_CHECK_LE(count, kMaxPlanItems);
+      bytes += VarBytes(count);
+    }
+    VisitDeviceColumns(dev, [&](auto items, bool anchor, const auto& get) {
+      ColumnHeader header;
+      if (items.size() > 0) {
+        int64_t lo = INT64_MAX;
+        int64_t hi = INT64_MIN;
+        for (const auto span : {items.first, items.second}) {
+          for (const auto& item : span) {
+            lo = std::min(lo, get(item));
+            hi = std::max(hi, get(item));
+          }
+        }
+        header.base = lo;
+        header.width = std::max<uint8_t>(
+            WidthFor(static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo)), anchor);
+      }
+      headers.push_back(header);
+      bytes += VarBytes(ZigZag(header.base)) + 1 + items.size() * header.width;
+    });
   }
-  const uint8_t flags = r.U8();
-  if (flags > 3) {
-    return r.Fail("instruction flags out of range");
+  w.Reserve(bytes + trailer_bytes);
+
+  w.Var(plan.devices.size());
+  const ColumnHeader* header = headers.data();
+  for (const DevicePlan& dev : plan.devices) {
+    for (int32_t slots : dev.num_slots) {
+      w.Zig(slots);
+    }
+    for (size_t count : PoolCounts(dev)) {
+      w.Var(count);
+    }
+    VisitDeviceColumns(dev, [&](auto items, bool, const auto& get) {
+      const ColumnHeader h = *header++;
+      w.Zig(h.base);
+      w.U8(h.width);
+      unsigned char* out = w.Extend(items.size() * h.width);
+      const auto base = static_cast<uint64_t>(h.base);
+      switch (h.width) {
+        case 1:
+          return PackColumn<1>(out, items, base, get);
+        case 2:
+          return PackColumn<2>(out, items, base, get);
+        case 4:
+          return PackColumn<4>(out, items, base, get);
+        case 8:
+          return PackColumn<8>(out, items, base, get);
+        default:
+          return;  // Width 0: every value is the base.
+      }
+    });
   }
-  instr->kind = static_cast<InstrKind>(kind);
-  instr->backward = (flags & 1) != 0;
-  instr->is_send = (flags & 2) != 0;
-  instr->flops = r.F64();
-  instr->comm_bytes = r.Zig();
-  instr->mem_bytes = r.Zig();
-  instr->host_overhead = r.F64();
-  instr->transfer_id = r.Zig32("transfer id out of range");
-  instr->peer = r.Zig32("peer device out of range");
-  const uint32_t num_attn = r.BoundedCount(kAttnItemBytes, "attention item count");
-  const uint32_t num_reduce = r.BoundedCount(kReduceItemBytes, "reduce item count");
-  const uint32_t num_blocks = r.BoundedCount(kTransferBlockBytes, "transfer count");
+}
+
+// Smallest and largest of a column's deltas.
+struct DeltaRange {
+  uint64_t min = 0;
+  uint64_t max = 0;
+};
+
+// Stores base + each of the column's kWidth-byte deltas at `in` with `set(item, value)`
+// and returns the smallest and largest delta.
+template <size_t kWidth, typename T, typename Set>
+DeltaRange UnpackColumn(const unsigned char* in, Items<T> items, uint64_t base,
+                        const Set& set) {
+  uint64_t min = UINT64_MAX;
+  uint64_t max = 0;
+  for (const auto span : {items.first, items.second}) {
+    for (T& item : span) {
+      uint64_t d = 0;
+      if constexpr (kWidth > 0) {
+        d = LoadLE<kWidth>(in);
+        in += kWidth;
+      }
+      min = std::min(min, d);
+      max = std::max(max, d);
+      set(item, static_cast<int64_t>(base + d));
+    }
+  }
+  return {min, max};
+}
+
+// The values a column's field can hold.
+struct ValueRange {
+  int64_t lo;
+  int64_t hi;
+};
+constexpr ValueRange kAnyInt64{INT64_MIN, INT64_MAX};  // Also a double's bit pattern.
+constexpr ValueRange kAnyInt32{INT32_MIN, INT32_MAX};
+constexpr ValueRange kBufKinds{0, kNumBufKinds - 1};
+
+// Reads one column into `items`, storing each value with `set(item, value)`. Every
+// check a value needs is made once for the whole column, from its header and its
+// smallest and largest delta: the header must be the one the encoder writes (base the
+// column's minimum, width the fewest bytes its range needs and at least 1 for an
+// anchor), so an accepted column re-encodes to itself, and its values — base through
+// base + the largest delta — must lie in `range`. A failure latches on `r` (as `what`
+// for a value out of range); the values already stored are then garbage that the
+// caller discards with the plan.
+template <typename T, typename Set>
+void ReadColumn(ByteReader& r, Items<T> items, bool anchor, ValueRange range,
+                const char* what, const Set& set) {
+  const int64_t base = r.Zig();
+  const uint8_t width = r.U8();
+  if (r.failed()) {
+    return;
+  }
+  if (items.size() == 0) {
+    if (base != 0 || width != 0) {
+      r.SetFail("empty column with a non-empty header");
+    }
+    return;
+  }
+  if (width > 8 || (width & (width - 1)) != 0) {
+    r.SetFail("column width not 0, 1, 2, 4 or 8");
+    return;
+  }
+  // items.size() <= kMaxPlanItems, so this cannot overflow.
+  const unsigned char* in = r.Take(items.size() * width, "column exceeds payload");
+  if (in == nullptr) {
+    return;
+  }
+  const auto ubase = static_cast<uint64_t>(base);
+  DeltaRange deltas;
+  switch (width) {
+    case 0:
+      deltas = UnpackColumn<0>(in, items, ubase, set);
+      break;
+    case 1:
+      deltas = UnpackColumn<1>(in, items, ubase, set);
+      break;
+    case 2:
+      deltas = UnpackColumn<2>(in, items, ubase, set);
+      break;
+    case 4:
+      deltas = UnpackColumn<4>(in, items, ubase, set);
+      break;
+    default:
+      deltas = UnpackColumn<8>(in, items, ubase, set);
+      break;
+  }
+  if (deltas.min != 0 || width != std::max<uint8_t>(WidthFor(deltas.max), anchor) ||
+      deltas.max > static_cast<uint64_t>(INT64_MAX) - ubase) {
+    r.SetFail("column header is not the canonical one");
+  } else if (base < range.lo ||
+             // The check above keeps base + max within int64; adding unsigned keeps a
+             // negative base plus a delta of 2^63 or more from overflowing on the way.
+             static_cast<int64_t>(ubase + deltas.max) > range.hi) {
+    r.SetFail(what);
+  }
+}
+
+int32_t Int32(int64_t v) { return static_cast<int32_t>(v); }
+
+// Mirrors VisitDeviceColumns. Counts are bounded by the remaining payload before any
+// pool is sized (each pool's anchor column spends at least one byte per item), and
+// each pool is sized exactly once and filled in place.
+Status ReadDeviceBin(ByteReader& r, DevicePlan& dev) {
+  for (int32_t& slots : dev.num_slots) {
+    slots = r.Zig32("device slot count out of range");
+  }
+  std::array<uint64_t, kDevicePools> counts{};
+  uint64_t total = 0;
+  for (uint64_t& count : counts) {
+    count = r.Var();
+    if (count > kMaxPlanItems) {
+      r.SetFail("device pool count out of range");
+    }
+    total += count;
+  }
   if (r.failed()) {
     return r.TakeStatus();
   }
-  const size_t attn_begin = pools.attn.size();
-  for (uint32_t i = 0; i < num_attn; ++i) {
-    AttentionWorkItem& item = pools.attn.emplace_back();
-    item.seq = r.Zig32("attention seq out of range");
-    item.group = r.Zig32("attention group out of range");
-    item.q_chunk = r.Zig32("attention q chunk out of range");
-    item.kv_chunk = r.Zig32("attention kv chunk out of range");
-    item.q_slot = r.Zig32("attention q slot out of range");
-    item.kv_slot = r.Zig32("attention kv slot out of range");
-    const uint8_t full = r.U8();
-    if (full > 1) {
-      return r.Fail("attention item full flag out of range");
-    }
-    item.full = full != 0;
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
+  if (total > r.remaining()) {
+    return r.Fail("device pool counts exceed the payload");
   }
-  instr->attn_range = RangeFrom(attn_begin, pools.attn.size());
-  const size_t reduce_begin = pools.reduce.size();
-  for (uint32_t i = 0; i < num_reduce; ++i) {
-    ReduceItem& item = pools.reduce.emplace_back();
-    const uint8_t mode = r.U8();
-    if (mode > kMaxReduceMode) {
-      return r.Fail("reduce mode out of range");
-    }
-    item.mode = static_cast<ReduceMode>(mode);
-    item.dst = ReadRefBin(r);
-    item.src0 = ReadRefBin(r);
-    item.src1 = ReadRefBin(r);
-    item.token_count = r.Zig();
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
+  const auto [num_local, num_fw, num_bw, num_tiles, num_reduce, num_blocks] = counts;
+  dev.local_chunks.resize(num_local);
+  dev.instructions.resize(num_fw);
+  dev.backward_instructions.resize(num_bw);
+  dev.attn_items.resize(num_tiles);
+  dev.reduce_items.resize(num_reduce);
+  dev.blocks.resize(num_blocks);
+
+  using I = Instruction&;
+  const Items<Instruction> instrs{dev.instructions, dev.backward_instructions};
+  ReadColumn(r, instrs, kAnchor, {0, kMaxInstrKind}, "instruction kind out of range",
+             [](I in, int64_t v) { in.kind = EnumOf<InstrKind>(v); });
+  ReadColumn(r, instrs, kField, {0, 3}, "instruction flags out of range",
+             [](I in, int64_t v) {
+               in.backward = (v & 1) != 0;
+               in.is_send = (v & 2) != 0;
+             });
+  ReadColumn(r, instrs, kField, kAnyInt64, "instruction flops",
+             [](I in, int64_t v) { in.flops = std::bit_cast<double>(v); });
+  ReadColumn(r, instrs, kField, kAnyInt64, "instruction comm bytes",
+             [](I in, int64_t v) { in.comm_bytes = v; });
+  ReadColumn(r, instrs, kField, kAnyInt64, "instruction mem bytes",
+             [](I in, int64_t v) { in.mem_bytes = v; });
+  ReadColumn(r, instrs, kField, kAnyInt64, "instruction host overhead",
+             [](I in, int64_t v) { in.host_overhead = std::bit_cast<double>(v); });
+  ReadColumn(r, instrs, kField, kAnyInt32, "transfer id out of range",
+             [](I in, int64_t v) { in.transfer_id = Int32(v); });
+  ReadColumn(r, instrs, kField, kAnyInt32, "peer device out of range",
+             [](I in, int64_t v) { in.peer = Int32(v); });
+  // Ranges are rebuilt as running sums of the counts. Each count is at most its pool's
+  // size, so a sum cannot overflow, and each must end at its pool's size.
+  uint64_t attn_end = 0;
+  uint64_t reduce_end = 0;
+  uint64_t blocks_end = 0;
+  const auto prefix = [](ItemRange& range, uint64_t& end, int64_t v) {
+    range.begin = static_cast<uint32_t>(end);
+    end += static_cast<uint64_t>(v);
+    range.end = static_cast<uint32_t>(end);
+  };
+  const auto pool = [](uint64_t size) {
+    return ValueRange{0, static_cast<int64_t>(size)};
+  };
+  ReadColumn(r, instrs, kField, pool(num_tiles),
+             "instruction tile count exceeds the pool",
+             [&](I in, int64_t v) { prefix(in.attn_range, attn_end, v); });
+  ReadColumn(r, instrs, kField, pool(num_reduce),
+             "instruction reduce item count exceeds the pool",
+             [&](I in, int64_t v) { prefix(in.reduce_range, reduce_end, v); });
+  ReadColumn(r, instrs, kField, pool(num_blocks),
+             "instruction block count exceeds the pool",
+             [&](I in, int64_t v) { prefix(in.block_range, blocks_end, v); });
+  if (!r.failed() &&
+      (attn_end != num_tiles || reduce_end != num_reduce || blocks_end != num_blocks)) {
+    return r.Fail("instruction item counts do not add up to the pool counts");
   }
-  instr->reduce_range = RangeFrom(reduce_begin, pools.reduce.size());
-  const size_t blocks_begin = pools.blocks.size();
-  for (uint32_t i = 0; i < num_blocks; ++i) {
-    TransferBlock& block = pools.blocks.emplace_back();
-    block.ref = ReadRefBin(r);
-    block.bytes = r.Zig();
-    block.token_count = r.Zig();
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
-  }
-  instr->block_range = RangeFrom(blocks_begin, pools.blocks.size());
-  return Status::Ok();
+
+  using L = LocalChunk&;
+  const Items<LocalChunk> local{dev.local_chunks};
+  ReadColumn(r, local, kAnchor, kAnyInt32, "local chunk seq out of range",
+             [](L c, int64_t v) { c.seq = Int32(v); });
+  ReadColumn(r, local, kField, kAnyInt32, "local chunk index out of range",
+             [](L c, int64_t v) { c.chunk = Int32(v); });
+  ReadColumn(r, local, kField, kAnyInt32, "local chunk group out of range",
+             [](L c, int64_t v) { c.group = Int32(v); });
+  ReadColumn(r, local, kField, kAnyInt32, "local chunk q_slot out of range",
+             [](L c, int64_t v) { c.q_slot = Int32(v); });
+  ReadColumn(r, local, kField, kAnyInt32, "local chunk kv_slot out of range",
+             [](L c, int64_t v) { c.kv_slot = Int32(v); });
+
+  using A = AttentionWorkItem&;
+  const Items<AttentionWorkItem> tiles{dev.attn_items};
+  ReadColumn(r, tiles, kAnchor, kAnyInt32, "attention seq out of range",
+             [](A t, int64_t v) { t.seq = Int32(v); });
+  ReadColumn(r, tiles, kField, kAnyInt32, "attention group out of range",
+             [](A t, int64_t v) { t.group = Int32(v); });
+  ReadColumn(r, tiles, kField, kAnyInt32, "attention q chunk out of range",
+             [](A t, int64_t v) { t.q_chunk = Int32(v); });
+  ReadColumn(r, tiles, kField, kAnyInt32, "attention kv chunk out of range",
+             [](A t, int64_t v) { t.kv_chunk = Int32(v); });
+  ReadColumn(r, tiles, kField, kAnyInt32, "attention q slot out of range",
+             [](A t, int64_t v) { t.q_slot = Int32(v); });
+  ReadColumn(r, tiles, kField, kAnyInt32, "attention kv slot out of range",
+             [](A t, int64_t v) { t.kv_slot = Int32(v); });
+  ReadColumn(r, tiles, kField, {0, 1}, "attention item full flag out of range",
+             [](A t, int64_t v) { t.full = v != 0; });
+
+  using R = ReduceItem&;
+  const Items<ReduceItem> reduce{dev.reduce_items};
+  ReadColumn(r, reduce, kAnchor, {0, kMaxReduceMode}, "reduce mode out of range",
+             [](R e, int64_t v) { e.mode = EnumOf<ReduceMode>(v); });
+  ReadColumn(r, reduce, kField, kBufKinds, "block-ref kind out of range",
+             [](R e, int64_t v) { e.dst.kind = EnumOf<BufKind>(v); });
+  ReadColumn(r, reduce, kField, kAnyInt32, "block-ref slot out of range",
+             [](R e, int64_t v) { e.dst.slot = Int32(v); });
+  ReadColumn(r, reduce, kField, kBufKinds, "block-ref kind out of range",
+             [](R e, int64_t v) { e.src0.kind = EnumOf<BufKind>(v); });
+  ReadColumn(r, reduce, kField, kAnyInt32, "block-ref slot out of range",
+             [](R e, int64_t v) { e.src0.slot = Int32(v); });
+  ReadColumn(r, reduce, kField, kBufKinds, "block-ref kind out of range",
+             [](R e, int64_t v) { e.src1.kind = EnumOf<BufKind>(v); });
+  ReadColumn(r, reduce, kField, kAnyInt32, "block-ref slot out of range",
+             [](R e, int64_t v) { e.src1.slot = Int32(v); });
+  ReadColumn(r, reduce, kField, kAnyInt64, "reduce token count",
+             [](R e, int64_t v) { e.token_count = v; });
+
+  using B = TransferBlock&;
+  const Items<TransferBlock> blocks{dev.blocks};
+  ReadColumn(r, blocks, kAnchor, kBufKinds, "block-ref kind out of range",
+             [](B b, int64_t v) { b.ref.kind = EnumOf<BufKind>(v); });
+  ReadColumn(r, blocks, kField, kAnyInt32, "block-ref slot out of range",
+             [](B b, int64_t v) { b.ref.slot = Int32(v); });
+  ReadColumn(r, blocks, kField, kAnyInt64, "transfer bytes",
+             [](B b, int64_t v) { b.bytes = v; });
+  ReadColumn(r, blocks, kField, kAnyInt64, "transfer token count",
+             [](B b, int64_t v) { b.token_count = v; });
+  return r.failed() ? r.TakeStatus() : Status::Ok();
 }
 
 }  // namespace
 
-std::string SerializePlanBinary(const BatchPlan& plan) {
-  ByteWriter w;
+void AppendPlanBinary(const BatchPlan& plan, std::string& out, size_t trailer_bytes) {
+  ByteWriter w(std::move(out));
   for (char c : kBinaryMagic) {
     w.U8(static_cast<uint8_t>(c));
   }
@@ -622,33 +926,15 @@ std::string SerializePlanBinary(const BatchPlan& plan) {
   w.Zig(plan.stats.min_device_owned_bytes);
   w.F64(plan.stats.planning_seconds);
   w.F64(plan.stats.partition_cost);
-  w.Count(plan.devices.size());
-  for (const DevicePlan& dev : plan.devices) {
-    for (int32_t slots : dev.num_slots) {
-      w.Zig(slots);
-    }
-    w.Count(dev.local_chunks.size());
-    w.Count(dev.instructions.size());
-    w.Count(dev.backward_instructions.size());
-    for (const LocalChunk& chunk : dev.local_chunks) {
-      w.Zig(chunk.seq);
-      w.Zig(chunk.chunk);
-      w.Zig(chunk.group);
-      w.Zig(chunk.q_slot);
-      w.Zig(chunk.kv_slot);
-    }
-    PoolCursor cursor;
-    for (const Instruction& instr : dev.instructions) {
-      WriteInstructionBin(w, dev, instr, cursor);
-    }
-    for (const Instruction& instr : dev.backward_instructions) {
-      WriteInstructionBin(w, dev, instr, cursor);
-    }
-    DCP_CHECK(cursor.attn == dev.attn_items.size() &&
-              cursor.reduce == dev.reduce_items.size() && cursor.blocks == dev.blocks.size())
-        << "pool items no instruction references; the plan has no encoding";
-  }
-  return w.Take();
+  DCP_CHECK_LE(plan.devices.size(), kMaxPlanItems);
+  WriteDevicesBin(w, plan, trailer_bytes);
+  out = w.Take();
+}
+
+std::string SerializePlanBinary(const BatchPlan& plan) {
+  std::string out;
+  AppendPlanBinary(plan, out);
+  return out;
 }
 
 StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
@@ -697,51 +983,13 @@ StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
   plan.stats.min_device_owned_bytes = r.Zig();
   plan.stats.planning_seconds = r.F64();
   plan.stats.partition_cost = r.F64();
-  const uint32_t num_devices = r.BoundedCount(kDeviceHeaderBytes, "device count");
+  const uint32_t num_devices = r.BoundedCount(kMinDeviceBytes, "device count");
   if (r.failed()) {
     return r.TakeStatus();
   }
-  plan.devices.reserve(num_devices);
-  thread_local PoolScratch pools;
-  for (uint32_t d = 0; d < num_devices; ++d) {
-    DevicePlan& dev = plan.devices.emplace_back();
-    for (int32_t& slots : dev.num_slots) {
-      slots = r.Zig32("device slot count out of range");
-    }
-    const uint32_t num_local = r.BoundedCount(kLocalChunkBytes, "local chunk count");
-    const uint32_t num_fw = r.BoundedCount(kInstrHeaderBytes, "fw instruction count");
-    const uint32_t num_bw = r.BoundedCount(kInstrHeaderBytes, "bw instruction count");
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
-    dev.local_chunks.reserve(num_local);
-    for (uint32_t i = 0; i < num_local; ++i) {
-      LocalChunk chunk;
-      chunk.seq = r.Zig32("local chunk seq out of range");
-      chunk.chunk = r.Zig32("local chunk index out of range");
-      chunk.group = r.Zig32("local chunk group out of range");
-      chunk.q_slot = r.Zig32("local chunk q_slot out of range");
-      chunk.kv_slot = r.Zig32("local chunk kv_slot out of range");
-      if (r.failed()) {
-        return r.TakeStatus();
-      }
-      dev.local_chunks.push_back(chunk);
-    }
-    pools.Clear();
-    dev.instructions.resize(num_fw);
-    for (Instruction& instr : dev.instructions) {
-      DCP_RETURN_IF_ERROR(ReadInstructionBin(r, pools, &instr));
-    }
-    dev.backward_instructions.resize(num_bw);
-    for (Instruction& instr : dev.backward_instructions) {
-      DCP_RETURN_IF_ERROR(ReadInstructionBin(r, pools, &instr));
-    }
-    dev.attn_items.assign(pools.attn.begin(), pools.attn.end());
-    dev.reduce_items.assign(pools.reduce.begin(), pools.reduce.end());
-    dev.blocks.assign(pools.blocks.begin(), pools.blocks.end());
-  }
-  if (r.failed()) {
-    return r.TakeStatus();
+  plan.devices.resize(num_devices);
+  for (DevicePlan& dev : plan.devices) {
+    DCP_RETURN_IF_ERROR(ReadDeviceBin(r, dev));
   }
   if (!r.AtEnd()) {
     return r.Fail("trailing garbage after plan (" + std::to_string(r.remaining()) +
@@ -932,12 +1180,13 @@ std::string SerializePlanServiceResponseHead(const PlanServiceResponse& response
   return w.Take();
 }
 
-StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes) {
+StatusOr<PlanServiceResponseView> DeserializePlanServiceResponseView(
+    std::string_view bytes) {
   ByteReader r(bytes);
   DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "plan response"));
-  PlanServiceResponse response;
+  PlanServiceResponseView response;
   DCP_RETURN_IF_ERROR(ReadStatusCodeBin(r, &response.code));
-  response.message = r.Str(kMaxStatusMessageBytes, "status message too long");
+  response.message = r.StrView(kMaxStatusMessageBytes, "status message too long");
   const uint8_t source = r.U8();
   if (r.failed()) {
     return r.TakeStatus();
@@ -950,8 +1199,24 @@ StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view by
   response.signature_hi = r.U64();
   // The record is CRC-guarded internally (PlanStore::DecodeRecord); here it only needs
   // to fit in the remaining payload.
-  response.record = r.Str(bytes.size(), "plan record exceeds message");
+  response.record = r.StrView(bytes.size(), "plan record exceeds message");
   DCP_RETURN_IF_ERROR(RejectTrailing(r, "plan response"));
+  return response;
+}
+
+StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes) {
+  StatusOr<PlanServiceResponseView> view = DeserializePlanServiceResponseView(bytes);
+  if (!view.ok()) {
+    return view.status();
+  }
+  const PlanServiceResponseView& v = view.value();
+  PlanServiceResponse response;
+  response.code = v.code;
+  response.message = std::string(v.message);
+  response.source = v.source;
+  response.signature_lo = v.signature_lo;
+  response.signature_hi = v.signature_hi;
+  response.record = std::string(v.record);
   return response;
 }
 

@@ -246,12 +246,20 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device 
 
 // Compact byte-oriented plan encoding (paper §3.1: plans are serialized once by the
 // planner and shipped to devices), used by PlanStore records and the planning service's
-// wire format. Exact for doubles (bit_cast, no decimal round-trip). The decoder is
-// bounds-checked end to end: item counts are validated against the remaining payload
-// before any allocation, enums are range-checked, and trailing bytes are rejected —
-// malformed bytes come back as a recoverable DATA_LOSS Status, never an abort.
+// wire format. Exact for doubles (bit_cast, no decimal round-trip). Each device's items
+// are stored as frame-of-reference columns (a base and a byte width per field; the
+// layout is in instructions.cc). The decoder is bounds-checked end to end: a device's
+// pool counts are bounded by the remaining payload before any pool is allocated, and a
+// column's bytes before it is read; enum, flag and int32 ranges are checked once per
+// column; a column header other than the one the encoder writes, and trailing bytes,
+// are rejected — malformed bytes come back as a recoverable DATA_LOSS Status, never an
+// abort, and bytes that decode re-encode to themselves.
 std::string SerializePlanBinary(const BatchPlan& plan);
 StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes);
+// Appends SerializePlanBinary's bytes to `out`, growing it once to hold them plus
+// `trailer_bytes`: a container (a PlanStore record) encodes its payload in place and
+// then appends its trailer without a copy or another reallocation.
+void AppendPlanBinary(const BatchPlan& plan, std::string& out, size_t trailer_bytes = 0);
 
 // --- Planning-service wire messages -----------------------------------------------
 //
@@ -349,7 +357,6 @@ StatusOr<PlanSyncResponse> DeserializePlanSyncResponse(std::string_view bytes);
 
 std::string SerializePlanServiceRequest(const PlanServiceRequest& request);
 std::string SerializePlanServiceResponse(const PlanServiceResponse& response);
-StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes);
 
 // Zero-copy view of a decoded plan request: `tenant` aliases the wire payload and
 // `seqlens` lives in a caller-supplied arena, so decoding costs exactly one arena
@@ -369,6 +376,27 @@ struct PlanServiceRequestView {
 // without trace_id too) and rejects truncation, trailing bytes and bad fields.
 StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
     std::string_view bytes, Arena* arena);
+
+// Zero-copy view of a decoded plan response: `message` and `record` alias the wire
+// payload, which must outlive the view, so a client decodes its ~50 KB record straight
+// from the frame that carried it.
+struct PlanServiceResponseView {
+  StatusCode code = StatusCode::kOk;
+  std::string_view message;
+  PlanServeSource source = PlanServeSource::kPlanned;
+  uint64_t signature_lo = 0;
+  uint64_t signature_hi = 0;
+  std::string_view record;
+};
+
+// The plan response decoder: reads what SerializePlanServiceResponse (and the head +
+// record the server writes) produces, and rejects truncation, trailing bytes and bad
+// fields.
+StatusOr<PlanServiceResponseView> DeserializePlanServiceResponseView(
+    std::string_view bytes);
+// The same decode, copied into an owning response (the dcpbench traced pass keeps the
+// response past the frame's lifetime).
+StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes);
 
 // Serializes every response field except the record bytes themselves, ending with the
 // record-length prefix for a record of `record_size` bytes: head ++ record_bytes is

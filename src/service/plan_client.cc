@@ -180,14 +180,15 @@ StatusOr<Frame> PlanClient::Roundtrip(FrameType request_type,
 }
 
 Status PlanClient::DecodeErrorFrame(const Frame& frame) {
-  StatusOr<PlanServiceResponse> error = DeserializePlanServiceResponse(frame.payload);
+  StatusOr<PlanServiceResponseView> error =
+      DeserializePlanServiceResponseView(frame.payload);
   if (!error.ok()) {
     return error.status();
   }
   if (error.value().code == StatusCode::kOk) {
     return Status::DataLoss("error frame carried an OK status");
   }
-  return Status(error.value().code, error.value().message);
+  return Status(error.value().code, std::string(error.value().message));
 }
 
 PlanSignature PlanClient::CacheKey(const std::vector<int64_t>& seqlens,
@@ -242,13 +243,13 @@ StatusOr<PlanHandle> PlanClient::PlanWithBlockSize(const std::vector<int64_t>& s
   if (reply.value().type == FrameType::kErrorResponse) {
     return DecodeErrorFrame(reply.value());
   }
-  StatusOr<PlanServiceResponse> response =
-      DeserializePlanServiceResponse(reply.value().payload);
+  StatusOr<PlanServiceResponseView> response =
+      DeserializePlanServiceResponseView(reply.value().payload);
   if (!response.ok()) {
     return response.status();
   }
   if (response.value().code != StatusCode::kOk) {
-    return Status(response.value().code, response.value().message);
+    return Status(response.value().code, std::string(response.value().message));
   }
 
   // The plan arrives as a PlanStore record: CRC-validated, signature-embedded. Decode

@@ -191,19 +191,20 @@ struct Golden {
 
 // Structural digests recorded from the per-token mask lowering that predates
 // segment-encoded masks, before attention items dropped their derived fields; byte
-// digests re-recorded for plan format version 2 from plans with the same structure.
+// digests re-recorded for plan format version 3 (column-packed devices) from plans
+// with the same structure.
 constexpr Golden kGolden[] = {
     {MaskKind::kCausal,
-     {0x0b6f015dea572c61ull, 0x30c7e386381bcc1full},
+     {0x993e7c55adb8fb1cull, 0x10969fa33f37301dull},
      {0x464524588619116dull, 0x363f5c1d0ebbc232ull}},
     {MaskKind::kLambda,
-     {0x181cfed11248c261ull, 0x43fbc6957824d3eeull},
+     {0x2017f6357a175308ull, 0x25b45c7a1eeda5ceull},
      {0x5ebde9b237fe2391ull, 0x04ff3a26a9705be6ull}},
     {MaskKind::kCausalBlockwise,
-     {0xaa3da9c801399f2full, 0xa35db6fb6256681dull},
+     {0x61a854cb12e34509ull, 0xc78fd06ee22d0496ull},
      {0x308598cb07fe486aull, 0x39fe85974e54f7bcull}},
     {MaskKind::kSharedQuestion,
-     {0xaa2b247733e6b1e7ull, 0x07b6098fe8a09f2full},
+     {0xc8f22fd7d84d60cdull, 0x1784e454dd2f2fceull},
      {0xf1e3cc33bc15f650ull, 0x009a042670aa489full}},
 };
 

@@ -250,8 +250,8 @@ TEST(PlanService, MalformedFramesNeverKillTheServer) {
     ASSERT_TRUE(WriteFrame(raw, FrameType::kPlanRequest, "not-a-request").ok());
     StatusOr<Frame> reply = ReadFrame(raw);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    StatusOr<PlanServiceResponse> decoded =
-        DeserializePlanServiceResponse(reply.value().payload);
+    StatusOr<PlanServiceResponseView> decoded =
+        DeserializePlanServiceResponseView(reply.value().payload);
     ASSERT_TRUE(decoded.ok());
     EXPECT_EQ(decoded.value().code, StatusCode::kDataLoss);
   }
@@ -736,8 +736,8 @@ TEST(PlanService, TransientAcceptFailuresRetriedNeverFatal) {
                   .ok());
   StatusOr<Frame> reply = ReadFrame(pending);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  StatusOr<PlanServiceResponse> response =
-      DeserializePlanServiceResponse(reply.value().payload);
+  StatusOr<PlanServiceResponseView> response =
+      DeserializePlanServiceResponseView(reply.value().payload);
   ASSERT_TRUE(response.ok());
   EXPECT_EQ(response.value().code, StatusCode::kOk);
 }
@@ -755,8 +755,8 @@ TEST(PlanService, RetiredStatsFrameTypeIsRejectedAsMalformed) {
     StatusOr<Frame> reply = ReadFrame(raw);
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
     EXPECT_EQ(reply.value().type, FrameType::kErrorResponse);
-    StatusOr<PlanServiceResponse> decoded =
-        DeserializePlanServiceResponse(reply.value().payload);
+    StatusOr<PlanServiceResponseView> decoded =
+        DeserializePlanServiceResponseView(reply.value().payload);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     EXPECT_EQ(decoded.value().code, StatusCode::kDataLoss);
   }

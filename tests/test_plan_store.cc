@@ -5,7 +5,10 @@
 // and the dcpctl bundle export/import path.
 #include "core/plan_store.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -158,6 +161,27 @@ TEST(PlanBinaryCodec, RandomizedPlansRoundTripBitIdentical) {
   }
 }
 
+// Columns whose values span the whole field range take width 8 with a negative base
+// (negative doubles' bit patterns are negative integers); they must round-trip exactly.
+TEST(PlanBinaryCodec, FullRangeColumnsRoundTrip) {
+  Rng rng(24);
+  BatchPlan plan = PlanRandomCase(rng).plan;
+  DevicePlan& dev = plan.devices.at(0);
+  ASSERT_GE(dev.instructions.size(), 2u);
+  dev.instructions[0].flops = -0.0;
+  dev.instructions[1].flops = 1e300;
+  dev.instructions[0].comm_bytes = INT64_MIN;
+  dev.instructions[1].comm_bytes = INT64_MAX;
+  dev.instructions[0].host_overhead = -1.5;
+  dev.instructions[0].transfer_id = INT32_MIN;
+  dev.instructions[1].transfer_id = INT32_MAX;
+  const std::string bytes = SerializePlanBinary(plan);
+  StatusOr<BatchPlan> restored = DeserializePlanBinary(bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_TRUE(restored.value() == plan);
+  EXPECT_EQ(SerializePlanBinary(restored.value()), bytes);
+}
+
 TEST(PlanBinaryCodec, EveryTruncationFailsCleanly) {
   Rng rng(7);
   const PlannedCase p = PlanRandomCase(rng);
@@ -193,7 +217,7 @@ TEST(PlanBinaryCodec, CorruptCountsAndEnumsAreRejectedWithoutAllocating) {
   // rejected by the count-vs-remaining-payload bound, not by an OOM.
   {
     std::string bad("DCPB", 4);
-    bad += std::string("\x02\x00\x00\x00", 4);  // Version 2.
+    bad += std::string("\x03\x00\x00\x00", 4);  // Version 3.
     auto zig = [&bad](int64_t v) {
       uint64_t u = (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
       while (u >= 0x80) {
@@ -216,13 +240,290 @@ TEST(PlanBinaryCodec, CorruptCountsAndEnumsAreRejectedWithoutAllocating) {
   // not a silent truncation: craft one as the first field (block_size).
   {
     std::string bad("DCPB", 4);
-    bad += std::string("\x02\x00\x00\x00", 4);  // Version 2.
+    bad += std::string("\x03\x00\x00\x00", 4);  // Version 3.
     bad += std::string(9, '\x80');
     bad += '\x7E';  // 10th byte with overflowing payload bits.
     StatusOr<BatchPlan> parsed = DeserializePlanBinary(bad);
     ASSERT_FALSE(parsed.ok());
     EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss);
   }
+}
+
+// Hand-assembles plan binary streams (format version 3) for the column codec's
+// hostile-input tests: a one-sequence layout, one chunk home and zero stats, then the
+// devices the test writes.
+class StreamBuilder {
+ public:
+  explicit StreamBuilder(uint64_t num_devices) {
+    bytes_ = "DCPB";
+    bytes_ += std::string("\x03\x00\x00\x00", 4);
+    for (int64_t v : {16, 1, 1, 8, 2}) {  // block_size, groups, heads, dim, bytes.
+      Zig(v);
+    }
+    Var(1);  // One sequence,
+    Zig(16);
+    Var(1);  // one chunk,
+    Zig(0);
+    for (int field = 0; field < 9; ++field) {  // zero stats (3 varints, 2 doubles, ...).
+      if (field == 3 || field == 4 || field == 7 || field == 8) {
+        bytes_ += std::string(8, '\0');
+      } else {
+        Zig(0);
+      }
+    }
+    Var(num_devices);
+  }
+
+  // A device header: zero slot counts, then the six pool counts.
+  void Device(uint64_t local, uint64_t fw, uint64_t bw, uint64_t tiles, uint64_t reduce,
+              uint64_t blocks) {
+    for (int k = 0; k < kNumBufKinds; ++k) {
+      Zig(0);
+    }
+    for (uint64_t count : {local, fw, bw, tiles, reduce, blocks}) {
+      Var(count);
+    }
+  }
+  // One column: its header, then each delta in `width` little-endian bytes.
+  void Column(int64_t base, uint8_t width, std::initializer_list<uint64_t> deltas = {}) {
+    Zig(base);
+    bytes_.push_back(static_cast<char>(width));
+    for (uint64_t d : deltas) {
+      for (int i = 0; i < width; ++i) {
+        bytes_.push_back(static_cast<char>(d >> (8 * i)));
+      }
+    }
+  }
+  void Empty(int columns) {
+    for (int i = 0; i < columns; ++i) {
+      Column(0, 0);
+    }
+  }
+  void Var(uint64_t v) {
+    while (v >= 0x80) {
+      bytes_.push_back(static_cast<char>(0x80 | (v & 0x7F)));
+      v >>= 7;
+    }
+    bytes_.push_back(static_cast<char>(v));
+  }
+  void Zig(int64_t v) {
+    Var((static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63));
+  }
+
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  std::string bytes_;
+};
+
+// Knobs of the one-device stream below; each test breaks one thing.
+struct OneTileDevice {
+  uint8_t kind_width = 1;
+  uint64_t kind = 0;
+  uint8_t flags_width = 0;
+  uint64_t tile_count = 1;  // The instruction's tile count column value.
+  int64_t tile_seq_base = 0;
+  uint64_t tile_seq = 0;
+};
+
+// One device with one forward attention instruction over one tile.
+std::string OneTileStream(const OneTileDevice& d = {}) {
+  StreamBuilder b(1);
+  b.Device(/*local=*/0, /*fw=*/1, /*bw=*/0, /*tiles=*/1, /*reduce=*/0, /*blocks=*/0);
+  b.Column(0, d.kind_width, {d.kind});      // kind (anchor)
+  b.Column(0, d.flags_width, {0});          // flags
+  b.Empty(4);                               // flops, comm, mem, host overhead
+  b.Column(-1, 0);                          // transfer_id
+  b.Column(-1, 0);                          // peer
+  b.Column(static_cast<int64_t>(d.tile_count), 0);  // tile count
+  b.Empty(2);                               // reduce and block counts
+  b.Empty(5);                               // local chunks
+  b.Column(d.tile_seq_base, 1, {d.tile_seq});  // tile seq (anchor)
+  b.Empty(6);                               // the other tile columns
+  b.Empty(8 + 4);                           // reduce items, blocks
+  return b.bytes();
+}
+
+// Expects `bytes` to be rejected as DATA_LOSS, for the reason `error` names.
+void ExpectDataLoss(std::string_view bytes, const char* error) {
+  StatusOr<BatchPlan> parsed = DeserializePlanBinary(bytes);
+  ASSERT_FALSE(parsed.ok()) << error;
+  EXPECT_EQ(parsed.status().code(), StatusCode::kDataLoss) << error;
+  EXPECT_NE(parsed.status().message().find(error), std::string::npos)
+      << "expected \"" << error << "\", got " << parsed.status().ToString();
+}
+
+TEST(PlanBinaryCodec, HandBuiltColumnStreamDecodesAndReencodes) {
+  const std::string bytes = OneTileStream();
+  StatusOr<BatchPlan> parsed = DeserializePlanBinary(bytes);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const DevicePlan& dev = parsed.value().devices.at(0);
+  ASSERT_EQ(dev.instructions.size(), 1u);
+  EXPECT_EQ(dev.instructions[0].transfer_id, -1);
+  EXPECT_EQ(dev.instructions[0].attn_range, (ItemRange{0, 1}));
+  ASSERT_EQ(dev.attn_items.size(), 1u);
+  EXPECT_EQ(SerializePlanBinary(parsed.value()), bytes);
+}
+
+TEST(PlanBinaryCodec, HostileColumnStreamsAreDataLoss) {
+  {
+    OneTileDevice d;
+    d.flags_width = 3;
+    ExpectDataLoss(OneTileStream(d), "column width not 0, 1, 2, 4 or 8");
+  }
+  {
+    // One transfer block whose bytes column claims 8 bytes; the stream ends 4 in.
+    StreamBuilder b(1);
+    b.Device(0, /*fw=*/1, 0, 0, 0, /*blocks=*/1);
+    b.Column(2, 1, {0});  // kind (anchor): one CommLaunch
+    b.Empty(5);           // flags, flops, comm, mem, host overhead
+    b.Column(-1, 0);      // transfer_id
+    b.Column(-1, 0);      // peer
+    b.Empty(2);           // tile and reduce counts
+    b.Column(1, 0);       // block count
+    b.Empty(5 + 7 + 8);
+    b.Column(0, 1, {0});  // kind (anchor)
+    b.Column(0, 0);       // slot
+    b.Column(0, 8);       // bytes, with its data cut short:
+    b.Var(0);
+    b.Var(0);
+    b.Var(0);
+    b.Var(0);
+    ExpectDataLoss(b.bytes(), "column exceeds payload");
+  }
+  {
+    // 2^25 local chunks in a 142-byte stream: rejected by the pool count bound before
+    // anything is sized (the resize would take 640 MiB).
+    StreamBuilder b(1);
+    b.Device(uint64_t{1} << 25, 0, 0, 0, 0, 0);
+    b.Empty(35);
+    ASSERT_LT(b.bytes().size(), 160u);
+    ExpectDataLoss(b.bytes(), "device pool counts exceed the payload");
+  }
+  {
+    // Two instructions of kinds 0 and 7: a width-1 column from base 0 could hold up to
+    // 255, so the header alone does not prove the range, and the 7 must be caught.
+    StreamBuilder b(1);
+    b.Device(0, /*fw=*/2, 0, 0, 0, 0);
+    b.Column(0, 1, {0, 7});  // kind (anchor)
+    b.Empty(6);              // flags, flops, comm, mem, host overhead, transfer_id
+    b.Column(-1, 0);         // peer
+    b.Empty(3 + 5 + 7 + 8 + 4);
+    ExpectDataLoss(b.bytes(), "instruction kind out of range");
+  }
+  {
+    // An int32 column from base -1 whose largest delta is 2^63: its top value is past
+    // INT32_MAX (and past INT64_MAX as a signed sum), so it must be rejected.
+    StreamBuilder b(1);
+    b.Device(0, /*fw=*/2, 0, 0, 0, 0);
+    b.Column(0, 1, {0, 1});  // kind (anchor)
+    b.Empty(5);              // flags, flops, comm, mem, host overhead
+    b.Column(-1, 8, {0, uint64_t{1} << 63});  // transfer_id
+    b.Column(-1, 0);         // peer
+    b.Empty(3 + 5 + 7 + 8 + 4);
+    ExpectDataLoss(b.bytes(), "transfer id out of range");
+  }
+  {
+    OneTileDevice d;
+    d.tile_count = 0;
+    ExpectDataLoss(OneTileStream(d), "do not add up to the pool counts");
+  }
+  {
+    // A tile count above the pool's size is out of range before any sum is taken.
+    OneTileDevice d;
+    d.tile_count = 2;
+    ExpectDataLoss(OneTileStream(d), "instruction tile count exceeds the pool");
+  }
+  ExpectDataLoss(OneTileStream() + "x", "trailing garbage");
+  {
+    // A varint with a redundant zero byte decodes to the same value but would not
+    // re-encode to itself: block_size 16 (zigzag 32) as 0xA0 0x00 instead of 0x20.
+    std::string overlong = OneTileStream();
+    ASSERT_EQ(overlong[8], '\x20');
+    overlong.replace(8, 1, "\xA0\x00", 2);
+    ExpectDataLoss(overlong, "overlong varint");
+  }
+  {
+    // Headers other than the encoder's: a base below the column's minimum, a width
+    // wider than the range needs, and an anchor column at width 0.
+    OneTileDevice d;
+    d.tile_seq_base = -1;
+    d.tile_seq = 1;
+    ExpectDataLoss(OneTileStream(d), "not the canonical one");
+    OneTileDevice wide;
+    wide.flags_width = 1;
+    ExpectDataLoss(OneTileStream(wide), "not the canonical one");
+    OneTileDevice zero_anchor;
+    zero_anchor.kind_width = 0;
+    ExpectDataLoss(OneTileStream(zero_anchor), "not the canonical one");
+  }
+  {
+    // An empty column must carry the empty header.
+    StreamBuilder b(1);
+    b.Device(0, 0, 0, 0, 0, 0);
+    b.Column(5, 0);
+    b.Empty(34);
+    ExpectDataLoss(b.bytes(), "empty column with a non-empty header");
+  }
+}
+
+// The plan codec's fuzz invariant, over seeded bit flips, truncations, byte
+// overwrites and splices of real plans: every input is either rejected as DATA_LOSS or
+// decodes to a plan that re-encodes to exactly the input bytes. DCP_CODEC_FUZZ_SEED
+// overrides the seed, which is echoed so a failure can be replayed.
+TEST(PlanBinaryCodec, SeededMutationsAreRejectedOrReencodeIdentically) {
+  uint64_t seed = 0x5EEDC0DE;
+  if (const char* env = std::getenv("DCP_CODEC_FUZZ_SEED")) {
+    seed = std::strtoull(env, nullptr, 0);
+  }
+  std::printf("plan codec fuzz seed 0x%llx\n", static_cast<unsigned long long>(seed));
+  RecordProperty("fuzz_seed", std::to_string(seed));
+  Rng plans_rng(23);
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 3; ++i) {
+    corpus.push_back(SerializePlanBinary(PlanRandomCase(plans_rng).plan));
+  }
+  Rng rng(seed);
+  int accepted = 0;
+  constexpr int kMutations = 4000;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string& a = corpus[rng.NextBounded(corpus.size())];
+    std::string input = a;
+    switch (rng.NextBounded(4)) {
+      case 0: {  // One to three bit flips.
+        const uint64_t flips = 1 + rng.NextBounded(3);
+        for (uint64_t f = 0; f < flips; ++f) {
+          const size_t at = rng.NextBounded(input.size());
+          input[at] = static_cast<char>(input[at] ^ (1 << rng.NextBounded(8)));
+        }
+        break;
+      }
+      case 1:  // Truncation.
+        input.resize(rng.NextBounded(input.size()));
+        break;
+      case 2:  // One byte overwritten with a small value (counts, widths, enums).
+        input[rng.NextBounded(input.size())] = static_cast<char>(rng.NextBounded(10));
+        break;
+      default: {  // Splice: a prefix of one plan, a suffix of another.
+        const std::string& b = corpus[rng.NextBounded(corpus.size())];
+        input = a.substr(0, rng.NextBounded(a.size())) +
+                b.substr(rng.NextBounded(b.size()));
+        break;
+      }
+    }
+    StatusOr<BatchPlan> parsed = DeserializePlanBinary(input);
+    if (parsed.ok()) {
+      ++accepted;
+      ASSERT_EQ(SerializePlanBinary(parsed.value()), input)
+          << "mutation " << i << " (seed " << seed
+          << ") decoded but re-encoded differently";
+    } else {
+      ASSERT_EQ(parsed.status().code(), StatusCode::kDataLoss)
+          << "mutation " << i << " (seed " << seed << "): " << parsed.status().ToString();
+    }
+  }
+  std::printf("plan codec fuzz: %d of %d mutations decoded and re-encoded identically\n",
+              accepted, kMutations);
 }
 
 TEST_F(PlanStoreTest, RecordSurvivesRoundTripAndRejectsEveryBitFlip) {
@@ -507,7 +808,9 @@ TEST_F(PlanStoreTest, EngineSkipsCorruptStoreRecordAndRecovers) {
 }
 
 // Stores are caches, so a record from an older format is not decoded: it is skipped
-// as corrupt, replanned, and rewritten in the current format.
+// as corrupt, replanned, and rewritten in the current format. Version 1 is the
+// pre-slim IR; version 2 is the varint device section that column-packed devices
+// (version 3) replaced.
 TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
   Rng rng(19);
   const GeneratedCase c = GenerateCase(rng);
@@ -516,54 +819,66 @@ TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
   cluster.devices_per_node = 2;
   const MaskSpec spec = SmallMaskSpec(c.mask_kind);
 
-  EngineOptions engine_options;
-  engine_options.planner = MakeOptions(c);
-  engine_options.planner_threads = 1;
-  engine_options.plan_store_path = StorePath();
-  {
-    Engine writer(cluster, engine_options);
-    ASSERT_TRUE(writer.Plan(c.seqlens, spec).ok());
-  }
-  // Rewrite the record's version word to 1 under a valid checksum, so the version is
-  // the only thing wrong with it.
-  const PlanSignature sig = ComputePlanSignature(c.seqlens, spec, cluster,
-                                                 engine_options.planner);
-  const fs::path record_path = fs::path(StorePath()) / (sig.ToHex() + ".dcpplan");
-  std::string record;
-  {
-    std::ifstream in(record_path, std::ios::binary);
-    record.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  ASSERT_GT(record.size(), 16u);
-  ASSERT_NE(record.substr(8, 4), std::string("\x01\x00\x00\x00", 4));
-  record.replace(8, 4, std::string("\x01\x00\x00\x00", 4));
-  const size_t body_end = record.size() - 4;
-  const uint32_t crc = Crc32(std::string_view(record).substr(0, body_end));
-  for (int i = 0; i < 4; ++i) {
-    record[body_end + static_cast<size_t>(i)] = static_cast<char>(crc >> (8 * i));
-  }
-  {
-    std::ofstream out(record_path, std::ios::binary | std::ios::trunc);
-    out << record;
-  }
+  for (const uint32_t version : {1u, 2u}) {
+    SCOPED_TRACE("record version " + std::to_string(version));
+    EngineOptions engine_options;
+    engine_options.planner = MakeOptions(c);
+    engine_options.planner_threads = 1;
+    engine_options.plan_store_path = StorePath(version == 1 ? "v1" : "v2");
+    {
+      Engine writer(cluster, engine_options);
+      ASSERT_TRUE(writer.Plan(c.seqlens, spec).ok());
+    }
+    // Rewrite the record's version word, and the plan payload's, under a valid
+    // checksum, so the versions are the only thing wrong with it.
+    const PlanSignature sig = ComputePlanSignature(c.seqlens, spec, cluster,
+                                                   engine_options.planner);
+    const fs::path record_path =
+        fs::path(engine_options.plan_store_path) / (sig.ToHex() + ".dcpplan");
+    std::string record;
+    {
+      std::ifstream in(record_path, std::ios::binary);
+      record.assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    }
+    // Header (28 bytes), plan section tag and length (12), then "DCPB" + version.
+    constexpr size_t kPayloadVersionAt = 28 + 12 + 4;
+    ASSERT_GT(record.size(), kPayloadVersionAt + 4);
+    ASSERT_EQ(record.substr(8, 4), std::string("\x03\x00\x00\x00", 4));
+    ASSERT_EQ(record.substr(kPayloadVersionAt - 4, 8),
+              std::string("DCPB\x03\x00\x00\x00", 8));
+    const std::string word{static_cast<char>(version), '\0', '\0', '\0'};
+    record.replace(8, 4, word);
+    record.replace(kPayloadVersionAt, 4, word);
+    const size_t body_end = record.size() - 4;
+    const uint32_t crc = Crc32(std::string_view(record).substr(0, body_end));
+    for (int i = 0; i < 4; ++i) {
+      record[body_end + static_cast<size_t>(i)] = static_cast<char>(crc >> (8 * i));
+    }
+    {
+      std::ofstream out(record_path, std::ios::binary | std::ios::trunc);
+      out << record;
+    }
+    EXPECT_FALSE(PlanStore::DecodeRecord(record).ok());
 
-  {
-    Engine reader(cluster, engine_options);
-    StatusOr<Engine::PlannedOutcome> outcome = reader.PlanDetailed(c.seqlens, spec);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_EQ(outcome.value().origin, PlanOrigin::kFresh);
-    const PlanCacheStats stats = reader.cache_stats();
-    EXPECT_EQ(stats.store_corrupt_skipped, 1);
-    EXPECT_EQ(stats.store_hits, 0);
-    EXPECT_EQ(stats.store_writes, 1);
-  }
+    {
+      Engine reader(cluster, engine_options);
+      StatusOr<Engine::PlannedOutcome> outcome = reader.PlanDetailed(c.seqlens, spec);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_EQ(outcome.value().origin, PlanOrigin::kFresh);
+      const PlanCacheStats stats = reader.cache_stats();
+      EXPECT_EQ(stats.store_corrupt_skipped, 1);
+      EXPECT_EQ(stats.store_hits, 0);
+      EXPECT_EQ(stats.store_writes, 1);
+    }
 
-  Engine rewritten(cluster, engine_options);
-  StatusOr<Engine::PlannedOutcome> warm = rewritten.PlanDetailed(c.seqlens, spec);
-  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(warm.value().origin, PlanOrigin::kStoreCache);
-  EXPECT_EQ(rewritten.cache_stats().store_hits, 1);
-  EXPECT_EQ(rewritten.cache_stats().store_corrupt_skipped, 0);
+    Engine rewritten(cluster, engine_options);
+    StatusOr<Engine::PlannedOutcome> warm = rewritten.PlanDetailed(c.seqlens, spec);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm.value().origin, PlanOrigin::kStoreCache);
+    EXPECT_EQ(rewritten.cache_stats().store_hits, 1);
+    EXPECT_EQ(rewritten.cache_stats().store_corrupt_skipped, 0);
+  }
 }
 
 TEST_F(PlanStoreTest, BundleExportImportMovesRecordsBetweenStores) {

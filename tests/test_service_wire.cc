@@ -112,28 +112,44 @@ TEST(ServiceMessages, PlanResponseRoundTripsAndValidates) {
   response.signature_hi = 0xfedcba0987654321ULL;
   response.record = std::string("record-bytes\x00\x7f\xff", 15);
   const std::string bytes = SerializePlanServiceResponse(response);
-  StatusOr<PlanServiceResponse> decoded = DeserializePlanServiceResponse(bytes);
+  StatusOr<PlanServiceResponseView> decoded = DeserializePlanServiceResponseView(bytes);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().code, response.code);
   EXPECT_EQ(decoded.value().source, response.source);
   EXPECT_EQ(decoded.value().signature_lo, response.signature_lo);
   EXPECT_EQ(decoded.value().signature_hi, response.signature_hi);
   EXPECT_EQ(decoded.value().record, response.record);
+  // Zero-copy: the record aliases the payload instead of copying it.
+  EXPECT_GE(decoded.value().record.data(), bytes.data());
+  EXPECT_LE(decoded.value().record.data() + decoded.value().record.size(),
+            bytes.data() + bytes.size());
+
+  // The owning decode is the same decode, copied.
+  StatusOr<PlanServiceResponse> owned = DeserializePlanServiceResponse(bytes);
+  ASSERT_TRUE(owned.ok()) << owned.status().ToString();
+  EXPECT_EQ(owned.value().code, response.code);
+  EXPECT_EQ(owned.value().source, response.source);
+  EXPECT_EQ(owned.value().signature_lo, response.signature_lo);
+  EXPECT_EQ(owned.value().signature_hi, response.signature_hi);
+  EXPECT_EQ(owned.value().record, response.record);
 
   for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(DeserializePlanServiceResponseView(bytes.substr(0, len)).ok());
     EXPECT_FALSE(DeserializePlanServiceResponse(bytes.substr(0, len)).ok());
   }
-  EXPECT_FALSE(DeserializePlanServiceResponse(bytes + "y").ok());
+  EXPECT_FALSE(DeserializePlanServiceResponseView(bytes + "y").ok());
 
   // Error responses carry the status code + message through the codec.
   PlanServiceResponse error;
   error.code = StatusCode::kUnavailable;
   error.message = "server overloaded";
-  StatusOr<PlanServiceResponse> decoded_error =
-      DeserializePlanServiceResponse(SerializePlanServiceResponse(error));
+  const std::string error_bytes = SerializePlanServiceResponse(error);
+  StatusOr<PlanServiceResponseView> decoded_error =
+      DeserializePlanServiceResponseView(error_bytes);
   ASSERT_TRUE(decoded_error.ok());
   EXPECT_EQ(decoded_error.value().code, StatusCode::kUnavailable);
   EXPECT_EQ(decoded_error.value().message, "server overloaded");
+  EXPECT_TRUE(decoded_error.value().record.empty());
 }
 
 // A connected AF_UNIX socket pair wrapped in the transport's Socket class, for framing
