@@ -217,6 +217,8 @@ int64_t ReplicaSet::HedgeDelayMs(const Replica& replica) const {
 }
 
 bool ReplicaSet::HedgeBudgetAllows() {
+  // The hedge this grants must itself fit: with a fractional allowance (4.4 after 48
+  // requests at burst 2, 5%), `sent < allowance` would let a fifth hedge through.
   // Counter reads are independent relaxed loads; a hedge slipping in on a stale
   // read overshoots the budget by at most one, which the burst term already
   // tolerates.
@@ -224,7 +226,7 @@ bool ReplicaSet::HedgeBudgetAllows() {
       static_cast<double>(options_.hedge_budget_burst) +
       options_.hedge_budget_fraction *
           static_cast<double>(counters_.requests->value());
-  return static_cast<double>(counters_.hedges_sent->value()) < allowance;
+  return static_cast<double>(counters_.hedges_sent->value() + 1) <= allowance;
 }
 
 StatusOr<PlanHandle> ReplicaSet::AttemptOnReplica(Replica& replica,

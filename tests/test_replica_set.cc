@@ -369,6 +369,48 @@ TEST(ReplicaSet, HedgeBudgetBoundsHedgeVolume) {
   EXPECT_LE(stats.hedges_sent, 2);
 }
 
+TEST(ReplicaSet, HedgeBudgetHoldsForFractionalAllowance) {
+  const ClusterSpec cluster = SmallCluster(1, 2);
+  const EngineOptions engine_options = SmallEngineOptions(16);
+
+  // Every serve stalls, so every request would hedge. Burst 1 plus 30% of 8 requests
+  // allows 3.4 hedges: the budget must stop at 3, not round the last fraction up.
+  std::vector<std::unique_ptr<Member>> fleet;
+  std::vector<ServiceAddress> addresses;
+  for (int i = 0; i < 2; ++i) {
+    auto injector = std::make_shared<FaultInjector>(21 + static_cast<uint64_t>(i));
+    FaultRates slow;
+    slow.every_n = 1;
+    slow.periodic_action = FaultAction::kDelay;
+    slow.delay_ms = 30;
+    injector->SetRates(FaultPoint::kServe, slow);
+    PlanServerOptions server_options;
+    server_options.fault_injector = injector;
+    fleet.push_back(std::make_unique<Member>(cluster, engine_options, server_options));
+    addresses.push_back(fleet.back()->server->bound_address());
+  }
+
+  ReplicaSetOptions options;
+  options.tenant = "prod";
+  options.cache_capacity = 0;
+  options.hedge_min_delay_ms = 1;
+  options.hedge_max_delay_ms = 1;
+  options.hedge_budget_fraction = 0.3;
+  options.hedge_budget_burst = 1;
+  auto set = ReplicaSet::Create(addresses, options).value();
+
+  for (int64_t k = 0; k < 8; ++k) {
+    StatusOr<PlanHandle> plan = set->Plan({64 + 8 * k, 32}, MaskSpec::Causal());
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  }
+  const ReplicaSetStats stats = set->stats();
+  EXPECT_EQ(stats.requests, 8);
+  EXPECT_LE(static_cast<double>(stats.hedges_sent),
+            options.hedge_budget_burst +
+                options.hedge_budget_fraction * static_cast<double>(stats.requests));
+  EXPECT_EQ(stats.hedges_sent, 3);
+}
+
 TEST(ReplicaSet, FallsBackToLocalPlanningOnTotalFleetLoss) {
   // Two addresses nothing listens on: bind-then-close guarantees refusals.
   std::vector<ServiceAddress> dead;
