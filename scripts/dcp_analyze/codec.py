@@ -6,12 +6,18 @@ function — plus every helper it calls, transitively — actually touches.  A
 field the serializer never reads, or the deserializer never writes, is the
 "added a field, forgot one codec" drift that today only fuzzing can catch.
 
-The check is name-based: a mention of `.total_flops` anywhere in the codec's
-call closure covers `total_flops` in every group struct declaring it.  That is
-deliberate — codecs here are monolithic functions writing nested structs
-inline, so per-struct receiver typing would be guesswork.  The limitation is
-harmless unless two group structs share a field name and only one is encoded;
-keep wire-struct field names distinct (they all are today).
+A mention is qualified by struct where its receiver's type can be told:
+`t.kv_slot` covers `AttentionWorkItem.kv_slot` only when `t` is declared in
+the same function as an `AttentionWorkItem` (directly or through a `using`
+alias, as the column codecs' lambdas are), and `e.dst.kind` follows `dst`'s
+declared type to `BlockRef.kind`.  Wire structs do share field names
+(`LocalChunk` and `AttentionWorkItem` share `seq`, `group`, `q_slot` and
+`kv_slot`; `ReduceItem` and `TransferBlock` share `token_count`; `Instruction`
+and `BlockRef` share `kind`), so a codec that writes one struct's field must
+not cover the other's.  A mention whose receiver cannot be typed, or is
+typed as a struct outside the group (a decoder's view of the same message),
+covers a field by name alone, and only a name no other struct of its group
+declares.
 
 The analysis also emits a machine-readable field inventory
 (scripts/dcp_analyze/field_inventory.json).  When the pinned file drifts from
@@ -27,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 from cpp_model import SourceTree, MEMBER_MENTION_RE, CALL_RE
 from waivers import Finding
@@ -81,11 +88,56 @@ EXEMPT_CODECS = {
 CODEC_FILES = ("src/runtime/instructions.cc", "src/core/plan_store.cc")
 
 
-def _closure_mentions(tree: SourceTree, fn_name: str) -> set[str] | None:
-    """Member names mentioned by fn and every function it transitively calls."""
+_USING_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([\w:]+)\s*[&*]*\s*;")
+_DECL_RE = re.compile(r"(?=\b([A-Za-z_][\w:]*)\s*[&*]*\s+([A-Za-z_]\w*)\b)")
+# The `a.b->c` chain that ends right before a member mention's `.` or `->`.
+_RECEIVER_RE = re.compile(
+    r"([A-Za-z_]\w*(?:\s*(?:\.|->)\s*[A-Za-z_]\w*)*)\s*$")
+
+
+def _base_type(type_text: str) -> str:
+    """`const dcp::BlockRef&` -> `BlockRef`; templates stay unresolved."""
+    return type_text.replace("const ", "").strip().rstrip("&* ").split("::")[-1]
+
+
+def _typed_mentions(tree: SourceTree, text: str) -> set[tuple[str | None, str]]:
+    """(struct, member) per member mention in `text`; struct is None when the
+    receiver's type cannot be told from the declarations in `text`."""
+    text = re.sub(r"\bconst\s+", "", text)
+    aliases = {m.group(1): _base_type(m.group(2)) for m in _USING_RE.finditer(text)}
+    var_types: dict[str, str | None] = {}
+    for m in _DECL_RE.finditer(text):
+        type_name = aliases.get(m.group(1), _base_type(m.group(1)))
+        if tree.struct(type_name) is None:
+            continue
+        var = m.group(2)
+        # A name declared with two types in one function is left untyped.
+        var_types[var] = type_name if var_types.get(var, type_name) == type_name \
+            else None
+    mentions: set[tuple[str | None, str]] = set()
+    for m in MEMBER_MENTION_RE.finditer(text):
+        receiver = _RECEIVER_RE.search(text, max(0, m.start() - 200), m.start())
+        owner = None
+        if receiver is not None:
+            chain = re.split(r"\s*(?:\.|->)\s*", receiver.group(1))
+            owner = var_types.get(chain[0])
+            for member in chain[1:]:
+                struct = tree.struct(owner) if owner else None
+                field = next((f for f in struct.fields if f.name == member),
+                             None) if struct else None
+                owner = _base_type(field.type) if field else None
+        mentions.add((owner if owner and tree.struct(owner) else None,
+                      m.group(1)))
+    return mentions
+
+
+def _closure_mentions(tree: SourceTree,
+                      fn_name: str) -> set[tuple[str | None, str]] | None:
+    """(struct, member) mentions of fn and every function it transitively
+    calls; see _typed_mentions."""
     if fn_name not in tree.defs:
         return None
-    mentions: set[str] = set()
+    mentions: set[tuple[str | None, str]] = set()
     seen: set[str] = set()
     work = [fn_name]
     while work:
@@ -97,7 +149,7 @@ def _closure_mentions(tree: SourceTree, fn_name: str) -> set[str] | None:
             if not fn.body_span:
                 continue
             body = tree.body_text(fn)
-            mentions |= {m.group(1) for m in MEMBER_MENTION_RE.finditer(body)}
+            mentions |= _typed_mentions(tree, fn.params + "\n" + body)
             for c in CALL_RE.finditer(body):
                 if c.group(1) in tree.defs:
                     work.append(c.group(1))
@@ -125,15 +177,24 @@ def run(tree: SourceTree, notes: list[str] | None = None) -> list[Finding]:
         de = _closure_mentions(tree, g.deserialize)
         if ser is None or de is None:
             continue  # codec pair absent from this tree (fixture subsets)
+        declared = [f.name for sname in g.structs if tree.struct(sname)
+                    for f in tree.struct(sname).fields]
+        # Mentions not typed as one of the group's structs count by name.
+        untyped = {direction: {f for owner, f in touched
+                               if owner not in g.structs}
+                   for direction, touched in (("serialize", ser),
+                                              ("deserialize", de))}
         for sname in g.structs:
             s = tree.struct(sname)
             if s is None:
                 continue
             for f in s.fields:
+                unique = declared.count(f.name) == 1
                 for direction, touched, fn in (("serialize", ser, g.serialize),
                                                ("deserialize", de,
                                                 g.deserialize)):
-                    if f.name not in touched:
+                    if (sname, f.name) not in touched and \
+                       not (unique and f.name in untyped[direction]):
                         findings.append(Finding(
                             s.file, f.line, "codec-drift",
                             f"{sname}.{f.name} is never touched by {fn} "

@@ -5,6 +5,7 @@
 
 #include "common/check.h"
 #include "runtime/attention_kernel.h"
+#include "runtime/stream_progress.h"
 
 namespace dcp {
 
@@ -44,7 +45,6 @@ void NumericExecutor::Rebind(const BatchPlan* plan,
   }
   plan_ = plan;
   masks_ = masks;
-  wire_.clear();
 }
 
 void NumericExecutor::LoadInputs(const std::vector<SeqTensors>& sequences) {
@@ -94,55 +94,17 @@ void NumericExecutor::RunBackward() {
 }
 
 void NumericExecutor::RunProgram(bool backward) {
-  wire_.clear();
-  const int num_devices = plan_->num_devices();
-  std::vector<size_t> pc(static_cast<size_t>(num_devices), 0);
-  int done = 0;
-  std::vector<const std::vector<Instruction>*> programs;
-  programs.reserve(static_cast<size_t>(num_devices));
-  for (const DevicePlan& dev : plan_->devices) {
-    programs.push_back(backward ? &dev.backward_instructions : &dev.instructions);
-    if (programs.back()->empty()) {
-      ++done;
+  const Status status = RunStreams<WireMessage>(*plan_, backward, [&](DeviceId device,
+                                                                       const Instruction& instr,
+                                                                       WireMessage* msg) {
+    switch (instr.kind) {
+      case InstrKind::kBlockwiseAttention: return ExecuteAttention(device, instr);
+      case InstrKind::kBlockwiseReduction: return ExecuteReduction(device, instr);
+      case InstrKind::kCommLaunch: return ExecuteCommLaunch(device, instr, *msg);
+      case InstrKind::kCommWait: return ExecuteCommWait(device, *msg);
     }
-  }
-  while (done < num_devices) {
-    bool progress = false;
-    for (int dev = 0; dev < num_devices; ++dev) {
-      const auto& program = *programs[static_cast<size_t>(dev)];
-      size_t& counter = pc[static_cast<size_t>(dev)];
-      while (counter < program.size()) {
-        if (!TryExecute(dev, program[counter])) {
-          break;  // Blocked on a transfer; try other devices.
-        }
-        ++counter;
-        progress = true;
-        if (counter == program.size()) {
-          ++done;
-        }
-      }
-    }
-    DCP_CHECK(progress || done >= num_devices)
-        << "executor deadlock: no device can make progress (backward=" << backward << ")";
-  }
-}
-
-bool NumericExecutor::TryExecute(DeviceId device, const Instruction& instr) {
-  switch (instr.kind) {
-    case InstrKind::kBlockwiseAttention:
-      ExecuteAttention(device, instr);
-      return true;
-    case InstrKind::kBlockwiseReduction:
-      ExecuteReduction(device, instr);
-      return true;
-    case InstrKind::kCommLaunch:
-      ExecuteCommLaunch(device, instr);
-      return true;
-    case InstrKind::kCommWait:
-      return TryCommWait(device, instr);
-  }
-  DCP_CHECK(false) << "bad instruction kind";
-  return false;
+  });
+  DCP_CHECK(status.ok()) << "executor " << status.message();
 }
 
 void NumericExecutor::ExecuteAttention(DeviceId device, const Instruction& instr) {
@@ -204,49 +166,36 @@ void NumericExecutor::ExecuteReduction(DeviceId device, const Instruction& instr
   }
 }
 
-void NumericExecutor::ExecuteCommLaunch(DeviceId device, const Instruction& instr) {
-  WireMessage& msg = wire_[instr.transfer_id];
+void NumericExecutor::ExecuteCommLaunch(DeviceId device, const Instruction& instr,
+                                        WireMessage& msg) {
   if (instr.is_send) {
-    DCP_CHECK(!msg.sent) << "transfer " << instr.transfer_id << " sent twice";
     DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
     for (const TransferBlock& block : DeviceOf(device).blocks_of(instr)) {
       std::span<const float> slot = buf.Slot(block.ref);
       msg.payload.insert(msg.payload.end(), slot.begin(), slot.end());
     }
-    msg.sent = true;
   } else {
-    DCP_CHECK(!msg.recv_launched) << "transfer " << instr.transfer_id << " recv twice";
-    msg.recv_launched = true;
     msg.recv_device = device;
     msg.recv_blocks = DeviceOf(device).blocks_of(instr);
   }
 }
 
-bool NumericExecutor::TryCommWait(DeviceId device, const Instruction& instr) {
-  auto it = wire_.find(instr.transfer_id);
-  DCP_CHECK(it != wire_.end()) << "CommWait before any CommLaunch for transfer "
-                               << instr.transfer_id;
-  WireMessage& msg = it->second;
-  if (msg.recv_device != device) {
-    // Sender-side wait: our cooperative sends complete instantly once launched.
-    return msg.sent;
+void NumericExecutor::ExecuteCommWait(DeviceId device, WireMessage& msg) {
+  // Both ends have launched. Sends complete at launch, so only the receiver's first wait
+  // has work: it lands the payload in the recv blocks.
+  if (device != msg.recv_device || msg.delivered) {
+    return;
   }
-  if (!msg.sent) {
-    return false;  // Peer has not produced the payload yet.
+  DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
+  size_t offset = 0;
+  for (const TransferBlock& block : msg.recv_blocks) {
+    std::span<float> slot = buf.Slot(block.ref);
+    DCP_CHECK_LE(offset + slot.size(), msg.payload.size());
+    std::memcpy(slot.data(), msg.payload.data() + offset, slot.size() * sizeof(float));
+    offset += slot.size();
   }
-  if (!msg.delivered) {
-    DeviceBuffers& buf = buffers_[static_cast<size_t>(device)];
-    size_t offset = 0;
-    for (const TransferBlock& block : msg.recv_blocks) {
-      std::span<float> slot = buf.Slot(block.ref);
-      DCP_CHECK_LE(offset + slot.size(), msg.payload.size());
-      std::memcpy(slot.data(), msg.payload.data() + offset, slot.size() * sizeof(float));
-      offset += slot.size();
-    }
-    DCP_CHECK_EQ(offset, msg.payload.size());
-    msg.delivered = true;
-  }
-  return true;
+  DCP_CHECK_EQ(offset, msg.payload.size());
+  msg.delivered = true;
 }
 
 std::vector<Tensor> NumericExecutor::GatherOutputs() const {

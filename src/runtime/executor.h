@@ -1,13 +1,13 @@
 // Numeric executor: interprets a BatchPlan on real fp32 tensors, simulating every device of
-// the cluster in one process. Device instruction streams run cooperatively; transfers are
-// matched (send, recv) CommLaunch pairs moving slot payloads through an in-memory wire.
+// the cluster in one process. Device streams run cooperatively in the order, and under the
+// one wait rule, of stream_progress.h: a CommWait runs once both CommLaunches of its
+// transfer have run. A send launch captures its payload; the receiver's wait lands it.
 // This is the correctness backend — the paper's fused-kernel executor with the GPU swapped
 // out for CPU math (see DESIGN.md, substitution table).
 #ifndef DCP_RUNTIME_EXECUTOR_H_
 #define DCP_RUNTIME_EXECUTOR_H_
 
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "masks/mask.h"
@@ -24,8 +24,8 @@ class NumericExecutor {
 
   // Swaps in a new plan whose buffer geometry matches the installed one (same device
   // count and per-device slot counts — guaranteed when the plans share a PlanSignature)
-  // without reallocating device buffers. Pending transfer state is discarded; the next
-  // RunForward/RunBackward resets accumulators as usual.
+  // without reallocating device buffers. The next RunForward/RunBackward resets
+  // accumulators as usual.
   void Rebind(const BatchPlan* plan, const std::vector<SequenceMask>* masks);
 
   // Scatters per-sequence Q/K/V into device buffers according to the plan's placement.
@@ -41,30 +41,26 @@ class NumericExecutor {
   std::vector<SeqGrads> GatherInputGrads() const;
 
  private:
+  // One transfer in flight: the payload captured at send launch, and where it lands.
   struct WireMessage {
     std::vector<float> payload;
-    bool sent = false;
-    bool recv_launched = false;
-    bool delivered = false;
     DeviceId recv_device = kInvalidDevice;
     std::span<const TransferBlock> recv_blocks;  // In the receiver's DevicePlan.
+    bool delivered = false;
   };
 
   const DevicePlan& DeviceOf(DeviceId device) const {
     return plan_->devices[static_cast<size_t>(device)];
   }
   void RunProgram(bool backward);
-  // Returns false if the instruction is a CommWait that cannot complete yet.
-  bool TryExecute(DeviceId device, const Instruction& instr);
   void ExecuteAttention(DeviceId device, const Instruction& instr);
   void ExecuteReduction(DeviceId device, const Instruction& instr);
-  void ExecuteCommLaunch(DeviceId device, const Instruction& instr);
-  bool TryCommWait(DeviceId device, const Instruction& instr);
+  void ExecuteCommLaunch(DeviceId device, const Instruction& instr, WireMessage& msg);
+  void ExecuteCommWait(DeviceId device, WireMessage& msg);
 
   const BatchPlan* plan_;
   const std::vector<SequenceMask>* masks_;
   std::vector<DeviceBuffers> buffers_;
-  std::unordered_map<int32_t, WireMessage> wire_;
 };
 
 }  // namespace dcp

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <tuple>
 
+#include "runtime/stream_progress.h"
+
 namespace dcp {
 
 std::string PlanValidation::Summary() const {
@@ -248,6 +250,19 @@ PlanValidation ValidatePlan(const BatchPlan& plan) {
     }
     if (ends.waits == 0) {
       result.Fail(tag + ": never waited on");
+    }
+  }
+
+  // Both streams finish under the wait rule every consumer shares. Walked only once the
+  // checks above pass, so a stall is reported on its own, not as the echo of a missing or
+  // doubled launch.
+  if (result.ok) {
+    for (const bool backward : {false, true}) {
+      const Status progress =
+          RunStreams<char>(plan, backward, [](DeviceId, const Instruction&, char*) {});
+      if (!progress.ok()) {
+        result.Fail(progress.message());
+      }
     }
   }
   return result;

@@ -1,6 +1,6 @@
-// Static plan validation: structural checks a BatchPlan must pass before execution.
-// Used by tests, by the planner in debug builds, and available to downstream users who
-// construct or deserialize plans from external sources.
+// Static plan validation: the checks a BatchPlan must pass before execution. The planner
+// validates every plan it emits (PlanBatch, in every build); tests, dcpctl and dcpbench
+// call it too, and so can users who construct or deserialize plans from external sources.
 #ifndef DCP_RUNTIME_PLAN_VALIDATE_H_
 #define DCP_RUNTIME_PLAN_VALIDATE_H_
 
@@ -31,7 +31,11 @@ struct PlanValidation {
 //    counts, byte totals and consistent peer fields;
 //  - every CommWait refers to a transfer that is launched somewhere;
 //  - every chunk home is a valid device and local chunks partition the batch exactly;
-//  - forward attention tiles are unique across the cluster (each computed exactly once).
+//  - forward attention tiles are unique across the cluster (each computed exactly once);
+//  - once all of the above hold: the forward and the backward streams each run to the end
+//    under the one wait rule the simulator and the executor share (stream_progress.h),
+//    so neither deadlocks on the plan. A stall is reported with the core's message, which
+//    names each blocked device, its position and the transfer it waits on.
 PlanValidation ValidatePlan(const BatchPlan& plan);
 
 }  // namespace dcp

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "runtime/stream_progress.h"
 
 namespace dcp {
 namespace {
@@ -14,9 +15,7 @@ struct TransferState {
   Bytes bytes = 0;
   DeviceId src = kInvalidDevice;
   DeviceId dst = kInvalidDevice;
-  bool scheduled = false;
-  double start = 0.0;
-  double finish = 0.0;
+  double finish = 0.0;  // Set once both ends have posted.
 };
 
 // Channel key: intra-node transfers contend per (src, dst) device pair (NVSwitch gives
@@ -67,118 +66,73 @@ SimResult SimEngine::Simulate(const BatchPlan& plan, bool backward) const {
   const int num_devices = plan.num_devices();
   DCP_CHECK_LE(num_devices, cluster.num_devices());
 
-  std::vector<double> clock(static_cast<size_t>(num_devices), 0.0);
-  std::vector<size_t> pc(static_cast<size_t>(num_devices), 0);
   SimResult result;
   result.devices.assign(static_cast<size_t>(num_devices), DeviceTimeBreakdown{});
-  std::unordered_map<int32_t, TransferState> transfers;
   std::unordered_map<int64_t, double> channel_free;
 
-  std::vector<const std::vector<Instruction>*> programs;
-  programs.reserve(static_cast<size_t>(num_devices));
-  int done = 0;
-  for (const DevicePlan& dev : plan.devices) {
-    programs.push_back(backward ? &dev.backward_instructions : &dev.instructions);
-    if (programs.back()->empty()) {
-      ++done;
-    }
-  }
-
-  auto try_schedule = [&](TransferState& t) {
-    if (t.scheduled || t.send_ready < 0.0 || t.recv_ready < 0.0) {
-      return;
-    }
-    const int64_t key = ChannelKey(cluster, t.src, t.dst);
-    double& free_at = channel_free[key];
-    t.start = std::max({t.send_ready, t.recv_ready, free_at});
-    t.finish = t.start + cost_.ChannelLatencySeconds(t.src, t.dst) +
-               static_cast<double>(t.bytes) / cost_.ChannelBandwidth(t.src, t.dst);
-    free_at = t.finish;
-    t.scheduled = true;
-    if (t.dst >= 0 && t.dst < num_devices) {
-      result.devices[static_cast<size_t>(t.dst)].comm_busy += t.finish - t.start;
-    }
-  };
-
-  while (done < num_devices) {
-    bool progress = false;
-    for (int dev = 0; dev < num_devices; ++dev) {
-      const auto& program = *programs[static_cast<size_t>(dev)];
-      size_t& counter = pc[static_cast<size_t>(dev)];
-      auto& breakdown = result.devices[static_cast<size_t>(dev)];
-      double& now = clock[static_cast<size_t>(dev)];
-      while (counter < program.size()) {
-        const Instruction& instr = program[counter];
-        bool executed = true;
-        switch (instr.kind) {
-          case InstrKind::kBlockwiseAttention: {
-            const double launch = cost_.KernelLaunchSeconds() +
-                                  cost_.AttnStepOverheadSeconds(instr.backward) +
-                                  instr.host_overhead;
-            // Roofline: compute plus the HBM traffic of re-reading tile operands.
-            const double compute =
-                cost_.AttentionSeconds(instr.flops) +
-                static_cast<double>(instr.mem_bytes) / (cluster.hbm_gbps * 1e9);
-            breakdown.overhead += launch;
-            breakdown.attention += compute;
-            now += launch + compute;
-            break;
-          }
-          case InstrKind::kBlockwiseReduction: {
-            const double launch = cost_.KernelLaunchSeconds();
-            const double compute =
-                static_cast<double>(instr.mem_bytes) / (cluster.hbm_gbps * 1e9);
-            breakdown.overhead += launch;
-            breakdown.reduction += compute;
-            now += launch + compute;
-            break;
-          }
-          case InstrKind::kCommLaunch: {
-            const double post = cluster.comm_launch_us * 1e-6;
-            breakdown.overhead += post;
-            now += post;
-            TransferState& t = transfers[instr.transfer_id];
-            if (instr.is_send) {
-              t.send_ready = now;
-              t.src = dev;
-              t.bytes = instr.comm_bytes;
-            } else {
-              t.recv_ready = now;
-              t.dst = dev;
-            }
-            try_schedule(t);
-            break;
-          }
-          case InstrKind::kCommWait: {
-            auto it = transfers.find(instr.transfer_id);
-            if (it == transfers.end() || !it->second.scheduled) {
-              executed = false;  // Peer has not posted its side yet.
-              break;
-            }
-            const double stall = std::max(0.0, it->second.finish - now);
-            breakdown.comm_exposed += stall;
-            now += stall;
-            break;
-          }
+  const Status status = RunStreams<TransferState>(plan, backward, [&](DeviceId dev,
+                                                                      const Instruction& instr,
+                                                                      TransferState* t) {
+    auto& breakdown = result.devices[static_cast<size_t>(dev)];
+    double& now = breakdown.end_time;  // The device's clock.
+    switch (instr.kind) {
+      case InstrKind::kBlockwiseAttention: {
+        const double launch = cost_.KernelLaunchSeconds() +
+                              cost_.AttnStepOverheadSeconds(instr.backward) +
+                              instr.host_overhead;
+        // Roofline: compute plus the HBM traffic of re-reading tile operands.
+        const double compute = cost_.AttentionSeconds(instr.flops) +
+                               static_cast<double>(instr.mem_bytes) / (cluster.hbm_gbps * 1e9);
+        breakdown.overhead += launch;
+        breakdown.attention += compute;
+        now += launch + compute;
+        break;
+      }
+      case InstrKind::kBlockwiseReduction: {
+        const double launch = cost_.KernelLaunchSeconds();
+        const double compute = static_cast<double>(instr.mem_bytes) / (cluster.hbm_gbps * 1e9);
+        breakdown.overhead += launch;
+        breakdown.reduction += compute;
+        now += launch + compute;
+        break;
+      }
+      case InstrKind::kCommLaunch: {
+        const double post = cluster.comm_launch_us * 1e-6;
+        breakdown.overhead += post;
+        now += post;
+        if (instr.is_send) {
+          t->send_ready = now;
+          t->src = dev;
+          t->bytes = instr.comm_bytes;
+        } else {
+          t->recv_ready = now;
+          t->dst = dev;
         }
-        if (!executed) {
+        if (t->send_ready < 0.0 || t->recv_ready < 0.0) {
           break;
         }
-        ++counter;
-        progress = true;
-        if (counter == program.size()) {
-          ++done;
-        }
+        // Both ends have posted: the transfer starts once its channel is free.
+        double& free_at = channel_free[ChannelKey(cluster, t->src, t->dst)];
+        const double start = std::max({t->send_ready, t->recv_ready, free_at});
+        t->finish = start + cost_.ChannelLatencySeconds(t->src, t->dst) +
+                    static_cast<double>(t->bytes) / cost_.ChannelBandwidth(t->src, t->dst);
+        free_at = t->finish;
+        result.devices[static_cast<size_t>(t->dst)].comm_busy += t->finish - start;
+        break;
+      }
+      case InstrKind::kCommWait: {
+        // Both ends have posted, so the transfer is scheduled.
+        const double stall = std::max(0.0, t->finish - now);
+        breakdown.comm_exposed += stall;
+        now += stall;
+        break;
       }
     }
-    DCP_CHECK(progress || done >= num_devices)
-        << "simulator deadlock (backward=" << backward << ")";
-  }
+  });
+  DCP_CHECK(status.ok()) << "simulator " << status.message();
 
-  result.makespan = 0.0;
-  for (int dev = 0; dev < num_devices; ++dev) {
-    result.devices[static_cast<size_t>(dev)].end_time = clock[static_cast<size_t>(dev)];
-    result.makespan = std::max(result.makespan, clock[static_cast<size_t>(dev)]);
+  for (const DeviceTimeBreakdown& dev : result.devices) {
+    result.makespan = std::max(result.makespan, dev.end_time);
   }
   return result;
 }

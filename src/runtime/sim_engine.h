@@ -1,8 +1,8 @@
-// Discrete-event simulator: prices a BatchPlan on the cluster cost model. Devices execute
-// their instruction streams in order; transfers start once both endpoints have posted their
-// CommLaunch and the channel is free (intra-node transfers contend per device pair, inter-
-// node transfers serialize on the source node's NIC). CommWait stalls are the *exposed*
-// (non-overlapped) communication the paper's figures decompose.
+// Discrete-event simulator: prices a BatchPlan on the cluster cost model. Devices run their
+// streams in the order and under the one wait rule of stream_progress.h: a CommWait runs once
+// both CommLaunches of its transfer have run. A transfer starts once both ends have posted and
+// its channel is free (intra-node transfers contend per device pair, inter-node ones on the
+// source node's NIC). CommWait stalls are the *exposed* communication the figures decompose.
 #ifndef DCP_RUNTIME_SIM_ENGINE_H_
 #define DCP_RUNTIME_SIM_ENGINE_H_
 

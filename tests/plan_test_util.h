@@ -2,10 +2,13 @@
 // (seqlens, mask, cluster shape, block size) cases whose plans exercise every mask kind,
 // multi-node clusters, and ragged chunk boundaries. Used by test_property_plans.cc (plan
 // validity + numeric equivalence) and test_plan_store.cc (serialization round-trips and
-// corruption injection), plus the timeless-bytes form every bit-identity check uses.
+// corruption injection), plus the timeless-bytes form every bit-identity check uses, and
+// a structurally valid plan mutation that deadlocks (test_plan_validate.cc and
+// test_executor_stress.cc).
 #ifndef DCP_TESTS_PLAN_TEST_UTIL_H_
 #define DCP_TESTS_PLAN_TEST_UTIL_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -71,6 +74,34 @@ inline MaskSpec SmallMaskSpec(MaskKind kind) {
 inline std::string SerializeTimeless(BatchPlan plan) {
   plan.stats.planning_seconds = 0.0;
   return SerializePlanBinary(plan);
+}
+
+// Moves the first recv CommWait of `device`'s forward stream ahead of its own recv
+// CommLaunch, and gives it the empty ranges of its new place so the pools stay in stream
+// order. Every structural check still passes, but the wait now blocks its device before
+// the launch it needs. False when `device` receives nothing.
+inline bool MoveRecvWaitAheadOfItsLaunch(BatchPlan& plan, DeviceId device) {
+  std::vector<Instruction>& stream = plan.devices[static_cast<size_t>(device)].instructions;
+  for (size_t w = 0; w < stream.size(); ++w) {
+    if (stream[w].kind != InstrKind::kCommWait) {
+      continue;
+    }
+    for (size_t l = 0; l < w; ++l) {
+      const Instruction& launch = stream[l];
+      if (launch.kind != InstrKind::kCommLaunch || launch.is_send ||
+          launch.transfer_id != stream[w].transfer_id) {
+        continue;
+      }
+      Instruction wait = stream[w];
+      wait.attn_range = {launch.attn_range.begin, launch.attn_range.begin};
+      wait.reduce_range = {launch.reduce_range.begin, launch.reduce_range.begin};
+      wait.block_range = {launch.block_range.begin, launch.block_range.begin};
+      stream.erase(stream.begin() + static_cast<std::ptrdiff_t>(w));
+      stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(l), wait);
+      return true;
+    }
+  }
+  return false;
 }
 
 }  // namespace plan_test

@@ -10,6 +10,7 @@
 #include "runtime/executor.h"
 #include "runtime/instructions.h"
 #include "runtime/reference_attention.h"
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
@@ -139,6 +140,33 @@ TEST(ExecutorFailureInjection, MissingSendIsDetectedAsDeadlock) {
   NumericExecutor executor(&plan, &masks);
   Rng rng(5);
   std::vector<SeqTensors> inputs = {SeqTensors::Random(1, 1, 64, 8, rng)};
+  executor.LoadInputs(inputs);
+  EXPECT_DEATH(executor.RunForward(), "deadlock");
+}
+
+// A recv wait moved ahead of its own launch passes every structural check. The executor
+// used to take it for a sender-side wait and let it through, so the payload never reached
+// the recv slot and the outputs came back wrong. Under the one wait rule it blocks its
+// device for good, and the run fails loudly.
+TEST(ExecutorFailureInjection, RecvWaitAheadOfItsLaunchIsDetectedAsDeadlock) {
+  ClusterSpec cluster;
+  cluster.num_nodes = 1;
+  cluster.devices_per_node = 4;
+  PlannerOptions options;
+  options.block_size = 16;
+  options.num_groups = 1;
+  options.heads_per_group = 1;
+  options.head_dim = 8;
+  const std::vector<int64_t> seqlens = {128, 64};
+  std::vector<SequenceMask> masks = BuildBatchMasks(MaskSpec::Causal(), seqlens);
+  BatchPlan plan = PlanBatch(seqlens, masks, cluster, options);
+  ASSERT_TRUE(plan_test::MoveRecvWaitAheadOfItsLaunch(plan, /*device=*/3));
+  NumericExecutor executor(&plan, &masks);
+  Rng rng(5);
+  std::vector<SeqTensors> inputs;
+  for (int64_t len : seqlens) {
+    inputs.push_back(SeqTensors::Random(1, 1, len, options.head_dim, rng));
+  }
   executor.LoadInputs(inputs);
   EXPECT_DEATH(executor.RunForward(), "deadlock");
 }

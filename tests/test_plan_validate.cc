@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <span>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "baselines/static_planner.h"
 #include "core/planner.h"
+#include "runtime/stream_progress.h"
+#include "tests/plan_test_util.h"
 
 namespace dcp {
 namespace {
@@ -222,6 +227,139 @@ TEST(ValidatePlan, DetectsChunkOwnershipGaps) {
   ASSERT_TRUE(removed);
   const PlanValidation validation = ValidatePlan(plan);
   EXPECT_FALSE(validation.ok);
+}
+
+// The executor's and the simulator's failure case, caught before either runs: a recv wait
+// moved ahead of its own launch passes every structural check, yet blocks its device.
+TEST(ValidatePlan, RejectsRecvWaitAheadOfItsLaunch) {
+  ClusterSpec cluster;
+  cluster.num_nodes = 1;
+  cluster.devices_per_node = 4;
+  PlannerOptions options;
+  options.block_size = 16;
+  options.num_groups = 1;
+  options.heads_per_group = 1;
+  options.head_dim = 8;
+  const std::vector<int64_t> seqlens = {128, 64};
+  BatchPlan plan = PlanBatch(seqlens, BuildBatchMasks(MaskSpec::Causal(), seqlens),
+                             cluster, options);
+  ASSERT_TRUE(ValidatePlan(plan).ok);
+  ASSERT_TRUE(plan_test::MoveRecvWaitAheadOfItsLaunch(plan, /*device=*/3));
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  ASSERT_EQ(validation.errors.size(), 1u) << validation.Summary();
+  EXPECT_NE(validation.errors[0].find("deadlock (backward=0)"), std::string::npos);
+  EXPECT_NE(validation.errors[0].find("device 3 at instruction"), std::string::npos)
+      << validation.errors[0];
+}
+
+// Two devices exchange one transfer each way, with no compute. Device d receives transfer
+// 1 - d and sends transfer d. With `wait_first`, each waits on its incoming transfer before
+// launching its outgoing one: a cycle no order can run.
+BatchPlan TwoDeviceExchange(bool wait_first) {
+  BatchPlan plan;
+  plan.layout.seqlens = {16};
+  plan.layout.block_size = 16;
+  plan.layout.num_groups = 1;
+  plan.chunk_home = {0};
+  plan.devices.resize(2);
+  plan.devices[0].local_chunks.push_back(LocalChunk{});
+  for (DeviceId d : {0, 1}) {
+    DevicePlan& dev = plan.devices[static_cast<size_t>(d)];
+    const DeviceId peer = 1 - d;
+    auto launch = [&](bool send) {
+      Instruction& instr = dev.Append(dev.instructions, InstrKind::kCommLaunch);
+      instr.is_send = send;
+      instr.transfer_id = send ? d : peer;
+      instr.peer = peer;
+    };
+    auto wait = [&] { dev.Append(dev.instructions, InstrKind::kCommWait).transfer_id = peer; };
+    launch(/*send=*/false);
+    if (wait_first) {
+      wait();
+      launch(/*send=*/true);
+    } else {
+      launch(/*send=*/true);
+      wait();
+    }
+  }
+  return plan;
+}
+
+TEST(ValidatePlan, RejectsTwoDeviceWaitCycle) {
+  const PlanValidation exchange = ValidatePlan(TwoDeviceExchange(/*wait_first=*/false));
+  EXPECT_TRUE(exchange.ok) << exchange.Summary();
+  const PlanValidation cycle = ValidatePlan(TwoDeviceExchange(/*wait_first=*/true));
+  EXPECT_FALSE(cycle.ok);
+  ASSERT_EQ(cycle.errors.size(), 1u) << cycle.Summary();
+  EXPECT_NE(cycle.errors[0].find("deadlock"), std::string::npos) << cycle.errors[0];
+}
+
+// Every step the core takes, as (device, position in its stream, transfer id).
+using Visit = std::tuple<DeviceId, size_t, int32_t>;
+
+Status RunAndRecord(const BatchPlan& plan, std::vector<Visit>& visits) {
+  std::map<int32_t, int*> state_of;  // Transfer id -> the core's state for it.
+  return RunStreams<int>(plan, /*backward=*/false, [&](DeviceId device,
+                                                       const Instruction& instr,
+                                                       int* transfer) {
+    const auto& stream = plan.devices[static_cast<size_t>(device)].instructions;
+    visits.emplace_back(device, static_cast<size_t>(&instr - stream.data()),
+                        instr.transfer_id);
+    // A launch or wait gets its transfer's state, the same one each time.
+    if (instr.kind == InstrKind::kCommLaunch || instr.kind == InstrKind::kCommWait) {
+      ASSERT_NE(transfer, nullptr);
+      EXPECT_EQ(state_of.emplace(instr.transfer_id, transfer).first->second, transfer);
+    } else {
+      EXPECT_EQ(transfer, nullptr);
+    }
+  });
+}
+
+TEST(RunStreams, RunsRoundRobinAndWaitsForBothLaunches) {
+  std::vector<Visit> visits;
+  const Status status = RunAndRecord(TwoDeviceExchange(/*wait_first=*/false), visits);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  // Device 0 runs until its wait on transfer 1, whose send device 1 has not launched yet.
+  // Device 1 then runs to its end, since both launches of transfer 0 have run, and device 0
+  // finishes in the next round.
+  const std::vector<Visit> want = {{0, 0, 1}, {0, 1, 0}, {1, 0, 0},
+                                   {1, 1, 1}, {1, 2, 0}, {0, 2, 1}};
+  EXPECT_EQ(visits, want);
+}
+
+TEST(RunStreams, DeadlockNamesEachBlockedDeviceAndTransfer) {
+  std::vector<Visit> visits;
+  const Status status = RunAndRecord(TwoDeviceExchange(/*wait_first=*/true), visits);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "deadlock (backward=0): no device can make progress; device 0 at instruction 1 "
+            "waits on transfer 1 (send not launched, recv launched); device 1 at "
+            "instruction 1 waits on transfer 0 (send not launched, recv launched)");
+  const std::vector<Visit> want = {{0, 0, 1}, {1, 0, 0}};  // The two recv launches.
+  EXPECT_EQ(visits, want);
+}
+
+TEST(RunStreams, RejectsASecondLaunchAndAnIdOutOfRange) {
+  BatchPlan twice = TwoDeviceExchange(/*wait_first=*/false);
+  DevicePlan& dev = twice.devices[1];
+  Instruction& again = dev.Append(dev.instructions, InstrKind::kCommLaunch);
+  again.is_send = true;
+  again.transfer_id = 1;
+  again.peer = 0;
+  std::vector<Visit> visits;
+  Status status = RunAndRecord(twice, visits);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(),
+            "transfer 1 launches a second send on device 1 (backward=0)");
+
+  // Ids index the run's per-transfer state, so one past the plan's launch count (here
+  // four) is refused before any state is touched.
+  BatchPlan far = TwoDeviceExchange(/*wait_first=*/false);
+  far.devices[0].instructions[2].transfer_id = 4;
+  status = RunAndRecord(far, visits);
+  EXPECT_EQ(status.message(),
+            "transfer 4 is outside [0, 4), the plan's launch count, on device 0 (backward=0)");
 }
 
 TEST(SearchBlockSize, PicksTheFastestCandidateAndReturnsItsPlan) {

@@ -208,6 +208,10 @@ TEST(ReplicaSet, FailsOverMidFrameToBitIdenticalSecondary) {
   ReplicaSetOptions options;
   options.tenant = "prod";
   options.hedging = false;  // Pure failover under test; hedging has its own test.
+  // The health checks below assert the torn replica is still cooling down. Under TSan the
+  // healthy replica's cold plan outlasts the default 50ms cooldown, so pin it far out.
+  options.cooldown.initial_ms = 60000;
+  options.cooldown.max_ms = 60000;
   auto set = ReplicaSet::Create(
                  {torn.address(), healthy.server->bound_address()}, options)
                  .value();
