@@ -125,13 +125,12 @@ else
 fi
 
 # gcc -fanalyzer tier: interprocedural path analysis (leaks, use-after-free, NULL
-# derefs) over the curated IO/codec/allocator targets where it is both fast and
+# derefs) over the curated IO/codec targets where it is both fast and
 # signal-rich — whole-tree -fanalyzer is too slow and too noisy to gate on. Known
 # false positives live in scripts/fanalyzer_suppressions.txt with reasons; anything
 # unsuppressed fails the gate.
 if [[ "${DCP_SKIP_SANITIZERS:-0}" != "1" ]]; then
   FANALYZER_TARGETS=(
-    src/common/arena.cc
     src/common/crc32.cc
     src/common/status.cc
     src/core/plan_store.cc
@@ -183,7 +182,7 @@ fi
 # (CMAKE_EXPORT_COMPILE_COMMANDS=ON). Gcc-only CI images skip with a notice.
 if command -v clang-tidy >/dev/null 2>&1; then
   clang-tidy -p build-strict --quiet \
-    src/common/arena.cc src/common/crc32.cc src/common/status.cc \
+    src/common/crc32.cc src/common/status.cc \
     src/core/plan_store.cc src/runtime/instructions.cc \
     src/service/event_loop.cc src/service/fault_injection.cc \
     src/service/frame.cc src/service/transport.cc

@@ -16,6 +16,15 @@ std::string BadField(const char* what, int64_t value) {
 
 }  // namespace
 
+const std::shared_ptr<const std::string>& CompiledPlan::Record() const {
+  std::call_once(record_once_, [this] {
+    metrics::ScopedPhase encode_phase(metrics::TracePhase::kEncode);
+    record_ = std::make_shared<const std::string>(
+        PlanStore::EncodeRecord(signature, plan));
+  });
+  return record_;
+}
+
 Status ValidatePlanRequest(std::span<const int64_t> seqlens, const MaskSpec& mask_spec,
                            const ClusterSpec& cluster, const PlannerOptions& options) {
   if (seqlens.empty()) {

@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
+#include <mutex>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -39,11 +41,21 @@ namespace dcp {
 
 // An immutable compiled plan: the instruction streams plus the materialized masks they
 // were planned against and the signature that identifies both. Shared by the cache, the
-// lookahead queue, and the executor; never mutated after construction.
+// lookahead queue, and the executor. The public fields are never mutated after
+// construction; the one later write is the PlanStore record, encoded once on first use.
 struct CompiledPlan {
   PlanSignature signature;
   BatchPlan plan;
   std::vector<SequenceMask> masks;
+
+  // PlanStore::EncodeRecord(signature, plan), encoded on the first call and shared by
+  // every later one: the planning service writes these bytes to the wire without a
+  // copy, and they live exactly as long as the handle. Thread-safe.
+  const std::shared_ptr<const std::string>& Record() const;
+
+ private:
+  mutable std::once_flag record_once_;
+  mutable std::shared_ptr<const std::string> record_;
 };
 
 using PlanHandle = std::shared_ptr<const CompiledPlan>;
@@ -136,8 +148,8 @@ struct AutoTuneResult {
 
 // Validates one planning request's user inputs. Exposed for front ends (dcpctl) that
 // want to report errors before constructing an Engine. Seqlens are a span (vectors
-// convert implicitly) so the planning service can validate straight out of an
-// arena-decoded request without copying.
+// convert implicitly) so the planning service can validate straight out of a
+// decoded request view without copying.
 Status ValidatePlanRequest(std::span<const int64_t> seqlens, const MaskSpec& mask_spec,
                            const ClusterSpec& cluster, const PlannerOptions& options);
 // Braced-list convenience (std::span gains this constructor only in C++26).

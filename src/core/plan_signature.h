@@ -60,7 +60,7 @@ class PlanSignatureBuilder {
 
 // Full plan identity: seqlens + mask spec + cluster + all planner options (block size
 // included). Equal signatures => PlanBatch returns bit-identical plans. Seqlens are a
-// span so the service can hash straight out of an arena-decoded request without
+// span so the service can hash straight out of a decoded request view without
 // materializing a vector (std::vector converts implicitly).
 PlanSignature ComputePlanSignature(std::span<const int64_t> seqlens,
                                    const MaskSpec& mask_spec, const ClusterSpec& cluster,

@@ -1,5 +1,5 @@
 // dcp::SignatureLru — the one capacity-bounded LRU behind every plan cache tier: the
-// Engine's plan cache and auto-tune table, the server's record cache, PlanClient and
+// Engine's plan cache and auto-tune table, the server's peer records, PlanClient and
 // ReplicaSet. Keys are PlanSignatures, which fully determine what they key, so an
 // existing entry is never replaced: a racing inserter gets the incumbent back and
 // equal signatures keep sharing one value.

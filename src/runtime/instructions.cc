@@ -1120,7 +1120,7 @@ std::string SerializePlanServiceRequest(const PlanServiceRequest& request) {
 }
 
 StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
-    std::string_view bytes, Arena* arena) {
+    std::string_view bytes, std::vector<int64_t>* seqlens) {
   ByteReader r(bytes);
   uint32_t version = 0;
   DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "plan request", &version));
@@ -1130,13 +1130,13 @@ StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
   if (r.failed()) {
     return r.TakeStatus();
   }
-  // The count precedes the elements, so the whole array is one exact-size arena
-  // allocation — the "one allocation per plan deserialization" contract.
-  int64_t* seqlens = arena->AllocateArray<int64_t>(num_seqs);
-  for (uint32_t s = 0; s < num_seqs; ++s) {
-    seqlens[s] = r.Zig();
+  // The count precedes the elements, so the vector is sized once, exactly — the
+  // "one allocation per plan deserialization" contract.
+  seqlens->resize(num_seqs);
+  for (int64_t& len : *seqlens) {
+    len = r.Zig();
   }
-  request.seqlens = std::span<const int64_t>(seqlens, num_seqs);
+  request.seqlens = *seqlens;
   DCP_RETURN_IF_ERROR(ReadMaskSpecBin(r, &request.mask_spec));
   request.block_size = r.Zig();
   request.deadline_ms = r.Zig();

@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/check.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -359,10 +358,11 @@ std::string SerializePlanServiceRequest(const PlanServiceRequest& request);
 std::string SerializePlanServiceResponse(const PlanServiceResponse& response);
 
 // Zero-copy view of a decoded plan request: `tenant` aliases the wire payload and
-// `seqlens` lives in a caller-supplied arena, so decoding costs exactly one arena
-// allocation (the seqlens array — its count is on the wire before its elements, so the
-// array is sized exactly) instead of two heap strings plus a vector per request. The
-// payload bytes and the arena must both outlive the view.
+// `seqlens` aliases a caller-owned vector, so decoding costs at most one allocation
+// (the seqlens array — its count is on the wire before its elements, so the vector is
+// sized once, exactly) instead of two heap strings plus a vector per request. The
+// payload bytes and the vector must both outlive the view, and decoding into the
+// vector again invalidates it.
 struct PlanServiceRequestView {
   std::string_view tenant;
   std::span<const int64_t> seqlens;
@@ -375,7 +375,7 @@ struct PlanServiceRequestView {
 // The plan request decoder: reads what SerializePlanServiceRequest writes (v2 bodies
 // without trace_id too) and rejects truncation, trailing bytes and bad fields.
 StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
-    std::string_view bytes, Arena* arena);
+    std::string_view bytes, std::vector<int64_t>* seqlens);
 
 // Zero-copy view of a decoded plan response: `message` and `record` alias the wire
 // payload, which must outlive the view, so a client decodes its ~50 KB record straight

@@ -77,8 +77,8 @@ void ReserveFdTable(int fd) {
 }  // namespace
 
 struct PlanServer::PlanJob {
-  std::string payload;  // Wire bytes; view.tenant / view.seqlens alias into these.
-  Arena arena;
+  std::string payload;  // Wire bytes; view.tenant aliases into these.
+  std::vector<int64_t> seqlens;  // view.seqlens aliases this.
   PlanServiceRequestView view;
   std::string tenant;  // Owned copy: registry / quota / counter keys outlive payload.
   int64_t arrival_ms = 0;
@@ -546,13 +546,13 @@ void PlanServer::HandleInboundFrame(IoLoop& loop, Connection* conn, Frame frame)
     // Plan requests are decoded on the loop thread: per-tenant admission needs the
     // tenant name before a worker slot is committed, and deadline shedding needs the
     // arrival timestamp, not the (possibly much later) worker-pickup time. The decode
-    // is views + one arena array over the payload — no per-field allocations.
+    // is views over the payload plus one exactly sized seqlens vector.
     auto job = std::make_shared<PlanJob>();
     job->payload = std::move(frame.payload);
     job->arrival_us = metrics::MonotonicMicros();
     job->arrival_ms = job->arrival_us / 1000;
     StatusOr<PlanServiceRequestView> view =
-        DeserializePlanServiceRequestView(job->payload, &job->arena);
+        DeserializePlanServiceRequestView(job->payload, &job->seqlens);
     if (!view.ok()) {
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
       counters_.malformed_frames->Increment();
@@ -1000,19 +1000,18 @@ PlanServer::ServeResult PlanServer::HandlePlanRequest(
     // Gossip-adopted records: a peer may have planned this exact shape already. The
     // signature is computable without planning, except under auto-tune with block 0
     // (the chosen block size — part of the signature — is only known after tuning).
-    // Local records are not served here: those requests go through the engine, so its
-    // hit/miss counters and the memory/store/planned sources stay exact.
+    // Everything else goes through the engine, so its hit/miss counters and the
+    // memory/store/planned sources stay exact.
     if (!(engine->options().auto_tune_block_size && block_size == 0)) {
       StatusOr<PlanSignature> sig =
           engine->RequestSignature(seqlens, mask_spec, block_size);
       if (sig.ok()) {
-        MutexLock lock(record_cache_mu_);
-        const CachedRecord* cached = record_cache_.Find(sig.value());
-        if (cached != nullptr && cached->from_peer) {
+        MutexLock lock(peer_records_mu_);
+        if (const auto* bytes = peer_records_.Find(sig.value())) {
           result.response.source = PlanServeSource::kReplicaCache;
           result.response.signature_lo = sig.value().lo;
           result.response.signature_hi = sig.value().hi;
-          result.record = cached->bytes;  // Shared bytes; never copied.
+          result.record = *bytes;  // Shared bytes; never copied.
         }
       }
       if (result.record != nullptr) {
@@ -1032,9 +1031,9 @@ PlanServer::ServeResult PlanServer::HandlePlanRequest(
       result.response.signature_lo = handle->signature.lo;
       result.response.signature_hi = handle->signature.hi;
       // The wire carries the persistence format: one CRC-trailed PlanStore record,
-      // encoded once per signature and served as shared bytes from the record cache
-      // on later hits — the response path never copies them.
-      result.record = EncodedRecordFor(handle);
+      // encoded once per handle and served as the handle's shared bytes on later
+      // hits — the response path never copies them.
+      result.record = handle->Record();
     }
   }
   if (result.response.code == StatusCode::kOk) {
@@ -1082,26 +1081,6 @@ metrics::Histogram* PlanServer::ServeHistogramFor(const std::string& tenant,
       "Plan request latency, arrival to last response byte written");
 }
 
-std::shared_ptr<const std::string> PlanServer::EncodedRecordFor(
-    const PlanHandle& handle) {
-  {
-    MutexLock lock(record_cache_mu_);
-    if (const CachedRecord* cached = record_cache_.Find(handle->signature)) {
-      return cached->bytes;
-    }
-  }
-  // Encode outside the lock: it is the expensive part, and two racing encoders of the
-  // same signature produce identical bytes anyway.
-  CachedRecord fresh;
-  {
-    metrics::ScopedPhase encode_phase(metrics::TracePhase::kEncode);
-    fresh.bytes = std::make_shared<const std::string>(
-        PlanStore::EncodeRecord(handle->signature, handle->plan));
-  }
-  MutexLock lock(record_cache_mu_);
-  return record_cache_.Insert(handle->signature, std::move(fresh)).bytes;
-}
-
 PlanSyncResponse PlanServer::HandleSyncRequest(const PlanSyncRequest& request) {
   PlanSyncResponse response;
   const std::shared_ptr<Engine> engine = registry_->Find(request.tenant);
@@ -1119,9 +1098,8 @@ PlanSyncResponse PlanServer::HandleSyncRequest(const PlanSyncRequest& request) {
     peer_has.insert(sig);
   }
   // Ship what the peer lacks: this engine's own compiled plans first (the authoritative
-  // copies), then every cached record, including those we ourselves adopted from other
-  // replicas — gossip is transitive, so a plan computed once reaches replicas that
-  // never talk directly.
+  // copies), then the records we ourselves adopted from other replicas — gossip is
+  // transitive, so a plan computed once reaches replicas that never talk directly.
   std::unordered_set<PlanSignature, PlanSignatureHash> shipped;
   const int cap = std::max(0, options_.max_sync_records_per_exchange);
   for (const PlanHandle& handle : engine->CachedPlans()) {
@@ -1132,18 +1110,19 @@ PlanSyncResponse PlanServer::HandleSyncRequest(const PlanSyncRequest& request) {
         !shipped.insert(handle->signature).second) {
       continue;
     }
-    response.records.push_back(*EncodedRecordFor(handle));
+    response.records.push_back(*handle->Record());
   }
   // Snapshot the shared pointers, then copy the bytes outside the serve-path lock.
-  std::vector<std::pair<PlanSignature, std::shared_ptr<const std::string>>> cached;
+  std::vector<std::pair<PlanSignature, std::shared_ptr<const std::string>>> adopted;
   {
-    MutexLock lock(record_cache_mu_);
-    record_cache_.ForEach(
-        [&cached](const PlanSignature& sig, const CachedRecord& record) {
-          cached.emplace_back(sig, record.bytes);
+    MutexLock lock(peer_records_mu_);
+    peer_records_.ForEach(
+        [&adopted](const PlanSignature& sig,
+                   const std::shared_ptr<const std::string>& bytes) {
+          adopted.emplace_back(sig, bytes);
         });
   }
-  for (const auto& [sig, bytes] : cached) {
+  for (const auto& [sig, bytes] : adopted) {
     if (static_cast<int>(response.records.size()) >= cap) {
       break;
     }
@@ -1174,10 +1153,11 @@ std::vector<std::pair<uint64_t, uint64_t>> PlanServer::LocalSignatureIndex(
   for (const PlanHandle& handle : engine.CachedPlans()) {
     index.emplace_back(handle->signature.lo, handle->signature.hi);
   }
-  MutexLock lock(record_cache_mu_);
-  record_cache_.ForEach([&index](const PlanSignature& sig, const CachedRecord&) {
-    index.emplace_back(sig.lo, sig.hi);
-  });
+  MutexLock lock(peer_records_mu_);
+  peer_records_.ForEach(
+      [&index](const PlanSignature& sig, const std::shared_ptr<const std::string>&) {
+        index.emplace_back(sig.lo, sig.hi);
+      });
   return index;
 }
 
@@ -1251,15 +1231,13 @@ void PlanServer::GossipWithPeer(const ServiceAddress& peer) {
         counters_.sync_records_rejected->Increment();
         continue;
       }
-      // A signature already resident, of either kind, stays as it is and is not
-      // counted: the bytes are identical, and a local record keeps going through the
-      // engine.
+      // A signature already adopted stays as it is and is not counted: the bytes
+      // are identical.
       const auto bytes = std::make_shared<const std::string>(std::move(record));
       bool adopted = false;
       {
-        MutexLock lock(record_cache_mu_);
-        adopted = record_cache_.Insert(decoded.value().first,
-                                       {bytes, /*from_peer=*/true}).bytes == bytes;
+        MutexLock lock(peer_records_mu_);
+        adopted = peer_records_.Insert(decoded.value().first, bytes) == bytes;
       }
       if (adopted) {
         counters_.sync_records_adopted->Increment();

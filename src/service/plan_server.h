@@ -14,8 +14,9 @@
 //     admitted (overload / per-tenant quota) on the loop thread and executed on a
 //     ThreadPool of `workers` that does the actual planning.
 //   - responses are queued on a per-connection outbox and drained by the owning loop
-//     with writev: the frame header + payload head ride one iovec, the cached PlanStore
-//     record bytes ride another, so the hit path never copies the record. A reader that
+//     with writev: the frame header + payload head ride one iovec, the plan handle's
+//     PlanStore record bytes (CompiledPlan::Record, encoded once per handle) ride
+//     another, so the hit path never copies the record. A reader that
 //     stops draining is bounded by `max_output_queue_bytes` and then closed (slow
 //     readers shed whole connections, never individual responses, so the strict
 //     request-response ordering of the protocol survives).
@@ -102,7 +103,7 @@ struct PlanServerOptions {
 
 struct PlanServerStats {
   int64_t connections_accepted = 0;
-  int64_t requests_received = 0;   // Well-formed request frames (plan + stats + sync).
+  int64_t requests_received = 0;   // Well-formed request frames (plan + sync + metrics).
   int64_t responses_sent = 0;
   int64_t plan_ok = 0;
   int64_t plan_errors = 0;         // Plan requests answered with a non-OK status.
@@ -117,8 +118,8 @@ struct PlanServerStats {
   // Transient accept failures (injected or real EMFILE/ENFILE/ECONNABORTED) answered
   // with backoff + retry instead of killing the accept path.
   int64_t accept_soft_errors = 0;
-  // Plan responses whose record bytes were written straight from the shared cached
-  // record (writev), with zero copies of the record on the serve path.
+  // Plan responses whose record bytes were written straight from the shared record
+  // (writev), with zero copies of the record on the serve path.
   int64_t zero_copy_serves = 0;
   // Connections closed because the peer stopped draining and the outbox hit
   // max_output_queue_bytes.
@@ -238,8 +239,8 @@ class PlanServer {
     int64_t accept_backoff_ms = 1;
   };
 
-  // A decoded plan request in flight to a worker: the wire payload plus the arena the
-  // request view's spans point into, so the worker plans straight off the wire bytes.
+  // A decoded plan request in flight to a worker: the wire payload plus the seqlens
+  // vector the request view points into, so the worker plans straight off the wire.
   struct PlanJob;
 
 
@@ -288,9 +289,6 @@ class PlanServer {
                                 std::span<const int64_t> seqlens,
                                 const MaskSpec& mask_spec, int64_t block_size);
   PlanSyncResponse HandleSyncRequest(const PlanSyncRequest& request);
-  // The PlanStore record bytes for `handle`: the resident record of either kind, or a
-  // fresh encode that is cached as a local record.
-  std::shared_ptr<const std::string> EncodedRecordFor(const PlanHandle& handle);
   std::vector<std::pair<uint64_t, uint64_t>> LocalSignatureIndex(Engine& engine);
   void GossipLoop();
   void GossipWithPeer(const ServiceAddress& peer);
@@ -312,21 +310,14 @@ class PlanServer {
   Mutex gossip_mu_;  // Pairs with gossip_cv_ for an interruptible interval sleep.
   CondVar gossip_cv_;
 
-  // Encoded PlanStore records (serialize + CRC), keyed by plan signature. A signature
-  // fully determines the plan bytes, so the cache is shared across tenants. Local
-  // records are encoded once and replayed on every later hit, since the encode would
-  // otherwise dominate a server-cache-hit RPC; requests for them still go through the
-  // engine. Records adopted from peers by gossip are served without the engine.
-  struct CachedRecord {
-    std::shared_ptr<const std::string> bytes;
-    bool from_peer = false;
-  };
-  // 256 local + 1024 peer records: the worst-case resident bytes of the separate local
-  // and peer caches this one merged.
-  static constexpr int64_t kRecordCacheCapacity = 1280;
-  Mutex record_cache_mu_;
-  SignatureLru<CachedRecord> record_cache_ DCP_GUARDED_BY(record_cache_mu_){
-      kRecordCacheCapacity};
+  // PlanStore records adopted from peers by gossip, keyed by plan signature and served
+  // ahead of the engine (kReplicaCache). A signature fully determines the plan bytes,
+  // so the tier is shared across tenants. Local plans are not kept here: they are
+  // served from the engine handle's own record.
+  static constexpr int64_t kPeerRecordCapacity = 1024;
+  Mutex peer_records_mu_;
+  SignatureLru<std::shared_ptr<const std::string>> peer_records_
+      DCP_GUARDED_BY(peer_records_mu_){kPeerRecordCapacity};
 
   // Per-tenant in-flight counts (admission quota); keyed only for registered tenants.
   Mutex quota_mu_ DCP_ACQUIRED_BEFORE(stats_mu_);

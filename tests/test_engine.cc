@@ -446,5 +446,35 @@ TEST(EngineCacheStats, CoherentUnderConcurrentPlanCallers) {
   EXPECT_LE(final_stats.entries + final_stats.evictions, final_stats.misses);
 }
 
+TEST(CompiledPlanRecord, EncodesOnceForConcurrentCallers) {
+  // A service hit path and a gossip sync can ask for one handle's record at once: the
+  // record is encoded exactly once and every caller shares the same bytes.
+  Engine engine(SmallCluster(), SmallEngineOptions());
+  const PlanHandle handle = engine.Plan({48, 33, 24}, MaskSpec::Causal()).value();
+
+  constexpr int kThreads = 8;
+  std::vector<const std::string*> seen(kThreads, nullptr);
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&handle, &seen, t] { seen[t] = handle->Record().get(); });
+  }
+  for (std::thread& thread : callers) {
+    thread.join();
+  }
+  const std::shared_ptr<const std::string>& record = handle->Record();
+  ASSERT_NE(record, nullptr);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], record.get()) << "caller " << t << " saw a second encode";
+  }
+
+  EXPECT_EQ(*record, PlanStore::EncodeRecord(handle->signature, handle->plan));
+  StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
+      PlanStore::DecodeRecord(*record);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(decoded.value().first == handle->signature);
+  EXPECT_EQ(SerializePlanBinary(decoded.value().second),
+            SerializePlanBinary(handle->plan));
+}
+
 }  // namespace
 }  // namespace dcp

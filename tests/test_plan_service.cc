@@ -142,6 +142,34 @@ TEST(PlanService, LoopbackResponsesBitIdenticalToInProcessPlanning) {
   EXPECT_EQ(SerializeTimeless(server_hit.value()->plan), SerializeTimeless(expected->plan));
 }
 
+TEST(PlanService, ReplannedShapeServesTheResidentHandlesRecord) {
+  // The served record is the engine's resident handle's own: once the engine has
+  // evicted and replanned a shape, the response carries the replanned plan (its
+  // planning_seconds, a wall-clock measurement, tells the two runs apart), never a
+  // record kept from the first run.
+  const ClusterSpec cluster = SmallCluster(2, 2);
+  EngineOptions options = SmallEngineOptions(16);
+  options.plan_cache_capacity = 1;
+  ServiceFixture service({{"prod", cluster, options}});
+  std::unique_ptr<PlanClient> client = service.Client("prod", /*cache_capacity=*/0);
+  const std::vector<int64_t> shape_x = {60, 33, 18};
+  const std::vector<int64_t> shape_y = {44, 21};
+  const MaskSpec mask = MaskSpec::Causal();
+
+  ASSERT_TRUE(client->Plan(shape_x, mask).ok());
+  ASSERT_TRUE(client->Plan(shape_y, mask).ok());  // Evicts X from the engine.
+  StatusOr<PlanHandle> replanned = client->Plan(shape_x, mask);
+  ASSERT_TRUE(replanned.ok()) << replanned.status().ToString();
+  EXPECT_EQ(client->last_source(), PlanServeSource::kPlanned);
+
+  const std::vector<PlanHandle> resident =
+      service.registry->Find("prod")->CachedPlans();
+  ASSERT_EQ(resident.size(), 1u);
+  EXPECT_TRUE(resident[0]->signature == replanned.value()->signature);
+  EXPECT_EQ(replanned.value()->plan.stats.planning_seconds,
+            resident[0]->plan.stats.planning_seconds);
+}
+
 TEST(PlanService, TenantsNeverObserveEachOthersPlans) {
   const ClusterSpec cluster = SmallCluster(1, 4);
   // Same cluster, different planner configuration => different plans and signatures.
@@ -610,8 +638,9 @@ TEST(PlanService, GossipReplicatesRecordsAcrossPeers) {
   EXPECT_GE(replica_b.server->stats().replica_cache_hits, 1);
   EXPECT_EQ(replica_b.registry->Find("prod")->cache_stats().misses, 0);
 
-  // B's own records share the cache with the adopted one but are never served as
-  // replica hits: the second request for B's own shape goes through B's engine.
+  // B's own plans are never replica hits: their records live on B's engine handles,
+  // not beside the adopted one, so the second request for B's own shape goes through
+  // B's engine.
   const std::vector<int64_t> own_seqlens = {40, 24};
   ASSERT_TRUE(client_b->Plan(own_seqlens, MaskSpec::Causal()).ok());
   EXPECT_EQ(client_b->last_source(), PlanServeSource::kPlanned);

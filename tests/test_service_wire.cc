@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "service/frame.h"
 #include "service/plan_server.h"
 #include "service/transport.h"
@@ -70,9 +69,9 @@ TEST(ServiceMessages, PlanRequestRoundTripsForEveryMaskKind) {
     PlanServiceRequest request = MakeRequest();
     request.mask_spec = MaskSpec::ForKind(kind);
     const std::string bytes = SerializePlanServiceRequest(request);
-    Arena arena;
+    std::vector<int64_t> seqlens;
     StatusOr<PlanServiceRequestView> decoded =
-        DeserializePlanServiceRequestView(bytes, &arena);
+        DeserializePlanServiceRequestView(bytes, &seqlens);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectRequestDecodedAs(request, decoded.value());
   }
@@ -81,13 +80,13 @@ TEST(ServiceMessages, PlanRequestRoundTripsForEveryMaskKind) {
 TEST(ServiceMessages, PlanRequestTruncationAlwaysRejected) {
   const std::string bytes = SerializePlanServiceRequest(MakeRequest());
   for (size_t len = 0; len < bytes.size(); ++len) {
-    Arena arena;
-    EXPECT_FALSE(DeserializePlanServiceRequestView(bytes.substr(0, len), &arena).ok())
+    std::vector<int64_t> seqlens;
+    EXPECT_FALSE(DeserializePlanServiceRequestView(bytes.substr(0, len), &seqlens).ok())
         << "prefix of " << len << " bytes decoded";
   }
   // Trailing garbage is rejected too.
-  Arena arena;
-  EXPECT_FALSE(DeserializePlanServiceRequestView(bytes + "x", &arena).ok());
+  std::vector<int64_t> seqlens;
+  EXPECT_FALSE(DeserializePlanServiceRequestView(bytes + "x", &seqlens).ok());
 }
 
 TEST(ServiceMessages, PlanRequestBitFlipsNeverCrash) {
@@ -98,8 +97,8 @@ TEST(ServiceMessages, PlanRequestBitFlipsNeverCrash) {
       corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
       // Must return (ok or not), never abort; a flip that survives decoding must be a
       // flip that changed a value, not the structure.
-      Arena arena;
-      (void)DeserializePlanServiceRequestView(corrupt, &arena);
+      std::vector<int64_t> seqlens;
+      (void)DeserializePlanServiceRequestView(corrupt, &seqlens);
     }
   }
 }
@@ -312,15 +311,15 @@ TEST(ServiceMessages, ResponseHeadPlusRecordMatchesFullSerialization) {
   EXPECT_EQ(head + full.record, SerializePlanServiceResponse(full));
 }
 
-TEST(ServiceMessages, RequestViewDecodesIdenticallyInOneArenaBlock) {
+TEST(ServiceMessages, RequestViewDecodesIdenticallyIntoOneExactArray) {
   PlanServiceRequest request = MakeRequest();
   request.seqlens = {4096, 1, 777, 65536, 3};
   request.deadline_ms = 250;
   const std::string bytes = SerializePlanServiceRequest(request);
 
-  Arena arena;
+  std::vector<int64_t> seqlens;
   StatusOr<PlanServiceRequestView> view =
-      DeserializePlanServiceRequestView(bytes, &arena);
+      DeserializePlanServiceRequestView(bytes, &seqlens);
   ASSERT_TRUE(view.ok()) << view.status().ToString();
   EXPECT_EQ(view.value().tenant, request.tenant);
   EXPECT_EQ(std::vector<int64_t>(view.value().seqlens.begin(),
@@ -330,10 +329,12 @@ TEST(ServiceMessages, RequestViewDecodesIdenticallyInOneArenaBlock) {
   EXPECT_EQ(view.value().block_size, request.block_size);
   EXPECT_EQ(view.value().deadline_ms, request.deadline_ms);
   // Zero-copy decode: the tenant aliases the wire bytes and the seqlens are one
-  // exactly-sized arena array — one block, no per-field heap allocations.
+  // exactly sized array in the caller's vector — no per-field heap allocations.
   EXPECT_GE(view.value().tenant.data(), bytes.data());
   EXPECT_LT(view.value().tenant.data(), bytes.data() + bytes.size());
-  EXPECT_EQ(arena.block_count(), 1u);
+  EXPECT_EQ(seqlens.capacity(), seqlens.size());
+  EXPECT_EQ(view.value().seqlens.data(), seqlens.data());
+  EXPECT_EQ(view.value().seqlens.size(), seqlens.size());
 }
 
 TEST(ServiceFrame, AssemblerReassemblesFramesFedByteByByte) {
@@ -402,9 +403,9 @@ TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndV2StillParses) {
   PlanServiceRequest request = MakeRequest();
   request.trace_id = 0xabcdef0123456789ULL;
   const std::string bytes = SerializePlanServiceRequest(request);
-  Arena arena;
+  std::vector<int64_t> seqlens;
   StatusOr<PlanServiceRequestView> decoded =
-      DeserializePlanServiceRequestView(bytes, &arena);
+      DeserializePlanServiceRequestView(bytes, &seqlens);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.value().trace_id, request.trace_id);
 
@@ -415,7 +416,7 @@ TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndV2StillParses) {
   std::string v2 = bytes.substr(0, bytes.size() - 8);
   v2[0] = 2;
   v2[1] = v2[2] = v2[3] = 0;
-  StatusOr<PlanServiceRequestView> old = DeserializePlanServiceRequestView(v2, &arena);
+  StatusOr<PlanServiceRequestView> old = DeserializePlanServiceRequestView(v2, &seqlens);
   ASSERT_TRUE(old.ok()) << old.status().ToString();
   ExpectRequestDecodedAs(request, old.value());
   EXPECT_EQ(old.value().trace_id, 0u);
@@ -423,15 +424,15 @@ TEST(ServiceMessages, PlanRequestTraceIdRoundTripsAndV2StillParses) {
   // A message claiming v2 but carrying the v3 trailer has trailing garbage.
   std::string v2_with_trailer = bytes;
   v2_with_trailer[0] = 2;
-  EXPECT_FALSE(DeserializePlanServiceRequestView(v2_with_trailer, &arena).ok());
+  EXPECT_FALSE(DeserializePlanServiceRequestView(v2_with_trailer, &seqlens).ok());
 
   // Versions outside [min, current] are rejected in both directions.
   std::string v1 = v2;
   v1[0] = 1;
-  EXPECT_FALSE(DeserializePlanServiceRequestView(v1, &arena).ok());
+  EXPECT_FALSE(DeserializePlanServiceRequestView(v1, &seqlens).ok());
   std::string v4 = bytes;
   v4[0] = 4;
-  EXPECT_FALSE(DeserializePlanServiceRequestView(v4, &arena).ok());
+  EXPECT_FALSE(DeserializePlanServiceRequestView(v4, &seqlens).ok());
 }
 
 TEST(ServiceMessages, MetricsMessagesRoundTripAndRejectTruncation) {
