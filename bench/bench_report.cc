@@ -674,9 +674,8 @@ std::vector<Row> MeasureReplicatedService(const Point& p) {
   return {row};
 }
 
-// Threads in this process right now (/proc/self/status). The scaling gate compares
-// this across connection counts: an event-driven server's thread count must not move.
-int CountProcessThreads() {
+// Threads in this process right now (/proc/self/status), or -1.
+int ReadProcessThreads() {
   FILE* f = std::fopen("/proc/self/status", "r");
   if (f == nullptr) {
     return -1;
@@ -690,6 +689,25 @@ int CountProcessThreads() {
   }
   std::fclose(f);
   return threads;
+}
+
+// Threads in this process once the count settles. The scaling gate compares this across
+// connection counts: an event-driven server's thread count must not move. A thread whose
+// join has returned can still be counted while the kernel finishes its exit, so one read
+// right after the drivers join may count a driver; the count is read until two reads
+// 2 ms apart agree, at most kMaxReads times.
+int CountProcessThreads() {
+  constexpr int kMaxReads = 50;
+  int previous = ReadProcessThreads();
+  for (int read = 1; read < kMaxReads; ++read) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const int current = ReadProcessThreads();
+    if (current == previous) {
+      return current;
+    }
+    previous = current;
+  }
+  return previous;
 }
 
 // The connection-scaling sweep: one loopback PlanServer with a fixed IO-thread pool,

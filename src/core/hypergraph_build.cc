@@ -45,17 +45,16 @@ BuiltHypergraph BuildPlacementHypergraph(const BlockGraph& graph) {
     for (GroupId g = 0; g < num_groups; ++g) {
       const size_t key =
           static_cast<size_t>(gc) * static_cast<size_t>(num_groups) + static_cast<size_t>(g);
-      if (!qo_pins[key].empty()) {
-        std::vector<VertexId> pins = qo_pins[key];
+      // Each bucket is read once, so the chunk's own pin is appended in place.
+      if (std::vector<VertexId>& pins = qo_pins[key]; !pins.empty()) {
         pins.push_back(built.ChunkVertex(gc));
         const double weight = static_cast<double>(layout.QBlockBytes(len)) +
                               static_cast<double>(layout.OBlockBytes(len));
-        built.hg.AddEdge(weight, std::move(pins));
+        built.hg.AddEdge(weight, pins);
       }
-      if (!kv_pins[key].empty()) {
-        std::vector<VertexId> pins = kv_pins[key];
+      if (std::vector<VertexId>& pins = kv_pins[key]; !pins.empty()) {
         pins.push_back(built.ChunkVertex(gc));
-        built.hg.AddEdge(static_cast<double>(layout.KvBlockBytes(len)), std::move(pins));
+        built.hg.AddEdge(static_cast<double>(layout.KvBlockBytes(len)), pins);
       }
     }
   }

@@ -1,7 +1,6 @@
 #include "core/plan_compile.h"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "common/check.h"
@@ -10,7 +9,8 @@
 namespace dcp {
 namespace {
 
-// A data-block key on a device: (global chunk id, group), encoded for map ordering.
+// A data-block key on a device: (global chunk id, group), dense in [0, chunks * groups)
+// and ordered by chunk, then group.
 int64_t Key(int gc, GroupId g, int num_groups) {
   return static_cast<int64_t>(gc) * num_groups + g;
 }
@@ -19,26 +19,32 @@ GroupId KeyGroup(int64_t key, int num_groups) {
   return static_cast<GroupId>(key % num_groups);
 }
 
+constexpr int32_t kNoSlot = -1;
+
+// One device's slots and data movement. Per-key arrays are indexed by Key(); per-peer
+// arrays by device id, so iterating them runs in key or device order.
 struct DeviceBuild {
-  std::map<int64_t, int32_t> qside;   // key -> slot in kQ/kO/kAcc/kDO/kDelta/kDQ.
-  std::map<int64_t, int32_t> kvside;  // key -> slot in kKV/kDKV.
-  int32_t n_local = 0;
+  std::vector<int32_t> qside;   // key -> slot in kQ/kO/kAcc/kDO/kDelta/kDQ, or kNoSlot.
+  std::vector<int32_t> kvside;  // key -> slot in kKV/kDKV, or kNoSlot.
+  // Keys homed here, ascending: local slot i (q-side and kv-side) holds local_keys[i].
+  std::vector<int64_t> local_keys;
   int32_t n_qside = 0;
   int32_t n_kvside = 0;
-  // Input fetch plan: [division][src] -> keys first needed in that division.
-  std::vector<std::map<DeviceId, std::vector<int64_t>>> q_fetch;
-  std::vector<std::map<DeviceId, std::vector<int64_t>>> kv_fetch;
-  // Partial results produced here for chunks homed elsewhere, grouped by home device.
-  std::map<DeviceId, std::vector<int64_t>> partial_out;  // q-side keys (acc + dq).
-  std::map<DeviceId, std::vector<int64_t>> dkv_out;      // kv-side keys.
-  // Incoming partials (filled from the other devices' *_out), grouped by source.
-  std::map<DeviceId, std::vector<int64_t>> partial_in;
-  std::map<DeviceId, std::vector<int64_t>> dkv_in;
-  // Staging slot of each incoming partial, parallel to partial_in/dkv_in entries.
-  std::map<DeviceId, std::vector<int32_t>> acc_stage;  // in kAcc (also reused for kDQ).
-  std::map<DeviceId, std::vector<int32_t>> dkv_stage;  // in kDKV.
+  // Input fetch plan: [division * num_devices + src] -> keys first needed in that division.
+  std::vector<std::vector<int64_t>> q_fetch;
+  std::vector<std::vector<int64_t>> kv_fetch;
+  // Partial results produced here for chunks homed elsewhere: [home] -> keys.
+  std::vector<std::vector<int64_t>> partial_out;  // q-side keys (acc + dq).
+  std::vector<std::vector<int64_t>> dkv_out;      // kv-side keys.
+  // Staging of the partials each source sends here: the i-th key of source s's
+  // partial_out (dkv_out) for this device lands in slot acc_stage[s] + i of kAcc, reused
+  // for kDQ (dkv_stage[s] + i of kDKV).
+  std::vector<int32_t> acc_stage;
+  std::vector<int32_t> dkv_stage;
   int32_t n_acc_stage = 0;
   int32_t n_dkv_stage = 0;
+
+  int32_t n_local() const { return static_cast<int32_t>(local_keys.size()); }
 };
 
 struct TransferDesc {
@@ -66,8 +72,16 @@ class PlanCompiler {
         schedule_(schedule),
         cluster_(cluster),
         layout_(graph.layout),
+        num_groups_(graph.layout.num_groups),
         num_devices_(static_cast<int>(schedule.divisions.size())),
-        t_count_(schedule.num_divisions()) {}
+        t_count_(schedule.num_divisions()) {
+    chunk_base_.reserve(static_cast<size_t>(layout_.num_sequences()));
+    int base = 0;
+    for (SeqId s = 0; s < layout_.num_sequences(); ++s) {
+      chunk_base_.push_back(base);
+      base += layout_.NumChunks(s);
+    }
+  }
 
   BatchPlan Compile() {
     BuildSlotMaps();
@@ -84,28 +98,59 @@ class PlanCompiler {
   }
 
  private:
+  // layout_.GlobalChunkId without its scan over the preceding sequences.
+  int GlobalChunk(SeqId s, ChunkId c) const {
+    return chunk_base_[static_cast<size_t>(s)] + c;
+  }
+
   int64_t ChunkLenOf(int64_t key) const {
-    return graph_.chunks[static_cast<size_t>(KeyChunk(key, layout_.num_groups))].length();
+    return graph_.chunks[static_cast<size_t>(KeyChunk(key, num_groups_))].length();
+  }
+
+  DeviceId HomeOf(int64_t key) const {
+    return placement_.chunk_device[static_cast<size_t>(KeyChunk(key, num_groups_))];
+  }
+
+  // Records that device `d` needs the remote block `key` from division `t` on: a new
+  // slot on its `side`, a fetch from the block's home, and a partial result back to it.
+  void AddRemote(DeviceBuild& build, int t, int64_t key, DeviceId home, bool kv) {
+    std::vector<int32_t>& side = kv ? build.kvside : build.qside;
+    int32_t& count = kv ? build.n_kvside : build.n_qside;
+    side[static_cast<size_t>(key)] = count++;
+    (kv ? build.kv_fetch : build.q_fetch)[static_cast<size_t>(t * num_devices_ + home)]
+        .push_back(key);
+    (kv ? build.dkv_out : build.partial_out)[static_cast<size_t>(home)].push_back(key);
   }
 
   void BuildSlotMaps() {
-    builds_.assign(static_cast<size_t>(num_devices_), DeviceBuild{});
-    // Local slots: every (chunk, group) of chunks homed on the device, in chunk order.
+    const size_t num_keys =
+        static_cast<size_t>(graph_.num_chunks()) * static_cast<size_t>(num_groups_);
+    const size_t devices = static_cast<size_t>(num_devices_);
+    builds_.assign(devices, DeviceBuild{});
+    for (DeviceBuild& build : builds_) {
+      build.qside.assign(num_keys, kNoSlot);
+      build.kvside.assign(num_keys, kNoSlot);
+      build.q_fetch.resize(static_cast<size_t>(t_count_) * devices);
+      build.kv_fetch.resize(static_cast<size_t>(t_count_) * devices);
+      build.partial_out.resize(devices);
+      build.dkv_out.resize(devices);
+      build.acc_stage.assign(devices, kNoSlot);
+      build.dkv_stage.assign(devices, kNoSlot);
+    }
+    // Local slots: every (chunk, group) of chunks homed on the device, in key order.
     for (int gc = 0; gc < graph_.num_chunks(); ++gc) {
-      const DeviceId home = placement_.chunk_device[static_cast<size_t>(gc)];
-      DeviceBuild& build = builds_[static_cast<size_t>(home)];
-      for (GroupId g = 0; g < layout_.num_groups; ++g) {
-        const int64_t key = Key(gc, g, layout_.num_groups);
-        build.qside[key] = build.n_local;
-        build.kvside[key] = build.n_local;
-        ++build.n_local;
+      DeviceBuild& build =
+          builds_[static_cast<size_t>(placement_.chunk_device[static_cast<size_t>(gc)])];
+      for (GroupId g = 0; g < num_groups_; ++g) {
+        const int64_t key = Key(gc, g, num_groups_);
+        build.qside[static_cast<size_t>(key)] = build.n_local();
+        build.kvside[static_cast<size_t>(key)] = build.n_local();
+        build.local_keys.push_back(key);
       }
     }
     for (DeviceBuild& build : builds_) {
-      build.n_qside = build.n_local;
-      build.n_kvside = build.n_local;
-      build.q_fetch.resize(static_cast<size_t>(t_count_));
-      build.kv_fetch.resize(static_cast<size_t>(t_count_));
+      build.n_qside = build.n_local();
+      build.n_kvside = build.n_local();
     }
     // Remote slots, replaying the division order (first need wins).
     for (int d = 0; d < num_devices_; ++d) {
@@ -116,53 +161,45 @@ class PlanCompiler {
         if (!schedule_.forced_kv_keys.empty()) {
           for (int64_t kv_key :
                schedule_.forced_kv_keys[static_cast<size_t>(d)][static_cast<size_t>(t)]) {
-            const int kv_gc = KeyChunk(kv_key, layout_.num_groups);
-            const DeviceId kv_home = placement_.chunk_device[static_cast<size_t>(kv_gc)];
-            if (kv_home != d && !build.kvside.contains(kv_key)) {
-              build.kvside[kv_key] = build.n_kvside++;
-              build.kv_fetch[static_cast<size_t>(t)][kv_home].push_back(kv_key);
-              build.dkv_out[kv_home].push_back(kv_key);
+            const DeviceId kv_home = HomeOf(kv_key);
+            if (kv_home != d && build.kvside[static_cast<size_t>(kv_key)] == kNoSlot) {
+              AddRemote(build, t, kv_key, kv_home, /*kv=*/true);
             }
           }
         }
         for (int i : schedule_.divisions[static_cast<size_t>(d)][static_cast<size_t>(t)]) {
           const CompBlock& block = graph_.comp_blocks[static_cast<size_t>(i)];
-          const int q_gc = layout_.GlobalChunkId(block.seq, block.q_chunk);
-          const int kv_gc = layout_.GlobalChunkId(block.seq, block.kv_chunk);
-          const int64_t q_key = Key(q_gc, block.group, layout_.num_groups);
-          const int64_t kv_key = Key(kv_gc, block.group, layout_.num_groups);
-          const DeviceId q_home = placement_.chunk_device[static_cast<size_t>(q_gc)];
-          const DeviceId kv_home = placement_.chunk_device[static_cast<size_t>(kv_gc)];
-          if (q_home != d && !build.qside.contains(q_key)) {
-            build.qside[q_key] = build.n_qside++;
-            build.q_fetch[static_cast<size_t>(t)][q_home].push_back(q_key);
-            build.partial_out[q_home].push_back(q_key);
+          const int64_t q_key =
+              Key(GlobalChunk(block.seq, block.q_chunk), block.group, num_groups_);
+          const int64_t kv_key =
+              Key(GlobalChunk(block.seq, block.kv_chunk), block.group, num_groups_);
+          const DeviceId q_home = HomeOf(q_key);
+          const DeviceId kv_home = HomeOf(kv_key);
+          if (q_home != d && build.qside[static_cast<size_t>(q_key)] == kNoSlot) {
+            AddRemote(build, t, q_key, q_home, /*kv=*/false);
           }
-          if (kv_home != d && !build.kvside.contains(kv_key)) {
-            build.kvside[kv_key] = build.n_kvside++;
-            build.kv_fetch[static_cast<size_t>(t)][kv_home].push_back(kv_key);
-            build.dkv_out[kv_home].push_back(kv_key);
+          if (kv_home != d && build.kvside[static_cast<size_t>(kv_key)] == kNoSlot) {
+            AddRemote(build, t, kv_key, kv_home, /*kv=*/true);
           }
         }
       }
     }
-    // Incoming partials and their staging slots.
-    for (int d = 0; d < num_devices_; ++d) {
-      const DeviceBuild& src_build = builds_[static_cast<size_t>(d)];
-      for (const auto& [home, keys] : src_build.partial_out) {
+    // Staging slots of incoming partials: per home, sources in device order.
+    for (int src = 0; src < num_devices_; ++src) {
+      const DeviceBuild& src_build = builds_[static_cast<size_t>(src)];
+      for (int home = 0; home < num_devices_; ++home) {
         DeviceBuild& home_build = builds_[static_cast<size_t>(home)];
-        home_build.partial_in[d] = keys;
-        auto& stages = home_build.acc_stage[d];
-        for (size_t i = 0; i < keys.size(); ++i) {
-          stages.push_back(home_build.n_qside + home_build.n_acc_stage++);
+        const size_t q_count = src_build.partial_out[static_cast<size_t>(home)].size();
+        if (q_count > 0) {
+          home_build.acc_stage[static_cast<size_t>(src)] =
+              home_build.n_qside + home_build.n_acc_stage;
+          home_build.n_acc_stage += static_cast<int32_t>(q_count);
         }
-      }
-      for (const auto& [home, keys] : src_build.dkv_out) {
-        DeviceBuild& home_build = builds_[static_cast<size_t>(home)];
-        home_build.dkv_in[d] = keys;
-        auto& stages = home_build.dkv_stage[d];
-        for (size_t i = 0; i < keys.size(); ++i) {
-          stages.push_back(home_build.n_kvside + home_build.n_dkv_stage++);
+        const size_t kv_count = src_build.dkv_out[static_cast<size_t>(home)].size();
+        if (kv_count > 0) {
+          home_build.dkv_stage[static_cast<size_t>(src)] =
+              home_build.n_kvside + home_build.n_dkv_stage;
+          home_build.n_dkv_stage += static_cast<int32_t>(kv_count);
         }
       }
     }
@@ -171,38 +208,37 @@ class PlanCompiler {
   void BuildTransfers() {
     // Forward input fetches + backward input fetches, one transfer per (src, dst, div).
     for (int d = 0; d < num_devices_; ++d) {
-      DeviceBuild& build = builds_[static_cast<size_t>(d)];
+      const DeviceBuild& build = builds_[static_cast<size_t>(d)];
       for (int t = 0; t < t_count_; ++t) {
-        // Union of source devices contributing to division t.
-        std::map<DeviceId, std::pair<std::vector<int64_t>, std::vector<int64_t>>> by_src;
-        for (const auto& [src, keys] : build.q_fetch[static_cast<size_t>(t)]) {
-          by_src[src].first = keys;
-        }
-        for (const auto& [src, keys] : build.kv_fetch[static_cast<size_t>(t)]) {
-          by_src[src].second = keys;
-        }
-        for (const auto& [src, keys] : by_src) {
-          MakeInputTransfers(src, d, t, keys.first, keys.second);
+        for (int src = 0; src < num_devices_; ++src) {
+          const size_t at = static_cast<size_t>(t * num_devices_ + src);
+          if (!build.q_fetch[at].empty() || !build.kv_fetch[at].empty()) {
+            MakeInputTransfers(src, d, t, build.q_fetch[at], build.kv_fetch[at]);
+          }
         }
       }
       // Epilogue transfers.
-      for (const auto& [home, keys] : build.partial_out) {
-        MakeFwPartialTransfer(d, home, keys);
+      for (int home = 0; home < num_devices_; ++home) {
+        if (!build.partial_out[static_cast<size_t>(home)].empty()) {
+          MakeFwPartialTransfer(d, home);
+        }
       }
     }
     for (int d = 0; d < num_devices_; ++d) {
-      DeviceBuild& build = builds_[static_cast<size_t>(d)];
+      const DeviceBuild& build = builds_[static_cast<size_t>(d)];
       // Backward gradient returns: dq (q-side) + dkv (kv-side) bundled per destination.
-      std::map<DeviceId, std::pair<std::vector<int64_t>, std::vector<int64_t>>> by_home;
-      for (const auto& [home, keys] : build.partial_out) {
-        by_home[home].first = keys;
+      for (int home = 0; home < num_devices_; ++home) {
+        if (!build.partial_out[static_cast<size_t>(home)].empty() ||
+            !build.dkv_out[static_cast<size_t>(home)].empty()) {
+          MakeBwGradTransfer(d, home);
+        }
       }
-      for (const auto& [home, keys] : build.dkv_out) {
-        by_home[home].second = keys;
-      }
-      for (const auto& [home, keys] : by_home) {
-        MakeBwGradTransfer(d, home, keys.first, keys.second);
-      }
+    }
+    // Each device's transfers, in transfer order, for the emitters below.
+    device_transfers_.assign(static_cast<size_t>(num_devices_), {});
+    for (const TransferDesc& t : transfers_) {
+      device_transfers_[static_cast<size_t>(t.src)].push_back(&t);
+      device_transfers_[static_cast<size_t>(t.dst)].push_back(&t);
     }
   }
 
@@ -227,8 +263,8 @@ class PlanCompiler {
     bw.division = division;
     for (int64_t key : q_keys) {
       const int64_t len = ChunkLenOf(key);
-      const int32_t s_slot = src_build.qside.at(key);
-      const int32_t d_slot = dst_build.qside.at(key);
+      const int32_t s_slot = src_build.qside[static_cast<size_t>(key)];
+      const int32_t d_slot = dst_build.qside[static_cast<size_t>(key)];
       const Bytes q_bytes = layout_.QBlockBytes(len);
       fw.send_blocks.push_back({{BufKind::kQ, s_slot}, q_bytes, len});
       fw.recv_blocks.push_back({{BufKind::kQ, d_slot}, q_bytes, len});
@@ -248,8 +284,8 @@ class PlanCompiler {
     }
     for (int64_t key : kv_keys) {
       const int64_t len = ChunkLenOf(key);
-      const int32_t s_slot = src_build.kvside.at(key);
-      const int32_t d_slot = dst_build.kvside.at(key);
+      const int32_t s_slot = src_build.kvside[static_cast<size_t>(key)];
+      const int32_t d_slot = dst_build.kvside[static_cast<size_t>(key)];
       const Bytes kv_bytes = layout_.KvBlockBytes(len);
       fw.send_blocks.push_back({{BufKind::kKV, s_slot}, kv_bytes, len});
       fw.recv_blocks.push_back({{BufKind::kKV, d_slot}, kv_bytes, len});
@@ -262,11 +298,11 @@ class PlanCompiler {
     transfers_.push_back(std::move(bw));
   }
 
-  void MakeFwPartialTransfer(DeviceId src, DeviceId home,
-                             const std::vector<int64_t>& keys) {
+  void MakeFwPartialTransfer(DeviceId src, DeviceId home) {
     const DeviceBuild& src_build = builds_[static_cast<size_t>(src)];
-    const DeviceBuild& home_build = builds_[static_cast<size_t>(home)];
-    const auto& stages = home_build.acc_stage.at(src);
+    const std::vector<int64_t>& keys = src_build.partial_out[static_cast<size_t>(home)];
+    const int32_t stage =
+        builds_[static_cast<size_t>(home)].acc_stage[static_cast<size_t>(src)];
     TransferDesc t;
     t.kind = TransferDesc::Kind::kFwPartial;
     t.id = next_transfer_id_++;
@@ -275,15 +311,15 @@ class PlanCompiler {
     for (size_t i = 0; i < keys.size(); ++i) {
       const int64_t len = ChunkLenOf(keys[i]);
       const Bytes bytes = layout_.AccBlockBytes(len);
-      t.send_blocks.push_back({{BufKind::kAcc, src_build.qside.at(keys[i])}, bytes, len});
-      t.recv_blocks.push_back({{BufKind::kAcc, stages[i]}, bytes, len});
+      t.send_blocks.push_back(
+          {{BufKind::kAcc, src_build.qside[static_cast<size_t>(keys[i])]}, bytes, len});
+      t.recv_blocks.push_back({{BufKind::kAcc, stage + static_cast<int32_t>(i)}, bytes, len});
       t.bytes += bytes;
     }
     transfers_.push_back(std::move(t));
   }
 
-  void MakeBwGradTransfer(DeviceId src, DeviceId home, const std::vector<int64_t>& dq_keys,
-                          const std::vector<int64_t>& dkv_keys) {
+  void MakeBwGradTransfer(DeviceId src, DeviceId home) {
     const DeviceBuild& src_build = builds_[static_cast<size_t>(src)];
     const DeviceBuild& home_build = builds_[static_cast<size_t>(home)];
     TransferDesc t;
@@ -291,27 +327,28 @@ class PlanCompiler {
     t.id = next_transfer_id_++;
     t.src = src;
     t.dst = home;
-    if (!dq_keys.empty()) {
-      const auto& stages = home_build.acc_stage.at(src);  // Same indices reused for kDQ.
-      for (size_t i = 0; i < dq_keys.size(); ++i) {
-        const int64_t len = ChunkLenOf(dq_keys[i]);
-        const Bytes bytes = layout_.QBlockBytes(len);
-        t.send_blocks.push_back(
-            {{BufKind::kDQ, src_build.qside.at(dq_keys[i])}, bytes, len});
-        t.recv_blocks.push_back({{BufKind::kDQ, stages[i]}, bytes, len});
-        t.bytes += bytes;
-      }
+    // dq partials stage in the same slots as the forward's acc partials.
+    const std::vector<int64_t>& dq_keys = src_build.partial_out[static_cast<size_t>(home)];
+    const int32_t dq_stage = home_build.acc_stage[static_cast<size_t>(src)];
+    for (size_t i = 0; i < dq_keys.size(); ++i) {
+      const int64_t len = ChunkLenOf(dq_keys[i]);
+      const Bytes bytes = layout_.QBlockBytes(len);
+      t.send_blocks.push_back(
+          {{BufKind::kDQ, src_build.qside[static_cast<size_t>(dq_keys[i])]}, bytes, len});
+      t.recv_blocks.push_back(
+          {{BufKind::kDQ, dq_stage + static_cast<int32_t>(i)}, bytes, len});
+      t.bytes += bytes;
     }
-    if (!dkv_keys.empty()) {
-      const auto& stages = home_build.dkv_stage.at(src);
-      for (size_t i = 0; i < dkv_keys.size(); ++i) {
-        const int64_t len = ChunkLenOf(dkv_keys[i]);
-        const Bytes bytes = layout_.KvBlockBytes(len);
-        t.send_blocks.push_back(
-            {{BufKind::kDKV, src_build.kvside.at(dkv_keys[i])}, bytes, len});
-        t.recv_blocks.push_back({{BufKind::kDKV, stages[i]}, bytes, len});
-        t.bytes += bytes;
-      }
+    const std::vector<int64_t>& dkv_keys = src_build.dkv_out[static_cast<size_t>(home)];
+    const int32_t dkv_stage = home_build.dkv_stage[static_cast<size_t>(src)];
+    for (size_t i = 0; i < dkv_keys.size(); ++i) {
+      const int64_t len = ChunkLenOf(dkv_keys[i]);
+      const Bytes bytes = layout_.KvBlockBytes(len);
+      t.send_blocks.push_back(
+          {{BufKind::kDKV, src_build.kvside[static_cast<size_t>(dkv_keys[i])]}, bytes, len});
+      t.recv_blocks.push_back(
+          {{BufKind::kDKV, dkv_stage + static_cast<int32_t>(i)}, bytes, len});
+      t.bytes += bytes;
     }
     transfers_.push_back(std::move(t));
   }
@@ -341,17 +378,17 @@ class PlanCompiler {
     instr.backward = backward;
     for (int i : block_ids) {
       const CompBlock& block = graph_.comp_blocks[static_cast<size_t>(i)];
-      const int q_gc = layout_.GlobalChunkId(block.seq, block.q_chunk);
-      const int kv_gc = layout_.GlobalChunkId(block.seq, block.kv_chunk);
-      const int64_t q_key = Key(q_gc, block.group, layout_.num_groups);
-      const int64_t kv_key = Key(kv_gc, block.group, layout_.num_groups);
+      const int64_t q_key =
+          Key(GlobalChunk(block.seq, block.q_chunk), block.group, num_groups_);
+      const int64_t kv_key =
+          Key(GlobalChunk(block.seq, block.kv_chunk), block.group, num_groups_);
       AttentionWorkItem item;
       item.seq = block.seq;
       item.group = block.group;
       item.q_chunk = block.q_chunk;
       item.kv_chunk = block.kv_chunk;
-      item.q_slot = build.qside.at(q_key);
-      item.kv_slot = build.kvside.at(kv_key);
+      item.q_slot = build.qside[static_cast<size_t>(q_key)];
+      item.kv_slot = build.kvside[static_cast<size_t>(kv_key)];
       item.full = block.full;
       plan.Add(instr, item);
       instr.flops += backward ? block.flops * kBackwardFlopsFactor : block.flops;
@@ -372,20 +409,15 @@ class PlanCompiler {
     const auto transfer_kind =
         backward ? TransferDesc::Kind::kBwInput : TransferDesc::Kind::kFwInput;
 
-    // Transfers indexed by (receiver division) for launches/waits on this device.
+    // This device's transfers by receiving division, for its launches and waits.
     std::vector<std::vector<const TransferDesc*>> recv_by_div(
         static_cast<size_t>(t_count_));
     std::vector<std::vector<const TransferDesc*>> send_by_div(
         static_cast<size_t>(t_count_));
-    for (const TransferDesc& t : transfers_) {
-      if (t.kind != transfer_kind) {
-        continue;
-      }
-      if (t.dst == d) {
-        recv_by_div[static_cast<size_t>(t.division)].push_back(&t);
-      }
-      if (t.src == d) {
-        send_by_div[static_cast<size_t>(t.division)].push_back(&t);
+    for (const TransferDesc* t : device_transfers_[static_cast<size_t>(d)]) {
+      if (t->kind == transfer_kind) {
+        (t->dst == d ? recv_by_div : send_by_div)[static_cast<size_t>(t->division)]
+            .push_back(t);
       }
     }
 
@@ -425,7 +457,7 @@ class PlanCompiler {
     const DeviceBuild& build = builds_[static_cast<size_t>(d)];
     plan.num_slots[static_cast<size_t>(BufKind::kQ)] = build.n_qside;
     plan.num_slots[static_cast<size_t>(BufKind::kKV)] = build.n_kvside;
-    plan.num_slots[static_cast<size_t>(BufKind::kO)] = build.n_local;
+    plan.num_slots[static_cast<size_t>(BufKind::kO)] = build.n_local();
     plan.num_slots[static_cast<size_t>(BufKind::kAcc)] = build.n_qside + build.n_acc_stage;
     plan.num_slots[static_cast<size_t>(BufKind::kDO)] = build.n_qside;
     plan.num_slots[static_cast<size_t>(BufKind::kDelta)] = build.n_qside;
@@ -434,18 +466,16 @@ class PlanCompiler {
         build.n_kvside + build.n_dkv_stage;
 
     // Local chunk table (slot == local index for every q-side buffer kind).
-    for (const auto& [key, slot] : build.qside) {
-      if (slot >= build.n_local) {
-        continue;
-      }
-      const int gc = KeyChunk(key, layout_.num_groups);
-      const TokenChunk& chunk = graph_.chunks[static_cast<size_t>(gc)];
+    for (int32_t slot = 0; slot < build.n_local(); ++slot) {
+      const int64_t key = build.local_keys[static_cast<size_t>(slot)];
+      const TokenChunk& chunk =
+          graph_.chunks[static_cast<size_t>(KeyChunk(key, num_groups_))];
       LocalChunk local;
       local.seq = chunk.seq;
       local.chunk = chunk.chunk;
-      local.group = KeyGroup(key, layout_.num_groups);
+      local.group = KeyGroup(key, num_groups_);
       local.q_slot = slot;
-      local.kv_slot = build.kvside.at(key);
+      local.kv_slot = build.kvside[static_cast<size_t>(key)];
       plan.local_chunks.push_back(local);
     }
 
@@ -454,52 +484,50 @@ class PlanCompiler {
     EmitBackward(d, plan);
   }
 
+  // Launches this device's side of every `kind` epilogue transfer, in transfer order.
+  void EmitEpilogueLaunches(DeviceId d, TransferDesc::Kind kind, DevicePlan& plan,
+                            std::vector<Instruction>& out) const {
+    for (const TransferDesc* t : device_transfers_[static_cast<size_t>(d)]) {
+      if (t->kind == kind) {
+        EmitCommLaunch(*t, /*send=*/t->src == d, plan, out);
+      }
+    }
+  }
+
   void EmitForward(DeviceId d, DevicePlan& plan) const {
     const DeviceBuild& build = builds_[static_cast<size_t>(d)];
     std::vector<Instruction>& out = plan.instructions;
     EmitPipeline(d, /*backward=*/false, plan, out);
 
     // Epilogue: ship partial accumulators home, merge, finalize.
-    for (const TransferDesc& t : transfers_) {
-      if (t.kind != TransferDesc::Kind::kFwPartial) {
+    EmitEpilogueLaunches(d, TransferDesc::Kind::kFwPartial, plan, out);
+    for (const TransferDesc* t : device_transfers_[static_cast<size_t>(d)]) {
+      if (t->kind != TransferDesc::Kind::kFwPartial || t->dst != d) {
         continue;
       }
-      if (t.src == d) {
-        EmitCommLaunch(t, /*send=*/true, plan, out);
-      }
-      if (t.dst == d) {
-        EmitCommLaunch(t, /*send=*/false, plan, out);
-      }
-    }
-    for (const TransferDesc& t : transfers_) {
-      if (t.kind != TransferDesc::Kind::kFwPartial || t.dst != d) {
-        continue;
-      }
-      EmitCommWait(t, plan, out);
+      EmitCommWait(*t, plan, out);
       Instruction& merge = plan.Append(out, InstrKind::kBlockwiseReduction);
-      const auto& keys = build.partial_in.at(t.src);
-      const auto& stages = build.acc_stage.at(t.src);
+      const auto& keys =
+          builds_[static_cast<size_t>(t->src)].partial_out[static_cast<size_t>(d)];
+      const int32_t stage = build.acc_stage[static_cast<size_t>(t->src)];
       for (size_t i = 0; i < keys.size(); ++i) {
         const int64_t len = ChunkLenOf(keys[i]);
         ReduceItem item;
         item.mode = ReduceMode::kMergeSoftmax;
-        item.dst = {BufKind::kAcc, build.qside.at(keys[i])};
-        item.src0 = {BufKind::kAcc, stages[i]};
+        item.dst = {BufKind::kAcc, build.qside[static_cast<size_t>(keys[i])]};
+        item.src0 = {BufKind::kAcc, stage + static_cast<int32_t>(i)};
         item.token_count = len;
         plan.Add(merge, item);
         merge.mem_bytes += 2 * layout_.AccBlockBytes(len);
       }
     }
     // Finalize all local outputs.
-    if (build.n_local == 0) {
+    if (build.n_local() == 0) {
       return;
     }
     Instruction& finalize = plan.Append(out, InstrKind::kBlockwiseReduction);
-    for (const auto& [key, slot] : build.qside) {
-      if (slot >= build.n_local) {
-        continue;
-      }
-      const int64_t len = ChunkLenOf(key);
+    for (int32_t slot = 0; slot < build.n_local(); ++slot) {
+      const int64_t len = ChunkLenOf(build.local_keys[static_cast<size_t>(slot)]);
       ReduceItem item;
       item.mode = ReduceMode::kFinalize;
       item.dst = {BufKind::kO, slot};
@@ -514,13 +542,10 @@ class PlanCompiler {
     const DeviceBuild& build = builds_[static_cast<size_t>(d)];
     std::vector<Instruction>& out = plan.backward_instructions;
     // Delta for every local chunk (needed by local tiles and by remote fetchers).
-    if (build.n_local > 0) {
+    if (build.n_local() > 0) {
       Instruction& delta = plan.Append(out, InstrKind::kBlockwiseReduction);
-      for (const auto& [key, slot] : build.qside) {
-        if (slot >= build.n_local) {
-          continue;
-        }
-        const int64_t len = ChunkLenOf(key);
+      for (int32_t slot = 0; slot < build.n_local(); ++slot) {
+        const int64_t len = ChunkLenOf(build.local_keys[static_cast<size_t>(slot)]);
         ReduceItem item;
         item.mode = ReduceMode::kComputeDelta;
         item.dst = {BufKind::kDelta, slot};
@@ -535,48 +560,37 @@ class PlanCompiler {
     EmitPipeline(d, /*backward=*/true, plan, out);
 
     // Epilogue: return dQ/dKV partials, sum at home.
-    for (const TransferDesc& t : transfers_) {
-      if (t.kind != TransferDesc::Kind::kBwGrad) {
+    EmitEpilogueLaunches(d, TransferDesc::Kind::kBwGrad, plan, out);
+    for (const TransferDesc* t : device_transfers_[static_cast<size_t>(d)]) {
+      if (t->kind != TransferDesc::Kind::kBwGrad || t->dst != d) {
         continue;
       }
-      if (t.src == d) {
-        EmitCommLaunch(t, /*send=*/true, plan, out);
-      }
-      if (t.dst == d) {
-        EmitCommLaunch(t, /*send=*/false, plan, out);
-      }
-    }
-    for (const TransferDesc& t : transfers_) {
-      if (t.kind != TransferDesc::Kind::kBwGrad || t.dst != d) {
-        continue;
-      }
-      EmitCommWait(t, plan, out);
+      EmitCommWait(*t, plan, out);
       Instruction& sum = plan.Append(out, InstrKind::kBlockwiseReduction);
-      if (auto it = build.partial_in.find(t.src); it != build.partial_in.end()) {
-        const auto& stages = build.acc_stage.at(t.src);
-        for (size_t i = 0; i < it->second.size(); ++i) {
-          const int64_t len = ChunkLenOf(it->second[i]);
-          ReduceItem item;
-          item.mode = ReduceMode::kSum;
-          item.dst = {BufKind::kDQ, build.qside.at(it->second[i])};
-          item.src0 = {BufKind::kDQ, stages[i]};
-          item.token_count = len;
-          plan.Add(sum, item);
-          sum.mem_bytes += 2 * layout_.QBlockBytes(len);
-        }
+      const DeviceBuild& src_build = builds_[static_cast<size_t>(t->src)];
+      const auto& dq_keys = src_build.partial_out[static_cast<size_t>(d)];
+      for (size_t i = 0; i < dq_keys.size(); ++i) {
+        const int64_t len = ChunkLenOf(dq_keys[i]);
+        ReduceItem item;
+        item.mode = ReduceMode::kSum;
+        item.dst = {BufKind::kDQ, build.qside[static_cast<size_t>(dq_keys[i])]};
+        item.src0 = {BufKind::kDQ, build.acc_stage[static_cast<size_t>(t->src)] +
+                                       static_cast<int32_t>(i)};
+        item.token_count = len;
+        plan.Add(sum, item);
+        sum.mem_bytes += 2 * layout_.QBlockBytes(len);
       }
-      if (auto it = build.dkv_in.find(t.src); it != build.dkv_in.end()) {
-        const auto& stages = build.dkv_stage.at(t.src);
-        for (size_t i = 0; i < it->second.size(); ++i) {
-          const int64_t len = ChunkLenOf(it->second[i]);
-          ReduceItem item;
-          item.mode = ReduceMode::kSum;
-          item.dst = {BufKind::kDKV, build.kvside.at(it->second[i])};
-          item.src0 = {BufKind::kDKV, stages[i]};
-          item.token_count = len;
-          plan.Add(sum, item);
-          sum.mem_bytes += 2 * layout_.KvBlockBytes(len);
-        }
+      const auto& dkv_keys = src_build.dkv_out[static_cast<size_t>(d)];
+      for (size_t i = 0; i < dkv_keys.size(); ++i) {
+        const int64_t len = ChunkLenOf(dkv_keys[i]);
+        ReduceItem item;
+        item.mode = ReduceMode::kSum;
+        item.dst = {BufKind::kDKV, build.kvside[static_cast<size_t>(dkv_keys[i])]};
+        item.src0 = {BufKind::kDKV, build.dkv_stage[static_cast<size_t>(t->src)] +
+                                        static_cast<int32_t>(i)};
+        item.token_count = len;
+        plan.Add(sum, item);
+        sum.mem_bytes += 2 * layout_.KvBlockBytes(len);
       }
     }
   }
@@ -629,11 +643,15 @@ class PlanCompiler {
   const ScheduleResult& schedule_;
   const ClusterSpec& cluster_;
   const BatchLayout& layout_;
+  const int num_groups_;
   const int num_devices_;
   const int t_count_;
+  std::vector<int> chunk_base_;  // Global id of each sequence's first chunk.
 
   std::vector<DeviceBuild> builds_;
   std::vector<TransferDesc> transfers_;
+  // Each device's transfers (as sender or receiver), in transfer order.
+  std::vector<std::vector<const TransferDesc*>> device_transfers_;
   int32_t next_transfer_id_ = 0;
 };
 

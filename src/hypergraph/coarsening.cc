@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <span>
 
 #include "common/check.h"
 #include "common/thread_pool.h"
@@ -115,25 +116,64 @@ void ScoreRange(const Hypergraph& hg, const Partition* restrict_part,
   }
 }
 
+std::array<double, 2> ClusterCap(const Hypergraph& hg, const PartitionConfig& config) {
+  const VertexWeight& total = hg.TotalWeight();
+  return {total[0] / config.k * config.max_cluster_weight_frac,
+          total[1] / config.k * config.max_cluster_weight_frac};
+}
+
+size_t ScoringGrain(const PartitionConfig& config) {
+  return static_cast<size_t>(std::max(64, config.coarsening_grain));
+}
+
+// Every vertex starts as its own cluster.
+void ResetClusters(const Hypergraph& hg, CoarseningScratch& scratch) {
+  const size_t n = static_cast<size_t>(hg.num_vertices());
+  scratch.cluster.resize(n);
+  std::iota(scratch.cluster.begin(), scratch.cluster.end(), 0);
+  scratch.cluster_weight.resize(n);
+  for (VertexId v = 0; v < hg.num_vertices(); ++v) {
+    scratch.cluster_weight[static_cast<size_t>(v)] = hg.vertex_weight(v);
+  }
+  scratch.preference.resize(n);
+}
+
+// Phase 1 over every vertex: fixed-size ranges on the thread pool, one accumulator each.
+void ScorePreferences(const Hypergraph& hg, const Partition* restrict_part,
+                      const std::array<double, 2>& cluster_cap, size_t grain,
+                      CoarseningScratch& scratch, const std::vector<uint8_t>* retry) {
+  const size_t n = static_cast<size_t>(hg.num_vertices());
+  const size_t chunks = (n + grain - 1) / grain;
+  if (scratch.accumulators.size() < chunks) {
+    scratch.accumulators.resize(chunks);
+  }
+  GlobalThreadPool().ParallelFor(n, grain, [&](size_t begin, size_t end, size_t chunk) {
+    ScoreRange(hg, restrict_part, scratch.cluster, scratch.cluster_weight, cluster_cap,
+               begin, end, scratch.accumulators[chunk], scratch.preference, retry);
+  });
+}
+
 }  // namespace
 
-CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng& rng,
-                        CoarseningScratch& scratch, const Partition* restrict_part) {
-  const int n = hg.num_vertices();
-  const VertexWeight& total = hg.TotalWeight();
-  const std::array<double, 2> cluster_cap = {
-      total[0] / config.k * config.max_cluster_weight_frac,
-      total[1] / config.k * config.max_cluster_weight_frac,
-  };
+std::vector<VertexId> FirstRoundPreferences(const Hypergraph& hg,
+                                            const PartitionConfig& config) {
+  CoarseningScratch scratch;
+  ResetClusters(hg, scratch);
+  ScorePreferences(hg, /*restrict_part=*/nullptr, ClusterCap(hg, config),
+                   ScoringGrain(config), scratch, /*retry=*/nullptr);
+  return std::move(scratch.preference);
+}
 
+CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng& rng,
+                        CoarseningScratch& scratch, const Partition* restrict_part,
+                        const std::vector<VertexId>* first_round) {
+  const int n = hg.num_vertices();
+  DCP_DCHECK(first_round == nullptr ||
+             (restrict_part == nullptr && first_round->size() == static_cast<size_t>(n)));
+  const std::array<double, 2> cluster_cap = ClusterCap(hg, config);
+  ResetClusters(hg, scratch);
   std::vector<VertexId>& cluster = scratch.cluster;
-  cluster.resize(static_cast<size_t>(n));
-  std::iota(cluster.begin(), cluster.end(), 0);
   std::vector<VertexWeight>& cluster_weight = scratch.cluster_weight;
-  cluster_weight.resize(static_cast<size_t>(n));
-  for (VertexId v = 0; v < n; ++v) {
-    cluster_weight[static_cast<size_t>(v)] = hg.vertex_weight(v);
-  }
 
   std::vector<VertexId>& order = scratch.order;
   order.resize(static_cast<size_t>(n));
@@ -156,14 +196,9 @@ CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng
   };
 
   std::vector<VertexId>& preference = scratch.preference;
-  preference.resize(static_cast<size_t>(n));
   std::vector<uint8_t>& retry = scratch.retry;
   retry.assign(static_cast<size_t>(n), 0);
-  const size_t grain = static_cast<size_t>(std::max(64, config.coarsening_grain));
-  const size_t chunks = (static_cast<size_t>(n) + grain - 1) / grain;
-  if (scratch.accumulators.size() < chunks) {
-    scratch.accumulators.resize(chunks);
-  }
+  const size_t grain = ScoringGrain(config);
 
   int merges = 0;
   for (int round = 0; round < kMaxRounds; ++round) {
@@ -176,13 +211,13 @@ CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng
     // Rounds after the first only re-score representatives whose merge failed last
     // round (preference conflicts, weight-cap collisions): everyone else either merged,
     // or had no viable candidate — and candidates only get heavier as clusters grow.
-    const std::vector<uint8_t>* retry_filter = round == 0 ? nullptr : &retry;
-    GlobalThreadPool().ParallelFor(
-        static_cast<size_t>(n), grain,
-        [&](size_t begin, size_t end, size_t chunk) {
-          ScoreRange(hg, restrict_part, cluster, cluster_weight, cluster_cap, begin, end,
-                     scratch.accumulators[chunk], preference, retry_filter);
-        });
+    // A precomputed first round was scored on this very start state.
+    if (round == 0 && first_round != nullptr) {
+      std::copy(first_round->begin(), first_round->end(), preference.begin());
+    } else {
+      ScorePreferences(hg, restrict_part, cluster_cap, grain, scratch,
+                       round == 0 ? nullptr : &retry);
+    }
 
     // --- Phase 2: serial random-order merging against live cluster weights. ---
     int round_merges = 0;
@@ -334,7 +369,6 @@ CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng
       GlobalThreadPool().ParallelInvoke(std::move(merges));
     }
   }
-  std::vector<VertexId> merged_pins;
   std::vector<double> run_weights;
   for (int32_t i = 0; i < kept;) {
     auto [pb, pe] = edge_pins_of(scratch.edge_order[static_cast<size_t>(i)]);
@@ -358,8 +392,7 @@ CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng
     for (double w : run_weights) {
       weight += w;
     }
-    merged_pins.assign(pb, pe);
-    level.coarse.AddEdge(weight, merged_pins);
+    level.coarse.AddEdge(weight, std::span<const VertexId>(pb, pe));
     i = j;
   }
   level.coarse.Finalize();

@@ -2,6 +2,7 @@
 // for multilevel quality, (b) the guaranteed-feasible fallback, and (c) the initial-partition
 // building block reused by the multilevel code.
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "common/check.h"
@@ -39,20 +40,32 @@ Partition GreedyAffinityPartition(const Hypergraph& hg, const PartitionConfig& c
   // Affinity of a part to a vertex: total weight of incident edges that already have a pin
   // in that part (i.e. communication avoided by co-locating).
   std::vector<double> affinity(static_cast<size_t>(k));
+  // For k <= 64, bit p of part_mask[e] is set once a pin of edge e is placed in part p, so
+  // scoring a vertex costs its degree times the parts its edges touch, not sum |e|. Each
+  // part still receives w_e once per incident edge, in incident-edge order: the same
+  // additions in the same order as a pin scan that counts each part once per edge, so
+  // the scores are bit-identical to it.
+  // Past 64 parts the pins are scanned and a part gains w_e once per placed pin in it;
+  // counting it once per edge there would change large-k partitions.
+  const bool masked = k <= 64;
+  std::vector<uint64_t> part_mask(masked ? static_cast<size_t>(hg.num_edges()) : 0, 0);
 
   for (VertexId v : order) {
     std::fill(affinity.begin(), affinity.end(), 0.0);
     auto [ebegin, eend] = hg.VertexEdges(v);
     for (const EdgeId* ep = ebegin; ep != eend; ++ep) {
+      const double weight = hg.edge_weight(*ep);
+      if (masked) {
+        for (uint64_t m = part_mask[static_cast<size_t>(*ep)]; m != 0; m &= m - 1) {
+          affinity[static_cast<size_t>(std::countr_zero(m))] += weight;
+        }
+        continue;
+      }
       auto [pbegin, pend] = hg.EdgePins(*ep);
-      uint64_t seen = 0;  // k <= 64 in all DCP uses; fall back to per-pin loop otherwise.
       for (const VertexId* pp = pbegin; pp != pend; ++pp) {
         const PartId p = part[static_cast<size_t>(*pp)];
-        if (p >= 0 && (k > 64 || (seen & (uint64_t{1} << p)) == 0)) {
-          affinity[static_cast<size_t>(p)] += hg.edge_weight(*ep);
-          if (k <= 64) {
-            seen |= uint64_t{1} << p;
-          }
+        if (p >= 0) {
+          affinity[static_cast<size_t>(p)] += weight;
         }
       }
     }
@@ -94,6 +107,11 @@ Partition GreedyAffinityPartition(const Hypergraph& hg, const PartitionConfig& c
       }
     }
     part[static_cast<size_t>(v)] = best;
+    if (masked) {
+      for (const EdgeId* ep = ebegin; ep != eend; ++ep) {
+        part_mask[static_cast<size_t>(*ep)] |= uint64_t{1} << best;
+      }
+    }
     loads[static_cast<size_t>(best)][0] += w[0];
     loads[static_cast<size_t>(best)][1] += w[1];
   }

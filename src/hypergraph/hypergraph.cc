@@ -10,7 +10,7 @@ VertexId Hypergraph::AddVertex(double compute_weight, double data_weight) {
   return static_cast<VertexId>(vertex_weights_.size() - 1);
 }
 
-EdgeId Hypergraph::AddEdge(double weight, std::vector<VertexId> pins) {
+EdgeId Hypergraph::AddEdge(double weight, std::span<const VertexId> pins) {
   DCP_CHECK(!finalized_);
   DCP_CHECK(!pins.empty());
   for (VertexId v : pins) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -24,7 +25,8 @@ class Hypergraph {
 
   // --- Construction (call Finalize() once done). ---
   VertexId AddVertex(double compute_weight, double data_weight);
-  EdgeId AddEdge(double weight, std::vector<VertexId> pins);
+  // Copies `pins` into the edge store.
+  EdgeId AddEdge(double weight, std::span<const VertexId> pins);
   // Builds the vertex->incident-edge index; must be called before queries.
   void Finalize();
 

@@ -60,9 +60,23 @@ struct CoarseningScratch {
 // (size = num_vertices), vertices are only merged with vertices of the same part, so an
 // existing partition projects losslessly onto the coarse graph — the building block of
 // iterated V-cycles that re-coarsen around the incumbent solution.
+//
+// When `first_round` is non-null it must be FirstRoundPreferences(hg, config), and
+// `restrict_part` must be null: the first matching round then takes its preferences
+// from it instead of scoring them, and the result is identical to scoring them here.
 CoarseLevel CoarsenOnce(const Hypergraph& hg, const PartitionConfig& config, Rng& rng,
                         CoarseningScratch& scratch,
-                        const Partition* restrict_part = nullptr);
+                        const Partition* restrict_part = nullptr,
+                        const std::vector<VertexId>* first_round = nullptr);
+
+// The preferences of CoarsenOnce's first matching round with no incumbent: each vertex's
+// preferred merge partner, or -1. That round reads only the graph, k and the cluster cap
+// (every vertex is still its own cluster, and the RNG only orders the merges that
+// follow), so every portfolio V-cycle would score the same preferences on the fine
+// graph. MultilevelPartitioner::Run scores them once and hands them to each V-cycle's
+// first level; deeper levels and incumbent-restricted V-cycles still score their own.
+std::vector<VertexId> FirstRoundPreferences(const Hypergraph& hg,
+                                            const PartitionConfig& config);
 
 // Portfolio initial partitioning on the (coarsest) hypergraph (initial_partition.cc).
 Partition ComputeInitialPartition(const Hypergraph& hg, const PartitionConfig& config,

@@ -29,23 +29,30 @@ struct CoarsenChain {
   std::vector<Partition> level_parts;  // Filled iff an incumbent was supplied.
 };
 
+// Coarsening stops at this many vertices. Very large k can push
+// k * coarsen_until_per_part past the instance size, which would silently disable the
+// multilevel scheme; the target is capped at half the fine graph so at least one
+// contraction happens whenever contraction is possible.
+int CoarseTarget(const Hypergraph& hg, const PartitionConfig& config) {
+  return std::max(64, std::min(config.k * config.coarsen_until_per_part,
+                               std::max(64, hg.num_vertices() / 2)));
+}
+
 // Coarsens until the target size or diminishing returns. When `incumbent` is non-null,
 // merges are restricted to same-part vertex pairs and the incumbent is projected onto
-// each coarse level. One CoarseningScratch is reused across the whole chain.
+// each coarse level. `first_round`, when non-null, is FirstRoundPreferences(hg, config)
+// for the first level. One CoarseningScratch is reused across the whole chain.
 CoarsenChain BuildCoarsenChain(const Hypergraph& hg, const PartitionConfig& config,
-                               Rng& rng, const Partition* incumbent) {
-  // Very large k can push k * coarsen_until_per_part past the instance size, which
-  // would silently disable the multilevel scheme; cap the target at half the fine graph
-  // so at least one contraction happens whenever contraction is possible.
-  const int coarse_target =
-      std::max(64, std::min(config.k * config.coarsen_until_per_part,
-                            std::max(64, hg.num_vertices() / 2)));
+                               Rng& rng, const Partition* incumbent,
+                               const std::vector<VertexId>* first_round) {
+  const int coarse_target = CoarseTarget(hg, config);
   CoarsenChain chain;
   CoarseningScratch scratch;
   const Hypergraph* current = &hg;
   const Partition* current_part = incumbent;
   while (current->num_vertices() > coarse_target) {
-    CoarseLevel level = CoarsenOnce(*current, config, rng, scratch, current_part);
+    CoarseLevel level = CoarsenOnce(*current, config, rng, scratch, current_part,
+                                    current == &hg ? first_round : nullptr);
     if (level.fine_to_coarse.empty()) {
       break;  // No contraction possible.
     }
@@ -83,10 +90,12 @@ double TakeSeconds(int64_t& start_ns) {
 class MultilevelPartitioner final : public Partitioner {
  public:
   // One multilevel V-cycle: coarsen, initial-partition, uncoarsen with refinement.
+  // `first_round` is the shared first matching round of the fine graph, or null.
   static Partition VCycle(const Hypergraph& hg, const PartitionConfig& config, Rng& rng,
+                          const std::vector<VertexId>* first_round,
                           PartitionStageSeconds* stages) {
     int64_t mark_ns = metrics::MonotonicNanos();
-    CoarsenChain chain = BuildCoarsenChain(hg, config, rng, nullptr);
+    CoarsenChain chain = BuildCoarsenChain(hg, config, rng, nullptr, first_round);
     const Hypergraph& coarsest =
         chain.levels.empty() ? hg : chain.levels.back().coarse;
     stages->coarsen += TakeSeconds(mark_ns);
@@ -119,7 +128,7 @@ class MultilevelPartitioner final : public Partitioner {
                              Partition& part, Rng& rng,
                              PartitionStageSeconds* stages) {
     int64_t mark_ns = metrics::MonotonicNanos();
-    CoarsenChain chain = BuildCoarsenChain(hg, config, rng, &part);
+    CoarsenChain chain = BuildCoarsenChain(hg, config, rng, &part, nullptr);
     stages->coarsen += TakeSeconds(mark_ns);
     if (chain.levels.empty()) {
       FmRefine(hg, config, part, rng);
@@ -187,6 +196,17 @@ class MultilevelPartitioner final : public Partitioner {
     Rng packed_rng = rng.Fork();
     Rng iterate_rng = rng.Fork();
 
+    // Every V-cycle's first matching round on the fine graph scores the same
+    // preferences (see FirstRoundPreferences); score them once, before the tasks start,
+    // and only when the graph is large enough to be coarsened at all.
+    std::vector<VertexId> first_round;
+    if (hg.num_vertices() > CoarseTarget(hg, config)) {
+      int64_t mark_ns = metrics::MonotonicNanos();
+      first_round = FirstRoundPreferences(hg, config);
+      result.stages.coarsen += TakeSeconds(mark_ns);
+    }
+    const std::vector<VertexId>* shared_round = first_round.empty() ? nullptr : &first_round;
+
     const int extras = large_k ? 1 : 2;
     std::vector<Partition> candidates(static_cast<size_t>(vcycles + extras));
     // Each concurrent candidate times its own stages into a private slot; the
@@ -196,10 +216,10 @@ class MultilevelPartitioner final : public Partitioner {
     std::vector<std::function<void()>> tasks;
     tasks.reserve(candidates.size());
     for (int c = 0; c < vcycles; ++c) {
-      tasks.emplace_back([&hg, &config, &vcycle_rngs, &candidates,
-                          &candidate_stages, c]() {
+      tasks.emplace_back([&hg, &config, &vcycle_rngs, &candidates, &candidate_stages,
+                          shared_round, c]() {
         candidates[static_cast<size_t>(c)] =
-            VCycle(hg, config, vcycle_rngs[static_cast<size_t>(c)],
+            VCycle(hg, config, vcycle_rngs[static_cast<size_t>(c)], shared_round,
                    &candidate_stages[static_cast<size_t>(c)]);
       });
     }

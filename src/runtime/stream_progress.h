@@ -13,6 +13,20 @@
 
 namespace dcp {
 
+// CommLaunch instructions in both of `plan`'s streams on every device. The compiler
+// numbers transfers from 0, so every transfer id of a valid plan lies below this.
+inline size_t CountLaunches(const BatchPlan& plan) {
+  size_t launches = 0;
+  for (const DevicePlan& dev : plan.devices) {
+    for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
+      for (const Instruction& instr : *stream) {
+        launches += instr.kind == InstrKind::kCommLaunch ? 1 : 0;
+      }
+    }
+  }
+  return launches;
+}
+
 // Calls step(device, instr, transfer) for each instruction of `plan`'s forward (or
 // backward) streams, in rounds over devices 0..n-1: a device runs until its stream ends or
 // it reaches a CommWait that is not ready. The one wait rule: a CommWait is ready once both
@@ -23,14 +37,7 @@ namespace dcp {
 // can progress; that message names each blocked device, its stream position and transfer.
 template <typename Transfer, typename Step>
 Status RunStreams(const BatchPlan& plan, bool backward, Step&& step) {
-  size_t launches = 0;  // The compiler numbers transfers from 0, so ids lie below this.
-  for (const DevicePlan& dev : plan.devices) {
-    for (const auto* stream : {&dev.instructions, &dev.backward_instructions}) {
-      for (const Instruction& instr : *stream) {
-        launches += instr.kind == InstrKind::kCommLaunch ? 1 : 0;
-      }
-    }
-  }
+  const size_t launches = CountLaunches(plan);
   constexpr uint8_t kSent = 1, kReceived = 2;
   std::vector<uint8_t> ends(launches, 0);  // kSent | kReceived, per transfer id.
   std::vector<Transfer> transfers(launches);

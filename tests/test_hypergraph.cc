@@ -14,9 +14,9 @@ Hypergraph MakeSmall() {
   hg.AddVertex(2.0, 0.0);
   hg.AddVertex(3.0, 5.0);
   hg.AddVertex(4.0, 0.0);
-  hg.AddEdge(2.0, {0, 1});
-  hg.AddEdge(3.0, {1, 2, 3});
-  hg.AddEdge(5.0, {0, 3});
+  hg.AddEdge(2.0, std::vector<VertexId>{0, 1});
+  hg.AddEdge(3.0, std::vector<VertexId>{1, 2, 3});
+  hg.AddEdge(5.0, std::vector<VertexId>{0, 3});
   hg.Finalize();
   return hg;
 }

@@ -229,6 +229,69 @@ TEST(ValidatePlan, DetectsChunkOwnershipGaps) {
   EXPECT_FALSE(validation.ok);
 }
 
+// The first local chunk of the plan, on the first device that owns one.
+LocalChunk* FirstLocalChunk(BatchPlan& plan) {
+  for (DevicePlan& dev : plan.devices) {
+    if (!dev.local_chunks.empty()) {
+      return &dev.local_chunks[0];
+    }
+  }
+  return nullptr;
+}
+
+// A local chunk the layout does not have must not stand in for the one it replaced: the
+// executor would read the sequence and chunk it names.
+TEST(ValidatePlan, RejectsLocalChunkOutsideTheLayout) {
+  BatchPlan plan = MakeValidPlan();
+  ASSERT_EQ(plan.layout.num_sequences(), 3);
+  LocalChunk* chunk = FirstLocalChunk(plan);
+  ASSERT_NE(chunk, nullptr);
+  chunk->seq = 7;
+  chunk->chunk = 1000;
+  const PlanValidation validation = ValidatePlan(plan);
+  EXPECT_FALSE(validation.ok);
+  EXPECT_EQ(CountErrors(validation, "is outside the layout"), 1) << validation.Summary();
+  EXPECT_EQ(CountErrors(validation, "local chunks cover"), 1) << validation.Summary();
+
+  for (auto mutate : {+[](LocalChunk& c) { c.seq = -1; }, +[](LocalChunk& c) { c.group = 2; },
+                      +[](LocalChunk& c) { c.chunk = -1; }}) {
+    BatchPlan bad = MakeValidPlan();
+    mutate(*FirstLocalChunk(bad));
+    EXPECT_EQ(CountErrors(ValidatePlan(bad), "is outside the layout"), 1);
+  }
+}
+
+// The executor loads a local chunk's inputs into its slots and reads its outputs back from
+// them, so each slot must exist in every buffer kind the chunk uses.
+TEST(ValidatePlan, RejectsLocalChunkSlotOutOfRange) {
+  for (const bool kv : {false, true}) {
+    SCOPED_TRACE(kv ? "kv slot" : "q slot");
+    BatchPlan plan = MakeValidPlan();
+    LocalChunk* chunk = FirstLocalChunk(plan);
+    ASSERT_NE(chunk, nullptr);
+    (kv ? chunk->kv_slot : chunk->q_slot) = 1 << 20;
+    const PlanValidation validation = ValidatePlan(plan);
+    EXPECT_FALSE(validation.ok);
+    ASSERT_EQ(validation.errors.size(), 1u) << validation.Summary();
+    EXPECT_NE(validation.errors[0].find(kv ? ") kv: KV slot 1048576 out of [0, "
+                                           : ") q: Q slot 1048576 out of [0, "),
+              std::string::npos)
+        << validation.errors[0];
+  }
+}
+
+// A decoded plan can carry any block size; the chunk counts divide by it.
+TEST(ValidatePlan, RejectsNonPositiveBlockSize) {
+  for (const int64_t block_size : {int64_t{0}, int64_t{-16}}) {
+    BatchPlan plan = MakeValidPlan();
+    plan.layout.block_size = block_size;
+    const PlanValidation validation = ValidatePlan(plan);
+    EXPECT_FALSE(validation.ok);
+    ASSERT_EQ(validation.errors.size(), 1u) << validation.Summary();
+    EXPECT_NE(validation.errors[0].find("is not positive"), std::string::npos);
+  }
+}
+
 // The executor's and the simulator's failure case, caught before either runs: a recv wait
 // moved ahead of its own launch passes every structural check, yet blocks its device.
 TEST(ValidatePlan, RejectsRecvWaitAheadOfItsLaunch) {
@@ -264,6 +327,7 @@ BatchPlan TwoDeviceExchange(bool wait_first) {
   plan.chunk_home = {0};
   plan.devices.resize(2);
   plan.devices[0].local_chunks.push_back(LocalChunk{});
+  plan.devices[0].num_slots.fill(1);  // The local chunk's slot 0 in every buffer.
   for (DeviceId d : {0, 1}) {
     DevicePlan& dev = plan.devices[static_cast<size_t>(d)];
     const DeviceId peer = 1 - d;

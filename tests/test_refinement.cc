@@ -488,7 +488,7 @@ TEST(ParallelCoarsening, DedupSortBitIdenticalAcrossThreadCounts) {
     hg.AddVertex(1.0, 1.0);
   }
   for (VertexId p = 0; p < kPairs; ++p) {
-    hg.AddEdge(8.0, {2 * p, 2 * p + 1});
+    hg.AddEdge(8.0, std::vector<VertexId>{2 * p, 2 * p + 1});
   }
   for (int e = 0; e < 4000; ++e) {
     const auto a = static_cast<VertexId>(build_rng.NextBounded(kPairs));
@@ -498,8 +498,8 @@ TEST(ParallelCoarsening, DedupSortBitIdenticalAcrossThreadCounts) {
     }
     // Random parity endpoints: all four fine pin combinations dedupe to coarse {a, b}.
     hg.AddEdge(0.25 + 0.5 * build_rng.NextDouble(),
-               {2 * a + static_cast<VertexId>(build_rng.NextBounded(2)),
-                2 * b + static_cast<VertexId>(build_rng.NextBounded(2))});
+               std::vector<VertexId>{2 * a + static_cast<VertexId>(build_rng.NextBounded(2)),
+                                     2 * b + static_cast<VertexId>(build_rng.NextBounded(2))});
   }
   hg.Finalize();
 
