@@ -115,12 +115,14 @@ if [[ "${DCP_SKIP_SANITIZERS:-0}" != "1" ]]; then
   # range, the three consumers of the shared stream-progress core (simulator, executor,
   # validator), the frame reassembler, which checksums payloads at arbitrary offsets of
   # its buffer with 16-byte loads (its corrupt and torn frame tests are where an
-  # overrunning load would show first), and the partitioner suites, whose greedy part
-  # masks shift by part id and whose coarsening and compile tables index dense arrays.
+  # overrunning load would show first), the partitioner suites, whose greedy part
+  # masks shift by part id and whose coarsening and compile tables index dense arrays,
+  # and the replica-set suite, whose torn-frame fake and seeded-chaos failover drive the
+  # blocking SendAll/RecvAll loops and their fault hook.
   cmake --preset asan-ubsan
   cmake --build --preset asan-ubsan -j "$(nproc)"
   ctest --test-dir build-asan --output-on-failure \
-        -R 'test_plan_store|test_plan_service|test_engine|test_signature_lru|test_concurrency_stress|test_masks|test_block_gen|test_instructions|test_plan_validate|test_plan_compile|test_plan_golden|test_executor|test_sim_engine|test_service_wire|test_partitioner|test_hypergraph|test_refinement'
+        -R 'test_plan_store|test_plan_service|test_engine|test_signature_lru|test_concurrency_stress|test_masks|test_block_gen|test_instructions|test_plan_validate|test_plan_compile|test_plan_golden|test_executor|test_sim_engine|test_service_wire|test_partitioner|test_hypergraph|test_refinement|test_replica_set'
 else
   echo "check.sh: DCP_SKIP_SANITIZERS=1, skipping tsan/asan-ubsan tiers"
 fi

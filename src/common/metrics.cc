@@ -8,21 +8,13 @@
 #include <map>
 #include <utility>
 
+#include "common/rng.h"
+
 namespace dcp {
 namespace metrics {
 namespace {
 
 std::atomic<bool> g_recording_enabled{true};
-
-// SplitMix64 finalizer: full-period mixing of a counter into well-spread ids.
-// Not a simulation RNG (those go through common/rng); ids only need to be
-// unique and non-guessably clumped, not statistically deterministic.
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
 
 // Merged (const + instrument) labels rendered as `k="v",k2="v2"`, values
 // escaped per the Prometheus text format. Instrument labels win on key

@@ -7,14 +7,6 @@
 namespace dcp {
 namespace {
 
-uint64_t SplitMix64(uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 
 }  // namespace
@@ -23,6 +15,7 @@ Rng::Rng(uint64_t seed) {
   uint64_t s = seed;
   for (auto& word : state_) {
     word = SplitMix64(s);
+    s += 0x9E3779B97F4A7C15ull;
   }
 }
 

@@ -10,6 +10,16 @@
 
 namespace dcp {
 
+// The SplitMix64 step: adds the golden-ratio increment, then applies the finalizer. Used
+// as a stateless 64-bit mix (hashes, jitter, ids); a stream advances its own state by
+// 0x9E3779B97F4A7C15 per draw.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
 // SplitMix64-seeded xoshiro256** generator. Small, fast, and identical across platforms
 // (unlike std::mt19937_64 distributions, whose results vary across standard libraries).
 class Rng {

@@ -4,16 +4,10 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/rng.h"
+
 namespace dcp {
 namespace {
-
-// splitmix64 finalizer: full-avalanche 64-bit mix.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 // Group tags: every logical field group starts with one so that streams with the same
 // payload bytes but different structure cannot collide by construction of the stream.
@@ -103,8 +97,8 @@ PlanSignatureBuilder HashCommon(std::span<const int64_t> seqlens,
 }  // namespace
 
 void PlanSignatureBuilder::Add(uint64_t value) {
-  lo_ = Mix64(lo_ ^ value);
-  hi_ = Mix64(hi_ + (value * 0xff51afd7ed558ccdULL));
+  lo_ = SplitMix64(lo_ ^ value);
+  hi_ = SplitMix64(hi_ + (value * 0xff51afd7ed558ccdULL));
 }
 
 void PlanSignatureBuilder::AddDouble(double value) {
@@ -135,8 +129,8 @@ PlanSignature PlanSignatureBuilder::Finish() const {
   // One more mix round so trailing fields avalanche into both lanes, and keep the
   // all-zero digest reserved as the "no signature" sentinel.
   PlanSignature sig;
-  sig.lo = Mix64(lo_ ^ hi_);
-  sig.hi = Mix64(hi_ + 0x2545f4914f6cdd1dULL);
+  sig.lo = SplitMix64(lo_ ^ hi_);
+  sig.hi = SplitMix64(hi_ + 0x2545f4914f6cdd1dULL);
   if (sig.IsZero()) {
     sig.lo = 1;
   }

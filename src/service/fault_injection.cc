@@ -3,20 +3,21 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/rng.h"
+
 namespace dcp {
 namespace {
 
-// splitmix64: one multiply-xor-shift chain per draw. Chosen because the whole stream
-// is reproducible from a single u64 state — the determinism contract in the header.
-uint64_t SplitMix64(uint64_t* state) {
-  uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+// One splitmix64 draw: the whole stream is reproducible from a single u64 state — the
+// determinism contract in the header.
+uint64_t NextDraw(uint64_t* state) {
+  const uint64_t z = SplitMix64(*state);
+  *state += 0x9E3779B97F4A7C15ull;
+  return z;
 }
 
 double UnitDouble(uint64_t* state) {
-  return static_cast<double>(SplitMix64(state) >> 11) * 0x1.0p-53;
+  return static_cast<double>(NextDraw(state) >> 11) * 0x1.0p-53;
 }
 
 // Guards only the global injector slot pointer; held for a pointer copy.
@@ -34,7 +35,7 @@ FaultInjector::FaultInjector(uint64_t seed) : seed_(seed) {
     // Independent stream per point: seed xor a point-specific odd constant, warmed one
     // step so adjacent seeds do not produce adjacent first draws.
     streams_[p] = seed ^ (0xa076bc9d7ae53d4bULL * static_cast<uint64_t>(p + 1));
-    (void)SplitMix64(&streams_[p]);
+    (void)NextDraw(&streams_[p]);
     ops_[p] = 0;
     rates_[p] = FaultRates{};
   }

@@ -37,9 +37,9 @@ constexpr int kNumFaultPoints = 6;
 
 enum class FaultAction : uint8_t {
   kNone = 0,
-  kFail,   // The operation fails outright (UNAVAILABLE), connection closed.
-  kTear,   // Let `tear_bytes` through, then kill the connection: the peer sees a torn
-           // frame (DATA_LOSS mid-payload) instead of a clean close.
+  kFail,   // The operation fails outright (UNAVAILABLE); the caller closes the socket.
+  kTear,   // Let `tear_bytes` through, then shut the connection down: the peer sees a
+           // torn frame (DATA_LOSS mid-payload) instead of a clean close.
   kDelay,  // Stall `delay_ms`, then proceed normally (straggler, not a failure).
   kStale,  // kSyncRecord only: corrupt the record bytes before shipping, so the
            // receiver's CRC validation must catch and reject it.
@@ -98,8 +98,8 @@ class FaultInjector {
   int64_t injected_ DCP_GUARDED_BY(mu_) = 0;
 };
 
-// Process-global injector consulted by ConnectSocket and Listener::Accept: when
-// installed, every new socket in the process carries it (dcpctl serve --chaos).
+// Process-global injector consulted by ConnectSocket and by PlanServer's accept path:
+// when installed, every new socket in the process carries it (dcpctl serve --chaos).
 // Install nullptr to disarm. Tests that need isolation set
 // PlanServerOptions::fault_injector on their server instead.
 void InstallGlobalFaultInjector(std::shared_ptr<FaultInjector> injector);

@@ -72,17 +72,21 @@ Status ParseFrameHeader(const char* header, uint64_t max_payload_bytes, FrameTyp
   return Status::Ok();
 }
 
+// Checks the CRC32 trailer against header + payload; both readers share it.
+Status CheckFrameChecksum(const char* header, std::string_view payload,
+                          const char* trailer) {
+  uint32_t crc = Crc32Update(0, header, kHeaderBytes);
+  crc = Crc32Update(crc, payload.data(), payload.size());
+  if (crc != ReadU32At(trailer)) {
+    return Status::DataLoss("frame: checksum mismatch");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::string EncodeFrame(FrameType type, std::string_view payload) {
-  std::string out;
-  out.reserve(kHeaderBytes + payload.size() + 4);
-  AppendU32(out, kFrameMagic);
-  AppendU32(out, static_cast<uint32_t>(type));
-  AppendU64(out, payload.size());
-  out.append(payload);
-  AppendU32(out, Crc32(out));
-  return out;
+  return FlattenFrameParts(EncodeFrameParts(type, payload));
 }
 
 StatusOr<Frame> ReadFrame(Socket& socket, uint64_t max_payload_bytes) {
@@ -104,16 +108,15 @@ StatusOr<Frame> ReadFrame(Socket& socket, uint64_t max_payload_bytes) {
   if (!read.ok()) {
     return Status::DataLoss("frame: " + read.message());
   }
-  uint32_t crc = Crc32Update(0, header, sizeof(header));
-  crc = Crc32Update(crc, frame.payload.data(), frame.payload.size());
-  if (crc != ReadU32At(trailer)) {
-    return Status::DataLoss("frame: checksum mismatch");
-  }
+  DCP_RETURN_IF_ERROR(CheckFrameChecksum(header, frame.payload, trailer));
   return frame;
 }
 
 Status WriteFrame(Socket& socket, FrameType type, std::string_view payload) {
-  return socket.SendAll(EncodeFrame(type, payload));
+  FrameParts parts = EncodeFrameParts(type, payload);
+  iovec iov[2] = {{parts.head.data(), parts.head.size()},
+                  {parts.crc.data(), parts.crc.size()}};
+  return socket.SendAll(iov, 2);
 }
 
 FrameParts EncodeFrameParts(FrameType type, std::string_view payload_head,
@@ -186,14 +189,14 @@ StatusOr<Frame> FrameAssembler::Next() {
   if (available < total) {
     return Status::NotFound("frame: need more bytes");
   }
-  uint32_t crc = Crc32Update(0, header, kHeaderBytes);
-  crc = Crc32Update(crc, header + kHeaderBytes, static_cast<size_t>(length));
-  if (crc != ReadU32At(header + kHeaderBytes + length)) {
+  const std::string_view payload(header + kHeaderBytes, static_cast<size_t>(length));
+  Status checksum_ok = CheckFrameChecksum(header, payload, payload.data() + length);
+  if (!checksum_ok.ok()) {
     failed_ = true;
-    error_ = Status::DataLoss("frame: checksum mismatch");
+    error_ = std::move(checksum_ok);
     return error_;
   }
-  frame.payload.assign(header + kHeaderBytes, static_cast<size_t>(length));
+  frame.payload.assign(payload);
   consumed_ += total;
   return frame;
 }

@@ -55,6 +55,7 @@ struct Frame {
 // single-digit MiB; anything near the cap is corruption, not traffic.
 constexpr uint64_t kMaxFramePayloadBytes = uint64_t{1} << 30;
 
+// Contiguous wire bytes of one frame: FlattenFrameParts(EncodeFrameParts(...)).
 std::string EncodeFrame(FrameType type, std::string_view payload);
 
 // Reads one frame. UNAVAILABLE on a clean peer close between frames; DATA_LOSS on a
@@ -62,6 +63,7 @@ std::string EncodeFrame(FrameType type, std::string_view payload);
 StatusOr<Frame> ReadFrame(Socket& socket,
                           uint64_t max_payload_bytes = kMaxFramePayloadBytes);
 
+// Sends EncodeFrameParts(type, payload) with one Socket::SendAll.
 Status WriteFrame(Socket& socket, FrameType type, std::string_view payload);
 
 // A frame split for scatter-gather writes: the wire bytes are exactly
@@ -88,9 +90,9 @@ FrameParts EncodeFrameParts(FrameType type, std::string_view payload_head,
 std::string FlattenFrameParts(const FrameParts& parts);
 
 // Incremental frame decoder for non-blocking reads: Append() whatever recv produced,
-// then pop complete frames with Next(). Validation order matches ReadFrame — header
-// bounds as soon as 16 bytes exist (a bad magic or an implausible length fails before
-// any payload arrives), checksum once the full frame is buffered. A failure is sticky:
+// then pop complete frames with Next(). It runs ReadFrame's two checks in ReadFrame's
+// order: header bounds as soon as 16 bytes exist (a bad magic or an implausible length
+// fails before any payload arrives), checksum once the full frame is buffered. A failure is sticky:
 // the stream is desynced, so every later Next() returns the same DATA_LOSS.
 class FrameAssembler {
  public:

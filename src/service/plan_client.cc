@@ -5,21 +5,12 @@
 #include <thread>
 #include <utility>
 
+#include "common/rng.h"
 #include "core/plan_store.h"
 #include "masks/mask.h"
 #include "service/frame.h"
 
 namespace dcp {
-namespace {
-
-uint64_t SplitMix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 bool IsRetryableStatus(const Status& status) {
   return status.code() == StatusCode::kUnavailable ||

@@ -142,13 +142,6 @@ Status PlanServer::Start(const ServiceAddress& address) {
   }
   listener_ = std::move(listener).value();
   bound_ = listener_.bound_address();
-  // The loops accept with non-blocking accept(2) + readiness events, not the
-  // Listener's own blocking Accept().
-  const int flags = ::fcntl(listener_.fd(), F_GETFL, 0);
-  if (flags < 0 || ::fcntl(listener_.fd(), F_SETFL, flags | O_NONBLOCK) != 0) {
-    listener_.Close();
-    return Status::Internal("cannot make listener non-blocking");
-  }
   ReserveFdTable(listener_.fd());
   pool_ = std::make_unique<ThreadPool>(std::max(1, options_.workers));
   // Undoes a partial start: the loops built so far (and their eventfds), the pool and
@@ -339,7 +332,7 @@ void PlanServer::DoAccept(IoLoop& loop) {
         return;
       }
     }
-    const int fd = ::accept(listener_.fd(), nullptr, nullptr);
+    const int fd = ::accept4(listener_.fd(), nullptr, nullptr, SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) {
         continue;
@@ -357,7 +350,6 @@ void PlanServer::DoAccept(IoLoop& loop) {
       return;
     }
     loop.accept_backoff_ms = 1;
-    (void)::fcntl(fd, F_SETFD, FD_CLOEXEC);
     if (bound_.kind == ServiceAddress::Kind::kTcp) {
       // Plan RPCs are small request / large response; never trade latency for batching.
       const int one = 1;
@@ -403,7 +395,6 @@ void PlanServer::ResumeAccept(IoLoop& loop) {
 
 void PlanServer::AdoptConnection(IoLoop& loop, std::unique_ptr<Connection> conn) {
   Connection* raw = conn.get();
-  (void)raw->socket.SetNonBlocking(true);
   if (!loop.poller.Add(raw->fd, /*want_read=*/true, /*want_write=*/false).ok()) {
     return;  // Destroys (closes) the connection.
   }
@@ -1164,7 +1155,7 @@ std::vector<std::pair<uint64_t, uint64_t>> PlanServer::LocalSignatureIndex(
 void PlanServer::GossipLoop() {
   while (running()) {
     {
-      // Interruptible interval sleep: Stop() flips running_ then notifies. Inline
+      // Interval sleep that Stop() cuts short: it flips running_ then notifies. Inline
       // deadline loop (not a predicate lambda) so the analysis follows the lock.
       MutexLock lock(gossip_mu_);
       const int64_t deadline_ms =

@@ -7,19 +7,13 @@
 
 #include "common/check.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/thread_annotations.h"
 
 namespace dcp {
 namespace {
 
 int64_t NowMs() { return metrics::MonotonicMillis(); }
-
-uint64_t SplitMix64(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
 
 uint64_t HashAddress(const ServiceAddress& address) {
   uint64_t h = 0x646370722d616464ULL;  // "dcpr-add"

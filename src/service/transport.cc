@@ -1,11 +1,9 @@
 #include "service/transport.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -142,255 +140,203 @@ void Socket::set_fault_injector(std::shared_ptr<FaultInjector> injector) {
   injector_ = std::move(injector);
 }
 
-Status Socket::WaitReady(short events, int64_t deadline_ms, const char* what) {
+Status Socket::Inject(FaultPoint point, const iovec* iov, int iovcnt) {
+  if (injector_ == nullptr) {
+    return Status::Ok();
+  }
+  const FaultDecision fault = injector_->Decide(point);
+  if (fault.action == FaultAction::kDelay) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
+    return Status::Ok();
+  }
+  if (fault.action != FaultAction::kFail && fault.action != FaultAction::kTear) {
+    return Status::Ok();
+  }
+  const std::string what = point == FaultPoint::kConnect ? "connect"
+                           : point == FaultPoint::kSend  ? "send"
+                                                         : "recv";
+  if (fault.action == FaultAction::kFail || point == FaultPoint::kConnect) {
+    return Status::Unavailable("fault injection: " + what + " failed");
+  }
+  // The peer observes a real torn frame (DATA_LOSS mid-payload), not a clean hangup.
+  // A torn read is a torn frame on this side too.
+  const std::string message = "fault injection: " + what + " torn after " +
+                              std::to_string(Tear(iov, iovcnt, fault.tear_bytes)) +
+                              " bytes";
+  return point == FaultPoint::kRecv ? Status::DataLoss(message)
+                                    : Status::Unavailable(message);
+}
+
+size_t Socket::Tear(const iovec* iov, int iovcnt, size_t tear_bytes) {
+  size_t sent = 0;
+  for (int i = 0; i < iovcnt && sent < tear_bytes; ++i) {
+    iovec part = {iov[i].iov_base, std::min(iov[i].iov_len, tear_bytes - sent)};
+    const IoResult r = RawSend(&part, 1);
+    if (r.kind != IoResult::Kind::kProgress) {
+      break;
+    }
+    sent += r.bytes;
+    if (r.bytes < part.iov_len) {
+      break;
+    }
+  }
+  Shutdown();
+  return sent;
+}
+
+IoResult Socket::RawRecv(void* buf, size_t n) {
+  for (;;) {
+    const ssize_t r = ::recv(fd_, buf, n, MSG_DONTWAIT);
+    if (r > 0) {
+      return {IoResult::Kind::kProgress, static_cast<size_t>(r)};
+    }
+    if (r == 0) {
+      return {IoResult::Kind::kEof};
+    }
+    if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      return {IoResult::Kind::kWouldBlock};
+    }
+    if (errno != EINTR) {
+      return {IoResult::Kind::kError, 0, Status::Unavailable(Errno("recv failed"))};
+    }
+  }
+}
+
+IoResult Socket::RawSend(const iovec* iov, int iovcnt) {
+  msghdr msg{};
+  msg.msg_iov = const_cast<iovec*>(iov);
+  msg.msg_iovlen = static_cast<size_t>(iovcnt);
+  for (;;) {
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (n > 0) {
+      return {IoResult::Kind::kProgress, static_cast<size_t>(n)};
+    }
+    // A zero-byte send (empty gather list) must not spin the caller's drain loop.
+    if (n == 0 || errno == EAGAIN || errno == EWOULDBLOCK) {
+      return {IoResult::Kind::kWouldBlock};
+    }
+    if (errno != EINTR) {
+      return {IoResult::Kind::kError, 0, Status::Unavailable(Errno("send failed"))};
+    }
+  }
+}
+
+int64_t Socket::CallDeadlineMs() const {
+  return io_timeout_ms_ < 0 ? -1 : NowMs() + io_timeout_ms_;
+}
+
+Status Socket::WaitReady(short events, int64_t deadline_ms, int budget_ms,
+                         const char* what) const {
   pollfd pfd = {fd_, events, 0};
   for (;;) {
-    const int64_t remaining = deadline_ms - NowMs();
-    if (remaining <= 0) {
-      return Status::DeadlineExceeded(std::string(what) + " timed out after " +
-                                      std::to_string(io_timeout_ms_) + "ms");
+    int timeout_ms = -1;
+    if (deadline_ms >= 0) {
+      const int64_t remaining = deadline_ms - NowMs();
+      if (remaining <= 0) {
+        return Status::DeadlineExceeded(std::string(what) + " timed out after " +
+                                        std::to_string(budget_ms) + "ms");
+      }
+      timeout_ms = static_cast<int>(remaining);
     }
-    const int ready = ::poll(&pfd, 1, static_cast<int>(std::min<int64_t>(
-                                          remaining, 1000)));
+    const int ready = ::poll(&pfd, 1, timeout_ms);
+    if (ready > 0) {
+      return Status::Ok();  // Ready — or an error the next IO call surfaces.
+    }
     if (ready < 0 && errno != EINTR) {
       return Status::Internal(Errno("poll failed"));
-    }
-    if (ready > 0) {
-      return Status::Ok();  // Readable/writable — or an error the IO call surfaces.
     }
   }
 }
 
 Status Socket::SendAll(std::string_view bytes) {
+  iovec iov = {const_cast<char*>(bytes.data()), bytes.size()};
+  return SendAll(&iov, 1);
+}
+
+Status Socket::SendAll(iovec* iov, int iovcnt) {
   if (!valid()) {
     return Status::Unavailable("send on closed socket");
   }
-  if (injector_ != nullptr) {
-    const FaultDecision fault = injector_->Decide(FaultPoint::kSend);
-    switch (fault.action) {
-      case FaultAction::kFail:
-        Close();
-        return Status::Unavailable("fault injection: send failed");
-      case FaultAction::kTear: {
-        // Let the first bytes through, then kill the connection: the peer observes a
-        // real torn frame (DATA_LOSS mid-payload), not a clean hangup.
-        const size_t keep = std::min(fault.tear_bytes, bytes.size());
-        if (keep > 0) {
-          (void)::send(fd_, bytes.data(), keep, MSG_NOSIGNAL);
-        }
-        Shutdown();
-        Close();
-        return Status::Unavailable("fault injection: connection torn after " +
-                                   std::to_string(keep) + " bytes");
+  DCP_RETURN_IF_ERROR(Inject(FaultPoint::kSend, iov, iovcnt));
+  const int64_t deadline_ms = CallDeadlineMs();
+  for (;;) {
+    while (iovcnt > 0 && iov->iov_len == 0) {
+      ++iov;
+      --iovcnt;
+    }
+    if (iovcnt == 0) {
+      return Status::Ok();
+    }
+    const IoResult r = RawSend(iov, iovcnt);
+    if (r.kind == IoResult::Kind::kError) {
+      return r.status;
+    }
+    if (r.kind == IoResult::Kind::kWouldBlock) {
+      DCP_RETURN_IF_ERROR(WaitReady(POLLOUT, deadline_ms, io_timeout_ms_, "send"));
+      continue;
+    }
+    for (size_t left = r.bytes; left > 0;) {
+      const size_t step = std::min(left, iov->iov_len);
+      iov->iov_base = static_cast<char*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      left -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --iovcnt;
       }
-      case FaultAction::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
-        break;
-      default:
-        break;
     }
   }
-  // With a timeout the socket stays blocking but IO goes through poll + MSG_DONTWAIT,
-  // so one stalled peer cannot wedge the calling thread past its budget.
-  const bool timed = io_timeout_ms_ >= 0;
-  const int64_t deadline_ms = timed ? NowMs() + io_timeout_ms_ : 0;
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    if (timed) {
-      DCP_RETURN_IF_ERROR(WaitReady(POLLOUT, deadline_ms, "send"));
-    }
-    const ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
-                             MSG_NOSIGNAL | (timed ? MSG_DONTWAIT : 0));
-    if (n < 0) {
-      if (errno == EINTR || (timed && (errno == EAGAIN || errno == EWOULDBLOCK))) {
-        continue;
-      }
-      return Status::Unavailable(Errno("send failed"));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::Ok();
 }
 
 Status Socket::RecvAll(void* buf, size_t n) {
   if (!valid()) {
     return Status::Unavailable("recv on closed socket");
   }
-  if (injector_ != nullptr) {
-    const FaultDecision fault = injector_->Decide(FaultPoint::kRecv);
-    switch (fault.action) {
-      case FaultAction::kFail:
-        Close();
-        return Status::Unavailable("fault injection: recv failed");
-      case FaultAction::kTear:
-        Close();
-        return Status::DataLoss("fault injection: read torn");
-      case FaultAction::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
-        break;
-      default:
-        break;
-    }
-    if (!valid()) {
-      return Status::Unavailable("recv on closed socket");
-    }
-  }
-  const bool timed = io_timeout_ms_ >= 0;
-  const int64_t deadline_ms = timed ? NowMs() + io_timeout_ms_ : 0;
+  DCP_RETURN_IF_ERROR(Inject(FaultPoint::kRecv));
+  const int64_t deadline_ms = CallDeadlineMs();
   size_t got = 0;
   auto* out = static_cast<char*>(buf);
   while (got < n) {
-    if (timed) {
-      DCP_RETURN_IF_ERROR(WaitReady(POLLIN, deadline_ms, "recv"));
+    const IoResult r = RawRecv(out + got, n - got);
+    switch (r.kind) {
+      case IoResult::Kind::kProgress:
+        got += r.bytes;
+        break;
+      case IoResult::Kind::kWouldBlock:
+        DCP_RETURN_IF_ERROR(WaitReady(POLLIN, deadline_ms, io_timeout_ms_, "recv"));
+        break;
+      case IoResult::Kind::kEof:
+        // A close on a frame boundary is how peers hang up; inside a frame it tore one.
+        return got == 0 ? Status::Unavailable("connection closed")
+                        : Status::DataLoss("connection closed mid-frame after " +
+                                           std::to_string(got) + " bytes");
+      case IoResult::Kind::kError:
+        return r.status;
     }
-    const ssize_t r = ::recv(fd_, out + got, n - got, timed ? MSG_DONTWAIT : 0);
-    if (r < 0) {
-      if (errno == EINTR || (timed && (errno == EAGAIN || errno == EWOULDBLOCK))) {
-        continue;
-      }
-      return Status::Unavailable(Errno("recv failed"));
-    }
-    if (r == 0) {
-      // A close on a frame boundary is how peers hang up; inside a frame it tore one.
-      return got == 0 ? Status::Unavailable("connection closed")
-                      : Status::DataLoss("connection closed mid-frame after " +
-                                         std::to_string(got) + " bytes");
-    }
-    got += static_cast<size_t>(r);
-  }
-  return Status::Ok();
-}
-
-Status Socket::SetNonBlocking(bool nonblocking) {
-  if (!valid()) {
-    return Status::Unavailable("fcntl on closed socket");
-  }
-  const int flags = ::fcntl(fd_, F_GETFL, 0);
-  if (flags < 0) {
-    return Status::Internal(Errno("fcntl(F_GETFL) failed"));
-  }
-  const int next = nonblocking ? (flags | O_NONBLOCK) : (flags & ~O_NONBLOCK);
-  if (::fcntl(fd_, F_SETFL, next) != 0) {
-    return Status::Internal(Errno("fcntl(F_SETFL) failed"));
   }
   return Status::Ok();
 }
 
 IoResult Socket::ReadSome(void* buf, size_t n) {
-  IoResult result;
   if (!valid()) {
-    result.status = Status::Unavailable("recv on closed socket");
-    return result;
+    return {IoResult::Kind::kError, 0, Status::Unavailable("recv on closed socket")};
   }
-  if (injector_ != nullptr) {
-    const FaultDecision fault = injector_->Decide(FaultPoint::kRecv);
-    switch (fault.action) {
-      case FaultAction::kFail:
-        result.status = Status::Unavailable("fault injection: recv failed");
-        return result;
-      case FaultAction::kTear:
-        result.status = Status::DataLoss("fault injection: read torn");
-        return result;
-      case FaultAction::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
-        break;
-      default:
-        break;
-    }
+  Status injected = Inject(FaultPoint::kRecv);
+  if (!injected.ok()) {
+    return {IoResult::Kind::kError, 0, std::move(injected)};
   }
-  for (;;) {
-    const ssize_t r = ::recv(fd_, buf, n, MSG_DONTWAIT);
-    if (r > 0) {
-      result.kind = IoResult::Kind::kProgress;
-      result.bytes = static_cast<size_t>(r);
-      return result;
-    }
-    if (r == 0) {
-      result.kind = IoResult::Kind::kEof;
-      return result;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.kind = IoResult::Kind::kWouldBlock;
-      return result;
-    }
-    result.status = Status::Unavailable(Errno("recv failed"));
-    return result;
-  }
+  return RawRecv(buf, n);
 }
 
 IoResult Socket::Writev(const iovec* iov, int iovcnt) {
-  IoResult result;
   if (!valid()) {
-    result.status = Status::Unavailable("send on closed socket");
-    return result;
+    return {IoResult::Kind::kError, 0, Status::Unavailable("send on closed socket")};
   }
-  iovec teared[8];
-  if (injector_ != nullptr) {
-    const FaultDecision fault = injector_->Decide(FaultPoint::kSend);
-    switch (fault.action) {
-      case FaultAction::kFail:
-        result.status = Status::Unavailable("fault injection: send failed");
-        return result;
-      case FaultAction::kTear: {
-        // Truncate the gather list to tear_bytes, flush that prefix, then half-close:
-        // the peer observes a real torn frame (DATA_LOSS mid-payload), not a clean
-        // hangup. The caller still owns the fd and closes it on the kError below.
-        size_t budget = fault.tear_bytes;
-        int kept = 0;
-        for (int i = 0; i < iovcnt && kept < 8 && budget > 0; ++i) {
-          teared[kept] = iov[i];
-          if (teared[kept].iov_len > budget) {
-            teared[kept].iov_len = budget;
-          }
-          budget -= teared[kept].iov_len;
-          ++kept;
-        }
-        if (kept > 0) {
-          msghdr msg{};
-          msg.msg_iov = teared;
-          msg.msg_iovlen = static_cast<size_t>(kept);
-          (void)::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-        }
-        Shutdown();
-        result.status = Status::Unavailable("fault injection: connection torn after " +
-                                            std::to_string(fault.tear_bytes) + " bytes");
-        return result;
-      }
-      case FaultAction::kDelay:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
-        break;
-      default:
-        break;
-    }
+  Status injected = Inject(FaultPoint::kSend, iov, iovcnt);
+  if (!injected.ok()) {
+    return {IoResult::Kind::kError, 0, std::move(injected)};
   }
-  for (;;) {
-    msghdr msg{};
-    msg.msg_iov = const_cast<iovec*>(iov);
-    msg.msg_iovlen = static_cast<size_t>(iovcnt);
-    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (n > 0) {
-      result.kind = IoResult::Kind::kProgress;
-      result.bytes = static_cast<size_t>(n);
-      return result;
-    }
-    if (n == 0) {
-      // Zero-byte sends (empty gather list) must not spin the caller's drain loop.
-      result.kind = IoResult::Kind::kWouldBlock;
-      return result;
-    }
-    if (errno == EINTR) {
-      continue;
-    }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      result.kind = IoResult::Kind::kWouldBlock;
-      return result;
-    }
-    result.status = Status::Unavailable(Errno("send failed"));
-    return result;
-  }
+  return RawSend(iov, iovcnt);
 }
 
 void Socket::Shutdown() {
@@ -407,17 +353,9 @@ void Socket::Close() {
 }
 
 StatusOr<Socket> ConnectSocket(const ServiceAddress& address, int timeout_ms) {
-  std::shared_ptr<FaultInjector> injector = GlobalFaultInjector();
-  if (injector != nullptr) {
-    const FaultDecision fault = injector->Decide(FaultPoint::kConnect);
-    if (fault.action == FaultAction::kFail || fault.action == FaultAction::kTear) {
-      return Status::Unavailable("fault injection: connection to " +
-                                 address.ToString() + " refused");
-    }
-    if (fault.action == FaultAction::kDelay) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(fault.delay_ms));
-    }
-  }
+  Socket sock;
+  sock.set_fault_injector(GlobalFaultInjector());
+  DCP_RETURN_IF_ERROR(sock.Inject(FaultPoint::kConnect));
   sockaddr_storage storage;
   StatusOr<socklen_t> len = FillSockaddr(address, &storage);
   if (!len.ok()) {
@@ -425,65 +363,50 @@ StatusOr<Socket> ConnectSocket(const ServiceAddress& address, int timeout_ms) {
   }
   const int domain =
       address.kind == ServiceAddress::Kind::kTcp ? AF_INET : AF_UNIX;
-  const int fd = ::socket(domain, SOCK_STREAM, 0);
-  if (fd < 0) {
+  sock.fd_ = ::socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (!sock.valid()) {
     return Status::Internal(Errno("socket failed"));
   }
-  Socket sock(fd);
-  if (timeout_ms >= 0) {
-    // Bounded connect: non-blocking connect, poll for writability, then read the
-    // kernel's verdict from SO_ERROR and restore blocking mode.
-    const int flags = ::fcntl(fd, F_GETFL, 0);
-    (void)::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-    int rc = ::connect(fd, reinterpret_cast<sockaddr*>(&storage), len.value());
-    if (rc != 0 && errno == EINPROGRESS) {
-      pollfd pfd = {fd, POLLOUT, 0};
-      const int ready = ::poll(&pfd, 1, timeout_ms);
-      if (ready == 0) {
-        return Status::DeadlineExceeded("connect to " + address.ToString() +
-                                        " timed out after " +
-                                        std::to_string(timeout_ms) + "ms");
-      }
-      int so_error = 0;
-      socklen_t so_len = sizeof(so_error);
-      if (ready < 0 ||
-          ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &so_len) != 0 ||
-          so_error != 0) {
-        errno = so_error != 0 ? so_error : errno;
-        return Status::Unavailable(Errno("cannot connect to " + address.ToString()));
-      }
-    } else if (rc != 0) {
+  // Non-blocking connect: wait for writability, then read the kernel's verdict from
+  // SO_ERROR. A Unix socket with a full backlog fails at once with EAGAIN.
+  if (::connect(sock.fd_, reinterpret_cast<sockaddr*>(&storage), len.value()) != 0) {
+    if (errno != EINPROGRESS) {
       return Status::Unavailable(Errno("cannot connect to " + address.ToString()));
     }
-    (void)::fcntl(fd, F_SETFL, flags);
-  } else if (::connect(fd, reinterpret_cast<sockaddr*>(&storage), len.value()) != 0) {
-    return Status::Unavailable(Errno("cannot connect to " + address.ToString()));
+    const int64_t deadline_ms = timeout_ms < 0 ? -1 : NowMs() + timeout_ms;
+    Status ready = sock.WaitReady(POLLOUT, deadline_ms, timeout_ms, "connect");
+    if (!ready.ok()) {
+      return Status(ready.code(), ready.message() + " (" + address.ToString() + ")");
+    }
+    int so_error = 0;
+    socklen_t so_len = sizeof(so_error);
+    if (::getsockopt(sock.fd_, SOL_SOCKET, SO_ERROR, &so_error, &so_len) != 0 ||
+        so_error != 0) {
+      errno = so_error != 0 ? so_error : errno;
+      return Status::Unavailable(Errno("cannot connect to " + address.ToString()));
+    }
   }
   if (address.kind == ServiceAddress::Kind::kTcp) {
     // Plan RPCs are small request / large response; never trade latency for batching.
     const int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    (void)::setsockopt(sock.fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
-  sock.set_fault_injector(std::move(injector));
   return sock;
 }
 
 Listener::~Listener() { Close(); }
 
 Listener::Listener(Listener&& other) noexcept
-    : fd_(other.fd_), wake_fd_(other.wake_fd_), bound_(std::move(other.bound_)) {
+    : fd_(other.fd_), bound_(std::move(other.bound_)) {
   other.fd_ = -1;
-  other.wake_fd_ = -1;
 }
 
 Listener& Listener::operator=(Listener&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
-    wake_fd_ = other.wake_fd_;
     bound_ = std::move(other.bound_);
     other.fd_ = -1;
-    other.wake_fd_ = -1;
   }
   return *this;
 }
@@ -508,16 +431,12 @@ StatusOr<Listener> Listener::Bind(const ServiceAddress& address, int backlog) {
   }
   const int domain =
       address.kind == ServiceAddress::Kind::kTcp ? AF_INET : AF_UNIX;
-  const int fd = ::socket(domain, SOCK_STREAM, 0);
+  const int fd = ::socket(domain, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::Internal(Errno("socket failed"));
   }
   Listener listener;
   listener.fd_ = fd;
-  listener.wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
-  if (listener.wake_fd_ < 0) {
-    return Status::Internal(Errno("eventfd failed"));
-  }
   if (address.kind == ServiceAddress::Kind::kTcp) {
     const int one = 1;
     (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -540,53 +459,7 @@ StatusOr<Listener> Listener::Bind(const ServiceAddress& address, int backlog) {
   return listener;
 }
 
-StatusOr<Socket> Listener::Accept(int timeout_ms) {
-  if (!valid()) {
-    return Status::Unavailable("listener closed");
-  }
-  pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
-  const int ready = ::poll(pfds, 2, timeout_ms);
-  if (ready < 0) {
-    if (errno == EINTR) {
-      return Status::NotFound("accept interrupted");
-    }
-    return Status::Internal(Errno("poll failed"));
-  }
-  if (ready == 0) {
-    return Status::NotFound("accept timeout");
-  }
-  if ((pfds[1].revents & POLLIN) != 0) {
-    return Status::Unavailable("listener interrupted");
-  }
-  const int fd = ::accept(fd_, nullptr, nullptr);
-  if (fd < 0) {
-    return Status::Unavailable(Errno("accept failed"));
-  }
-  if (bound_.kind == ServiceAddress::Kind::kTcp) {
-    const int one = 1;
-    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
-  Socket accepted(fd);
-  // Chaos mode (dcpctl serve --chaos) faults server-side IO too.
-  accepted.set_fault_injector(GlobalFaultInjector());
-  return accepted;
-}
-
-void Listener::Interrupt() {
-  if (wake_fd_ >= 0) {
-    const uint64_t one = 1;
-    ssize_t written;
-    do {
-      written = ::write(wake_fd_, &one, sizeof(one));
-    } while (written < 0 && errno == EINTR);
-  }
-}
-
 void Listener::Close() {
-  if (wake_fd_ >= 0) {
-    ::close(wake_fd_);
-    wake_fd_ = -1;
-  }
   if (valid()) {
     ::close(fd_);
     fd_ = -1;

@@ -1,8 +1,11 @@
-// Blocking socket transport for the planning service: a move-only Socket wrapper plus a
-// Listener that accepts over TCP (127.0.0.1:port, port 0 picks an ephemeral one) or
+// Socket transport for the planning service: a move-only Socket wrapper plus a
+// Listener that binds over TCP (127.0.0.1:port, port 0 picks an ephemeral one) or
 // Unix-domain sockets. Everything returns Status — a refused connection, a closed peer,
-// or a bind collision is an operational condition, never an abort. The accept loop
-// polls with a short timeout so PlanServer::Stop() can stop it without signals.
+// or a bind collision is an operational condition, never an abort. There is one IO
+// path: every call is a non-blocking recv/sendmsg, and the blocking calls (SendAll,
+// RecvAll, ConnectSocket) are deadline loops that poll on EAGAIN, so an fd's blocking
+// mode never matters. The listener is non-blocking; PlanServer accepts on it from its
+// epoll loops.
 #ifndef DCP_SERVICE_TRANSPORT_H_
 #define DCP_SERVICE_TRANSPORT_H_
 
@@ -18,6 +21,7 @@
 namespace dcp {
 
 class FaultInjector;  // service/fault_injection.h — transport stays below it.
+enum class FaultPoint : uint8_t;
 
 // "tcp:host:port" or "unix:/path/to.sock".
 struct ServiceAddress {
@@ -52,7 +56,10 @@ struct IoResult {
   Status status = Status::Ok();
 };
 
-// A connected stream socket. Blocking; move-only; closes on destruction.
+// A connected stream socket; move-only; closes on destruction. Every call is
+// non-blocking underneath, so the fd's O_NONBLOCK flag does not matter. No call closes
+// the fd on an error or an injected fault: the owner closes it (the event loop owns
+// its fds' poller registration, and a client closes before it reconnects).
 class Socket {
  public:
   Socket() = default;
@@ -70,31 +77,26 @@ class Socket {
   // Writes all of `bytes` (EINTR-safe, SIGPIPE suppressed). UNAVAILABLE when the peer
   // is gone; DEADLINE_EXCEEDED when an io timeout is set and the peer stops draining.
   Status SendAll(std::string_view bytes);
+  // SendAll over a gather list. Advances `iov` in place as bytes go out.
+  Status SendAll(iovec* iov, int iovcnt);
   // Reads exactly `n` bytes. UNAVAILABLE on a clean close before the first byte,
   // DATA_LOSS on a close mid-read (the peer tore a frame), DEADLINE_EXCEEDED when an
-  // io timeout is set and no bytes arrive in time.
+  // io timeout is set and the bytes do not all arrive in time.
   Status RecvAll(void* buf, size_t n);
 
-  // Poll-based time budget applied to each SendAll/RecvAll call as a whole: when the
-  // peer cannot make progress within `timeout_ms`, the call fails with
-  // DEADLINE_EXCEEDED instead of blocking forever. -1 (the default) blocks.
+  // Time budget for each SendAll/RecvAll call as a whole: when the peer cannot finish
+  // within `timeout_ms`, the call fails with DEADLINE_EXCEEDED instead of waiting
+  // forever. -1 (the default) waits without a limit.
   void set_io_timeout_ms(int timeout_ms) { io_timeout_ms_ = timeout_ms; }
   int io_timeout_ms() const { return io_timeout_ms_; }
 
-  // When set, every subsequent SendAll/RecvAll consults the injector first
-  // (service/fault_injection.h). Sockets from ConnectSocket/Accept pick up the
-  // process-global injector automatically when one is installed.
+  // When set, every later IO call consults the injector exactly once
+  // (service/fault_injection.h). Sockets from ConnectSocket pick up the process-global
+  // injector automatically when one is installed; PlanServer sets it on the sockets it
+  // accepts.
   void set_fault_injector(std::shared_ptr<FaultInjector> injector);
 
-  // --- Non-blocking IO (the event-driven server path) ------------------------------
-  //
-  // These never close the fd themselves — the event loop owns the fd's registration in
-  // its poller, so teardown must be one place (the loop), not a side effect of an IO
-  // call. Injected faults therefore surface as kError (after an optional partial write
-  // + shutdown for kTear, so the peer observes a genuinely torn frame) and leave the
-  // close to the caller.
-
-  Status SetNonBlocking(bool nonblocking);
+  // --- Single attempts (the event-driven server path) --------------------------------
 
   // One recv of up to `n` bytes.
   IoResult ReadSome(void* buf, size_t n);
@@ -102,24 +104,42 @@ class Socket {
   // the iovecs' bytes; the caller tracks its own cursor.
   IoResult Writev(const iovec* iov, int iovcnt);
 
-  // Unblocks any thread blocked in RecvAll/SendAll on this socket (server shutdown).
+  // Shuts both directions down; the peer reads EOF. The fd stays open until Close().
   void Shutdown();
   void Close();
 
  private:
-  // Polls until fd_ is ready for `events` or the per-call deadline passes.
-  Status WaitReady(short events, int64_t deadline_ms, const char* what);
+  friend StatusOr<Socket> ConnectSocket(const ServiceAddress& address, int timeout_ms);
+
+  // The fault hook: one injector decision per public IO call. kDelay sleeps and
+  // proceeds; kFail and kTear return the status the call surfaces. A tear first lets
+  // through at most tear_bytes of `iov` (sends only), then shuts the socket down.
+  Status Inject(FaultPoint point, const iovec* iov = nullptr, int iovcnt = 0);
+  // Sends at most `tear_bytes` of `iov`, then shuts the socket down. Returns the bytes
+  // sent.
+  size_t Tear(const iovec* iov, int iovcnt, size_t tear_bytes);
+  // One MSG_DONTWAIT recv / sendmsg, retried only on EINTR.
+  IoResult RawRecv(void* buf, size_t n);
+  IoResult RawSend(const iovec* iov, int iovcnt);
+  // The deadline for one SendAll/RecvAll call: now + io timeout, or -1 for none.
+  int64_t CallDeadlineMs() const;
+  // Polls until fd_ is ready for `events` or `deadline_ms` passes (-1: no deadline).
+  // `budget_ms` only names the budget in the DEADLINE_EXCEEDED message.
+  Status WaitReady(short events, int64_t deadline_ms, int budget_ms,
+                   const char* what) const;
 
   int fd_ = -1;
   int io_timeout_ms_ = -1;
   std::shared_ptr<FaultInjector> injector_;
 };
 
-// Connects to a listening service endpoint. With `timeout_ms` >= 0 the connect itself
-// is bounded (non-blocking connect + poll): a black-holed address fails with
-// DEADLINE_EXCEEDED instead of hanging for the kernel's SYN-retry minutes.
+// Connects to a listening service endpoint. With `timeout_ms` >= 0 the connect is
+// bounded: a black-holed address fails with DEADLINE_EXCEEDED instead of hanging for
+// the kernel's SYN-retry minutes. -1 waits without a limit.
 StatusOr<Socket> ConnectSocket(const ServiceAddress& address, int timeout_ms = -1);
 
+// A bound, listening, non-blocking socket. PlanServer accepts on fd() from its event
+// loops.
 class Listener {
  public:
   Listener() = default;
@@ -141,21 +161,10 @@ class Listener {
   int fd() const { return fd_; }
   const ServiceAddress& bound_address() const { return bound_; }
 
-  // Waits up to `timeout_ms` for a connection (-1: no timeout). NOT_FOUND on timeout
-  // (poll again), UNAVAILABLE once the listener is closed or interrupted.
-  StatusOr<Socket> Accept(int timeout_ms);
-
-  // Wakes a Accept() blocked in another thread (it returns UNAVAILABLE). This is the
-  // only cross-thread operation the Listener supports: the owner then joins the accept
-  // thread and calls Close() from a single thread — closing the fd out from under a
-  // concurrent poll would be a data race and an fd-reuse hazard.
-  void Interrupt();
-
   void Close();
 
  private:
   int fd_ = -1;
-  int wake_fd_ = -1;  // eventfd; written by Interrupt, polled by Accept.
   ServiceAddress bound_;
 };
 

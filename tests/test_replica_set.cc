@@ -4,6 +4,9 @@
 // machine under a fake clock, deterministic fault schedules per seed, local fallback on
 // total fleet loss, and a chaos workload (seeded from DCP_FAULT_SEED, as scripts/
 // check.sh drives it) that must lose zero requests.
+#include <poll.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,7 +75,6 @@ class TornFrameServer {
 
   void Stop() {
     if (!stopped_.exchange(true)) {
-      listener_.Interrupt();
       thread_.join();
       listener_.Close();
     }
@@ -83,14 +85,15 @@ class TornFrameServer {
  private:
   void Loop() {
     while (!stopped_.load()) {
-      StatusOr<Socket> accepted = listener_.Accept(/*timeout_ms=*/100);
-      if (!accepted.ok()) {
-        if (accepted.status().code() == StatusCode::kNotFound) {
-          continue;  // Timeout: poll the stop flag.
-        }
-        return;
+      // Wake every 100 ms to check the stop flag.
+      pollfd pfd = {listener_.fd(), POLLIN, 0};
+      if (::poll(&pfd, 1, /*timeout=*/100) <= 0) {
+        continue;
       }
-      Socket socket = std::move(accepted).value();
+      Socket socket(::accept(listener_.fd(), nullptr, nullptr));
+      if (!socket.valid()) {
+        continue;
+      }
       socket.set_io_timeout_ms(2000);
       if (!ReadFrame(socket).ok()) {
         continue;

@@ -9,6 +9,16 @@
 namespace dcp {
 namespace {
 
+// Reference values of the splitmix64 generator: its first output for seed 0, and its
+// first two outputs for seed 1234567 (a stream advances by the golden increment).
+TEST(SplitMix64, MatchesReferenceOutputs) {
+  EXPECT_EQ(SplitMix64(0), 0xE220A8397B1DCDAFull);
+  uint64_t state = 1234567;
+  EXPECT_EQ(SplitMix64(state), 6457827717110365317ull);
+  state += 0x9E3779B97F4A7C15ull;
+  EXPECT_EQ(SplitMix64(state), 3203168211198807973ull);
+}
+
 TEST(Rng, DeterministicForSameSeed) {
   Rng a(42);
   Rng b(42);

@@ -3,14 +3,21 @@
 // codecs — round-trips, truncation at every prefix, and bit-flip robustness. The
 // invariant under test is the same one the plan store enforces on disk: malformed
 // bytes are a recoverable DATA_LOSS, never an abort and never a silently-wrong message.
+#include <poll.h>
 #include <sys/socket.h>
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "common/rng.h"
+#include "service/fault_injection.h"
 #include "service/frame.h"
 #include "service/plan_server.h"
 #include "service/transport.h"
@@ -253,11 +260,13 @@ TEST(ServiceTransport, ListenerRoundTripAndEphemeralPort) {
 
   StatusOr<Socket> client = ConnectSocket(listener.value().bound_address());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
-  StatusOr<Socket> served = listener.value().Accept(/*timeout_ms=*/2000);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  pollfd pfd = {listener.value().fd(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, /*timeout=*/2000), 1);
+  Socket served(::accept(listener.value().fd(), nullptr, nullptr));
+  ASSERT_TRUE(served.valid());
 
   ASSERT_TRUE(WriteFrame(client.value(), FrameType::kMetricsRequest, "ping").ok());
-  StatusOr<Frame> frame = ReadFrame(served.value());
+  StatusOr<Frame> frame = ReadFrame(served);
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame.value().payload, "ping");
 }
@@ -492,6 +501,247 @@ TEST(ServiceTransport, ConnectToDeadEndpointIsUnavailable) {
   StatusOr<Socket> client = ConnectSocket(address);
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kUnavailable);
+}
+
+// --- The blocking calls' contract: a budget per call, one fault decision per call ----
+
+int64_t ElapsedMs(std::chrono::steady_clock::time_point since) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(
+             std::chrono::steady_clock::now() - since)
+      .count();
+}
+
+TEST(ServiceTransport, RecvAllOnASilentPeerTimesOut) {
+  auto [a, b] = MakeSocketPair();
+  b.set_io_timeout_ms(50);
+  char buf[16];
+  const auto started = std::chrono::steady_clock::now();
+  const Status status = b.RecvAll(buf, sizeof(buf));
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+  EXPECT_GE(ElapsedMs(started), 45);
+}
+
+TEST(ServiceTransport, SendAllToAPeerThatStopsDrainingTimesOut) {
+  auto [a, b] = MakeSocketPair();
+  a.set_io_timeout_ms(100);
+  // Far more than the socket pair buffers; `b` never reads.
+  const std::string bytes(16 << 20, 'x');
+  const Status status = a.SendAll(bytes);
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+}
+
+TEST(ServiceTransport, IoBudgetCoversTheWholeCallNotEachSyscall) {
+  auto [a, b] = MakeSocketPair();
+  std::atomic<bool> stop{false};
+  // One byte every 20 ms: each recv makes progress, but 100 bytes take 2 s.
+  std::thread trickle([&a = a, &stop] {
+    for (int i = 0; i < 100 && !stop.load(); ++i) {
+      if (!a.SendAll("x").ok()) {
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  });
+  b.set_io_timeout_ms(100);
+  char buf[100];
+  const auto started = std::chrono::steady_clock::now();
+  const Status status = b.RecvAll(buf, sizeof(buf));
+  const int64_t elapsed_ms = ElapsedMs(started);
+  stop.store(true);
+  trickle.join();
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status.ToString();
+  EXPECT_LT(elapsed_ms, 1000);
+}
+
+TEST(ServiceTransport, OneFaultDecisionPerSendAllAndRecvAll) {
+  auto [a, b] = MakeSocketPair();
+  auto send_faults = std::make_shared<FaultInjector>(1);
+  auto recv_faults = std::make_shared<FaultInjector>(2);
+  a.set_fault_injector(send_faults);
+  b.set_fault_injector(recv_faults);
+  // 4 MiB is many sendmsg and recv calls through a socket pair's buffer.
+  const std::string bytes(4 << 20, 'y');
+  std::string received(bytes.size(), '\0');
+  Status recv_status = Status::Ok();
+  std::thread reader([&b = b, &received, &recv_status] {
+    recv_status = b.RecvAll(received.data(), received.size());
+  });
+  const Status send_status = a.SendAll(bytes);
+  reader.join();
+  ASSERT_TRUE(send_status.ok()) << send_status.ToString();
+  ASSERT_TRUE(recv_status.ok()) << recv_status.ToString();
+  EXPECT_EQ(received, bytes);
+  EXPECT_EQ(send_faults->decisions(), 1);
+  EXPECT_EQ(recv_faults->decisions(), 1);
+}
+
+TEST(ServiceTransport, InjectedTearDeliversExactlyTearBytes) {
+  FaultRates tear;
+  tear.every_n = 1;
+  tear.periodic_action = FaultAction::kTear;
+  tear.tear_bytes = 10;
+  const std::string payload(100, 'p');
+  {
+    auto [a, b] = MakeSocketPair();
+    auto faults = std::make_shared<FaultInjector>(3);
+    faults->SetRates(FaultPoint::kSend, tear);
+    a.set_fault_injector(faults);
+    EXPECT_EQ(WriteFrame(a, FrameType::kPlanRequest, payload).code(),
+              StatusCode::kUnavailable);
+    char buf[256];
+    size_t total = 0;
+    for (ssize_t n; (n = ::recv(b.fd(), buf, sizeof(buf), 0)) > 0;) {
+      total += static_cast<size_t>(n);
+    }
+    EXPECT_EQ(total, tear.tear_bytes);
+  }
+  {
+    auto [a, b] = MakeSocketPair();
+    auto faults = std::make_shared<FaultInjector>(3);
+    faults->SetRates(FaultPoint::kSend, tear);
+    a.set_fault_injector(faults);
+    EXPECT_FALSE(WriteFrame(a, FrameType::kPlanRequest, payload).ok());
+    StatusOr<Frame> frame = ReadFrame(b);
+    ASSERT_FALSE(frame.ok());
+    EXPECT_EQ(frame.status().code(), StatusCode::kDataLoss) << frame.status().ToString();
+  }
+}
+
+// No IO call closes the fd, on a fault either: the owner does, as the event loop must.
+TEST(ServiceTransport, InjectedFaultsLeaveTheFdToItsOwner) {
+  for (FaultAction action : {FaultAction::kFail, FaultAction::kTear}) {
+    FaultRates rates;
+    rates.every_n = 1;
+    rates.periodic_action = action;
+    auto faults = std::make_shared<FaultInjector>(4);
+    faults->SetRates(FaultPoint::kSend, rates);
+    faults->SetRates(FaultPoint::kRecv, rates);
+    auto [a, b] = MakeSocketPair();
+    a.set_fault_injector(faults);
+    b.set_fault_injector(faults);
+    EXPECT_FALSE(a.SendAll("bytes").ok());
+    char buf[4];
+    EXPECT_FALSE(b.RecvAll(buf, sizeof(buf)).ok());
+    EXPECT_TRUE(a.valid());
+    EXPECT_TRUE(b.valid());
+  }
+}
+
+// Writes `bytes` to one end of a socket pair, shuts it down, and reads one frame from
+// the other: a short frame surfaces as DATA_LOSS at EOF instead of hanging.
+StatusOr<Frame> ReadFrameFromBytes(const std::string& bytes, uint64_t max_payload_bytes) {
+  auto [a, b] = MakeSocketPair();
+  EXPECT_TRUE(a.SendAll(bytes).ok());
+  a.Shutdown();
+  return ReadFrame(b, max_payload_bytes);
+}
+
+// The assembler's verdict on all of `bytes`. NOT_FOUND means it needs more bytes;
+// `buffered` then says how many it holds.
+StatusOr<Frame> AssembleFromBytes(const std::string& bytes, uint64_t max_payload_bytes,
+                                  size_t* buffered) {
+  FrameAssembler assembler(max_payload_bytes);
+  assembler.Append(bytes.data(), bytes.size());
+  StatusOr<Frame> frame = assembler.Next();
+  *buffered = assembler.buffered_bytes();
+  return frame;
+}
+
+// The two frame readers must agree over seeded bit flips, truncations, length-field
+// edits and splices of round-trip frames: both accept with equal type and payload, or
+// both reject for the same reason. Where the assembler still waits for bytes, ReadFrame
+// must have run into the close: a short frame is DATA_LOSS (UNAVAILABLE when nothing
+// was sent), and a header the assembler accepted was not rejected by ReadFrame, which
+// would mean the two bound the payload length differently. The small payload cap
+// checks that no length edit gets either reader to allocate past it.
+TEST(ServiceFrame, SeededMutationsReadIdenticallyByBothReaders) {
+  constexpr uint64_t kMaxPayload = 2048;
+  const uint64_t seed = 0xF7A3E5;
+  std::printf("frame fuzz seed 0x%llx\n", static_cast<unsigned long long>(seed));
+  RecordProperty("fuzz_seed", std::to_string(seed));
+  Rng corpus_rng(31);
+  std::vector<std::string> corpus;
+  for (FrameType type : {FrameType::kPlanRequest, FrameType::kPlanResponse,
+                         FrameType::kErrorResponse, FrameType::kSyncRequest,
+                         FrameType::kMetricsResponse}) {
+    std::string payload(corpus_rng.NextBounded(kMaxPayload), '\0');
+    for (char& c : payload) {
+      c = static_cast<char>(corpus_rng.NextBounded(256));
+    }
+    corpus.push_back(EncodeFrame(type, payload));
+  }
+  corpus.push_back(EncodeFrame(FrameType::kMetricsRequest, ""));
+  size_t buffered = 0;
+  for (const std::string& frame : corpus) {
+    ASSERT_TRUE(ReadFrameFromBytes(frame, kMaxPayload).ok());
+    ASSERT_TRUE(AssembleFromBytes(frame, kMaxPayload, &buffered).ok());
+  }
+  Rng rng(seed);
+  int accepted = 0;
+  constexpr int kMutations = 3000;
+  for (int i = 0; i < kMutations; ++i) {
+    const std::string& a = corpus[rng.NextBounded(corpus.size())];
+    std::string input = a;
+    switch (rng.NextBounded(4)) {
+      case 0: {  // One to three bit flips.
+        const uint64_t flips = 1 + rng.NextBounded(3);
+        for (uint64_t f = 0; f < flips; ++f) {
+          const size_t at = rng.NextBounded(input.size());
+          input[at] = static_cast<char>(input[at] ^ (1 << rng.NextBounded(8)));
+        }
+        break;
+      }
+      case 1:  // Truncation.
+        input.resize(rng.NextBounded(input.size()));
+        break;
+      case 2: {  // Length field: near the true length, near the cap, or anything.
+        const uint64_t length = a.size() - 20;
+        uint64_t edited = rng.NextU64();
+        switch (rng.NextBounded(3)) {
+          case 0:
+            edited = length + rng.NextBounded(9) - 4;
+            break;
+          case 1:
+            edited = kMaxPayload + rng.NextBounded(5) - 2;
+            break;
+          default:
+            break;
+        }
+        for (int b = 0; b < 8; ++b) {
+          input[8 + b] = static_cast<char>(static_cast<uint8_t>(edited >> (8 * b)));
+        }
+        break;
+      }
+      default: {  // Splice: a prefix of one frame, a suffix of another.
+        const std::string& b = corpus[rng.NextBounded(corpus.size())];
+        input = a.substr(0, rng.NextBounded(a.size())) +
+                b.substr(rng.NextBounded(b.size()));
+        break;
+      }
+    }
+    StatusOr<Frame> read = ReadFrameFromBytes(input, kMaxPayload);
+    StatusOr<Frame> assembled = AssembleFromBytes(input, kMaxPayload, &buffered);
+    const std::string verdicts = "mutation " + std::to_string(i) + ": ReadFrame " +
+                                 read.status().ToString() + ", FrameAssembler " +
+                                 assembled.status().ToString();
+    ASSERT_EQ(read.ok(), assembled.ok()) << verdicts;
+    if (read.ok()) {
+      ++accepted;
+      ASSERT_EQ(read.value().type, assembled.value().type) << verdicts;
+      ASSERT_EQ(read.value().payload, assembled.value().payload) << verdicts;
+      ASSERT_LE(read.value().payload.size(), kMaxPayload) << verdicts;
+    } else if (assembled.status().code() == StatusCode::kNotFound) {
+      ASSERT_EQ(read.status().code(),
+                buffered > 0 ? StatusCode::kDataLoss : StatusCode::kUnavailable)
+          << verdicts;
+      ASSERT_NE(read.status().message().find("connection closed"), std::string::npos)
+          << verdicts;
+    } else {
+      ASSERT_EQ(read.status().ToString(), assembled.status().ToString()) << verdicts;
+    }
+  }
+  std::printf("frame fuzz: %d of %d mutations accepted by both readers\n", accepted,
+              kMutations);
 }
 
 }  // namespace
