@@ -141,6 +141,7 @@ if [[ "${DCP_SKIP_SANITIZERS:-0}" != "1" ]]; then
     src/service/event_loop.cc
     src/service/fault_injection.cc
     src/service/frame.cc
+    src/service/messages.cc
     src/service/transport.cc
   )
   fanalyzer_log="$(mktemp)"
@@ -188,7 +189,7 @@ if command -v clang-tidy >/dev/null 2>&1; then
     src/common/crc32.cc src/common/status.cc \
     src/core/plan_store.cc src/runtime/instructions.cc \
     src/service/event_loop.cc src/service/fault_injection.cc \
-    src/service/frame.cc src/service/transport.cc
+    src/service/frame.cc src/service/messages.cc src/service/transport.cc
 else
   echo "check.sh: clang-tidy not found (gcc-only image), skipping .clang-tidy tier"
 fi

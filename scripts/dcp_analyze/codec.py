@@ -74,9 +74,10 @@ GROUPS = (
 
 # Codec-shaped functions that are deliberately not groups of their own.
 EXEMPT_CODECS = {
-    # Partial by contract: writes everything except the record bytes, which
-    # the server splices from the store; equivalence with the full serializer
-    # is pinned by test_service_wire.
+    # The one writer of the response fields: SerializePlanServiceResponse is
+    # built as this head plus the record bytes, so the service-response group
+    # checks it through that serializer. The server sends it alone and splices
+    # the shared record after it; test_service_wire pins the equality.
     "SerializePlanServiceResponseHead",
     # An owning copy of DeserializePlanServiceResponseView's result, field for
     # field; the dcpbench traced pass calls it by name.
@@ -85,7 +86,8 @@ EXEMPT_CODECS = {
 
 # Files whose Serialize*/Deserialize*/EncodeRecord/DecodeRecord definitions
 # must all be registered above (the discovery check).
-CODEC_FILES = ("src/runtime/instructions.cc", "src/core/plan_store.cc")
+CODEC_FILES = ("src/runtime/instructions.cc", "src/service/messages.cc",
+               "src/core/plan_store.cc")
 
 
 _USING_RE = re.compile(r"\busing\s+([A-Za-z_]\w*)\s*=\s*([\w:]+)\s*[&*]*\s*;")

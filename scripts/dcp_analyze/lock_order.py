@@ -7,7 +7,7 @@ through scopes (including MutexLock's Unlock()/Lock() relock protocol) and a
 call-graph fixed point propagates "locks acquired during this call" summaries,
 so nesting through helper calls is seen too.  Call targets are resolved by
 typing the receiver (parameters, locals, `auto`/range-for roots, member
-fields), so `fallback_engine_->PlanDetailed(...)` contributes Engine's locks
+fields), so `fallback_engine_->PlanWithBlockSize(...)` contributes Engine's locks
 and nobody else's.  Emitted rules:
 
   lock-order   An observed nesting edge A -> B that the annotation set does not

@@ -40,9 +40,11 @@ import re
 import sys
 import tempfile
 
-# Files whose output bytes must be deterministic: signature computation, plan
-# binary serialization, store record encoding, and wire framing.
+# Files whose output bytes must be deterministic: signature computation, the
+# shared byte codec, plan binary serialization, store record encoding, service
+# messages, and wire framing.
 DETERMINISM_FILES = [
+    "src/common/bytes.h",
     "src/core/plan_signature.cc",
     "src/core/plan_signature.h",
     "src/core/plan_store.cc",
@@ -51,6 +53,8 @@ DETERMINISM_FILES = [
     "src/runtime/instructions.h",
     "src/service/frame.cc",
     "src/service/frame.h",
+    "src/service/messages.cc",
+    "src/service/messages.h",
 ]
 
 # Event-loop code: blocking transport calls here stall every multiplexed

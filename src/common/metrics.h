@@ -266,7 +266,7 @@ struct Trace {
 std::string FormatTrace(const Trace& trace);
 
 // Ambient current trace, thread-local. The server worker scopes the request's
-// trace around PlanDetailed; Engine / planner / store record phases into
+// trace around Engine::PlanWithBlockSize; Engine / planner / store record phases into
 // whatever is current (no-op when nothing is, e.g. direct library use).
 class TraceContext {
  public:

@@ -15,7 +15,6 @@ DcpDataLoader::DcpDataLoader(BatchStream stream, MaskSpec mask_spec,
       lookahead_(lookahead) {
   DCP_CHECK(planner_ != nullptr);
   DCP_CHECK_GE(lookahead, 0);
-  engine_ = std::dynamic_pointer_cast<Engine>(planner_);
   metrics::Registry& registry = metrics::Registry::Global();
   next_wait_us_ = registry.GetHistogram(
       "dcp_loader_next_wait_us", {},
@@ -55,14 +54,14 @@ void DcpDataLoader::EnqueueOne() {
   metrics::Counter* retries = retries_;
   pending_.push_back(planner_->pool().Submit(
       [batch = std::move(batch), mask_spec, planner, retries]() mutable {
-        StatusOr<PlanHandle> handle = planner->PlanForLoader(batch.seqlens, mask_spec);
+        StatusOr<PlanHandle> handle = planner->Plan(batch.seqlens, mask_spec);
         for (int retry = 0;
              retry < 5 && !handle.ok() &&
              handle.status().code() == StatusCode::kUnavailable;
              ++retry) {
           retries->Increment();
           std::this_thread::sleep_for(std::chrono::milliseconds(20 << retry));
-          handle = planner->PlanForLoader(batch.seqlens, mask_spec);
+          handle = planner->Plan(batch.seqlens, mask_spec);
         }
         DCP_CHECK(handle.ok()) << "look-ahead planning failed: "
                                << handle.status().ToString();

@@ -37,9 +37,9 @@ class DcpDataLoader {
   // plan cache), or a service::PlanClient pointed at a remote planning service.
   // Look-ahead jobs run on the planner's pool either way, so planning (local or RPC)
   // still overlaps "model execution". `lookahead` is the paper's kappa: iterations
-  // planned ahead of consumption. When an Engine's options().auto_tune_block_size is
-  // set, every batch goes through the per-signature block-size tuner instead of the
-  // fixed block size.
+  // planned ahead of consumption. Each batch is planned with Planner::Plan, under the
+  // planner's block-size policy (an Engine with options().auto_tune_block_size set
+  // tunes it per batch signature).
   DcpDataLoader(BatchStream stream, MaskSpec mask_spec,
                 std::shared_ptr<Planner> planner, int lookahead = 2);
   ~DcpDataLoader();
@@ -50,12 +50,6 @@ class DcpDataLoader {
   // True while the look-ahead window is fully planned (for tests/diagnostics).
   int PendingPlans() const;
 
-  // The backing Engine. Only valid when the loader was constructed over one; a loader
-  // over a remote PlanClient has no local engine.
-  Engine& engine() {
-    DCP_CHECK(engine_ != nullptr) << "loader is backed by a remote planner, not an Engine";
-    return *engine_;
-  }
   Planner& planner() { return *planner_; }
 
  private:
@@ -64,7 +58,6 @@ class DcpDataLoader {
   BatchStream stream_;
   MaskSpec mask_spec_;
   std::shared_ptr<Planner> planner_;
-  std::shared_ptr<Engine> engine_;  // Set when planner_ is an Engine.
   int lookahead_;
   std::deque<std::future<PlannedIteration>> pending_;
 

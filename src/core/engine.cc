@@ -235,12 +235,25 @@ PlanHandle Engine::StoreLookup(const PlanSignature& sig,
 
 StatusOr<PlanHandle> Engine::Plan(const std::vector<int64_t>& seqlens,
                                   const MaskSpec& mask_spec) {
-  return PlanWithBlockSize(seqlens, mask_spec, options_.planner.block_size);
+  return PlanWithBlockSize(seqlens, mask_spec, /*block_size=*/0);
 }
 
 StatusOr<PlanHandle> Engine::PlanWithBlockSize(std::span<const int64_t> seqlens,
                                                const MaskSpec& mask_spec,
                                                int64_t block_size, PlanOrigin* origin) {
+  if (block_size == 0) {
+    if (options_.auto_tune_block_size) {
+      StatusOr<AutoTuneResult> tuned = AutoTune(seqlens, mask_spec);
+      if (!tuned.ok()) {
+        return tuned.status();
+      }
+      if (origin != nullptr) {
+        *origin = tuned.value().plan_origin;
+      }
+      return tuned.value().plan;
+    }
+    block_size = options_.planner.block_size;
+  }
   PlannerOptions planner = options_.planner;
   planner.block_size = block_size;
   DCP_RETURN_IF_ERROR(ValidatePlanRequest(seqlens, mask_spec, cluster_, planner));
@@ -307,35 +320,16 @@ std::vector<PlanHandle> Engine::CachedPlans() const {
 StatusOr<PlanSignature> Engine::RequestSignature(std::span<const int64_t> seqlens,
                                                  const MaskSpec& mask_spec,
                                                  int64_t block_size) const {
+  if (block_size == 0 && options_.auto_tune_block_size) {
+    return Status::FailedPrecondition(
+        "an auto-tuned request's signature is known only after tuning");
+  }
   PlannerOptions planner = options_.planner;
   if (block_size != 0) {
     planner.block_size = block_size;
   }
   DCP_RETURN_IF_ERROR(ValidatePlanRequest(seqlens, mask_spec, cluster_, planner));
   return ComputePlanSignature(seqlens, mask_spec, cluster_, planner);
-}
-
-StatusOr<Engine::PlannedOutcome> Engine::PlanDetailed(std::span<const int64_t> seqlens,
-                                                      const MaskSpec& mask_spec,
-                                                      int64_t block_size) {
-  PlannedOutcome outcome;
-  if (block_size == 0 && options_.auto_tune_block_size) {
-    StatusOr<AutoTuneResult> tuned = AutoTune(seqlens, mask_spec);
-    if (!tuned.ok()) {
-      return tuned.status();
-    }
-    outcome.handle = tuned.value().plan;
-    outcome.origin = tuned.value().plan_origin;
-    return outcome;
-  }
-  const int64_t block = block_size == 0 ? options_.planner.block_size : block_size;
-  StatusOr<PlanHandle> plan =
-      PlanWithBlockSize(seqlens, mask_spec, block, &outcome.origin);
-  if (!plan.ok()) {
-    return plan.status();
-  }
-  outcome.handle = std::move(plan).value();
-  return outcome;
 }
 
 StatusOr<AutoTuneResult> Engine::AutoTune(std::span<const int64_t> seqlens,
@@ -414,18 +408,6 @@ StatusOr<AutoTuneResult> Engine::AutoTune(std::span<const int64_t> seqlens,
   result.best_fwbw_seconds = search.best_fwbw_seconds;
   result.candidates = std::move(search.candidates);
   return result;
-}
-
-StatusOr<PlanHandle> Engine::PlanForLoader(const std::vector<int64_t>& seqlens,
-                                           const MaskSpec& mask_spec) {
-  if (!options_.auto_tune_block_size) {
-    return Plan(seqlens, mask_spec);
-  }
-  StatusOr<AutoTuneResult> tuned = AutoTune(seqlens, mask_spec);
-  if (!tuned.ok()) {
-    return tuned.status();
-  }
-  return tuned.value().plan;
 }
 
 PlanCacheStats Engine::cache_stats() const {

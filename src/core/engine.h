@@ -76,13 +76,11 @@ class Planner {
  public:
   virtual ~Planner() = default;
 
-  // Plans `seqlens` under `mask_spec` at the session's configured block size.
+  // Plans `seqlens` under `mask_spec` with the session's block-size policy: a fixed
+  // block size, or a per-signature auto-tuned one when enabled. For a remote planner
+  // the policy is the tenant's.
   virtual StatusOr<PlanHandle> Plan(const std::vector<int64_t>& seqlens,
                                     const MaskSpec& mask_spec) = 0;
-  // Plans under the session's loader policy (fixed block size, or per-signature
-  // auto-tune when enabled). For a remote planner the policy is the tenant's.
-  virtual StatusOr<PlanHandle> PlanForLoader(const std::vector<int64_t>& seqlens,
-                                             const MaskSpec& mask_spec) = 0;
   // The pool look-ahead planning is scheduled on (paper §6.1 overlap).
   virtual ThreadPool& pool() = 0;
 };
@@ -97,8 +95,8 @@ struct EngineOptions {
   // Bound on AutoTune's per-signature winner table (tiny entries, but long-running
   // sessions with churning batch shapes must not grow without limit).
   int tune_cache_capacity = 1024;
-  // When set, the data-loader path tunes the block size per batch signature instead of
-  // using planner.block_size verbatim (paper §7.1's search, amortized by the tune cache).
+  // When set, Plan tunes the block size per batch signature instead of using
+  // planner.block_size verbatim (paper §7.1's search, amortized by the tune cache).
   bool auto_tune_block_size = false;
   std::vector<int64_t> tune_block_sizes = {512, 1024, 2048, 4096};
   // When non-empty, a PlanStore directory backing the in-memory cache across process
@@ -168,14 +166,17 @@ class Engine : public Planner {
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
-  // Plans `seqlens` under `mask_spec` at the engine's configured block size. Cache hits
-  // return the previously compiled handle without touching the planner.
+  // Plans `seqlens` under `mask_spec` with the engine's block-size policy:
+  // options().planner.block_size, or AutoTune's winner when
+  // options().auto_tune_block_size is set. Cache hits return the previously compiled
+  // handle without touching the planner.
   StatusOr<PlanHandle> Plan(const std::vector<int64_t>& seqlens,
                             const MaskSpec& mask_spec) override;
-  // Same, at an explicit block size (AutoTune and tests use this). When `origin` is
-  // non-null it reports which tier served the plan. Takes a span so the cache-hit path
-  // (signature hash + LRU lookup) runs without materializing a seqlens vector; the
-  // seqlens are only copied when the request actually misses to the planner.
+  // Same, at an explicit block size, or with the policy when `block_size` is 0 (the
+  // planning service passes the request's). When `origin` is non-null it reports which
+  // tier served the plan. Takes a span so the cache-hit path (signature hash + LRU
+  // lookup) runs without materializing a seqlens vector; the seqlens are only copied
+  // when the request actually misses to the planner.
   StatusOr<PlanHandle> PlanWithBlockSize(std::span<const int64_t> seqlens,
                                          const MaskSpec& mask_spec, int64_t block_size,
                                          PlanOrigin* origin = nullptr);
@@ -197,22 +198,6 @@ class Engine : public Planner {
                     mask_spec);
   }
 
-  // Plans either at the fixed block size or through AutoTune, per
-  // options().auto_tune_block_size — the data loader's single entry point.
-  StatusOr<PlanHandle> PlanForLoader(const std::vector<int64_t>& seqlens,
-                                     const MaskSpec& mask_spec) override;
-
-  // The planning service's entry point: one call that applies the session policy
-  // (`block_size` 0) or an explicit block size, and reports which cache tier served
-  // the plan.
-  struct PlannedOutcome {
-    PlanHandle handle;
-    PlanOrigin origin = PlanOrigin::kFresh;
-  };
-  StatusOr<PlannedOutcome> PlanDetailed(std::span<const int64_t> seqlens,
-                                        const MaskSpec& mask_spec,
-                                        int64_t block_size = 0);
-
   const ClusterSpec& cluster() const { return cluster_; }
   const EngineOptions& options() const { return options_; }
   // The engine-owned pool the data loader schedules look-ahead planning on.
@@ -226,9 +211,8 @@ class Engine : public Planner {
 
   // The canonical signature PlanWithBlockSize would assign to this request (block_size
   // 0: the engine's fixed block size). Returns the validation error on malformed
-  // input. Not meaningful for tenants with auto_tune_block_size set and block_size 0 —
-  // there the signature depends on the tuning search; callers gate on
-  // options().auto_tune_block_size.
+  // input, and FAILED_PRECONDITION for block_size 0 under auto-tune, where the
+  // signature depends on the tuning search.
   StatusOr<PlanSignature> RequestSignature(std::span<const int64_t> seqlens,
                                            const MaskSpec& mask_spec,
                                            int64_t block_size = 0) const;

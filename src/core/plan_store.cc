@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/crc32.h"
 
@@ -15,13 +15,13 @@ namespace fs = std::filesystem;
 namespace dcp {
 namespace {
 
-constexpr char kRecordMagic[8] = {'D', 'C', 'P', 'S', 'T', 'O', 'R', 'E'};
-constexpr char kBundleMagic[8] = {'D', 'C', 'P', 'B', 'U', 'N', 'D', 'L'};
-constexpr uint32_t kRecordVersion = 3;
+constexpr std::string_view kRecordMagic = "DCPSTORE";
+constexpr std::string_view kBundleMagic = "DCPBUNDL";
+constexpr uint32_t kRecordVersion = 4;
 constexpr uint32_t kBundleVersion = 1;
-constexpr uint32_t kSectionPlan = 1;
 constexpr size_t kRecordHeaderBytes = 8 + 4 + 16;  // Magic + version + signature.
 constexpr size_t kMinRecordBytes = kRecordHeaderBytes + 4;
+constexpr size_t kBundleHeaderBytes = 8 + 4 + 4;  // Magic + version + record count.
 // A record larger than this is rejected before being read into memory: no real plan
 // comes close, and a corrupt length field must not drive a giant allocation. Bundles
 // concatenate many records, so they get a proportionally larger cap.
@@ -29,36 +29,10 @@ constexpr uint64_t kMaxRecordBytes = uint64_t{1} << 30;
 constexpr uint64_t kMaxBundleBytes = uint64_t{1} << 36;
 constexpr const char* kRecordSuffix = ".dcpplan";
 
-void AppendU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v >> (8 * i))));
-  }
-}
-
-void AppendU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v >> (8 * i))));
-  }
-}
-
-uint32_t ReadU32At(std::string_view bytes, size_t pos) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[pos + i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64At(std::string_view bytes, size_t pos) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[pos + i])) << (8 * i);
-  }
-  return v;
-}
+constexpr const char* kRecordFormat = "plan record";
 
 Status Corrupt(const std::string& what) {
-  return Status::DataLoss("plan record: " + what);
+  return Status::DataLoss(std::string(kRecordFormat) + ": " + what);
 }
 
 bool ParseHexSignature(std::string_view stem, PlanSignature* sig) {
@@ -109,23 +83,16 @@ StatusOr<std::string> ReadFileBytes(const std::string& path,
 }  // namespace
 
 std::string PlanStore::EncodeRecord(const PlanSignature& sig, const BatchPlan& plan) {
-  // The payload is encoded in place after its section header; its length is patched
-  // in once known, and the CRC trailer fits in the room AppendPlanBinary reserved.
-  std::string out;
-  out.append(kRecordMagic, sizeof(kRecordMagic));
-  AppendU32(out, kRecordVersion);
-  AppendU64(out, sig.lo);
-  AppendU64(out, sig.hi);
-  AppendU32(out, kSectionPlan);
-  const size_t length_at = out.size();
-  AppendU64(out, 0);
-  AppendPlanBinary(plan, out, /*trailer_bytes=*/4);
-  const uint64_t length = out.size() - length_at - 8;
-  for (int i = 0; i < 8; ++i) {
-    out[length_at + static_cast<size_t>(i)] = static_cast<char>(length >> (8 * i));
-  }
-  AppendU32(out, Crc32(out));
-  return out;
+  // The payload is encoded in place after the header, and the CRC trailer fits in the
+  // room AppendPlanBinary reserved.
+  ByteWriter w;
+  w.Bytes(kRecordMagic);
+  w.U32(kRecordVersion);
+  w.U64(sig.lo);
+  w.U64(sig.hi);
+  AppendPlanBinary(plan, w, /*trailer_bytes=*/4);
+  w.U32(Crc32(w.view()));
+  return w.Take();
 }
 
 StatusOr<std::pair<PlanSignature, BatchPlan>> PlanStore::DecodeRecord(
@@ -133,54 +100,28 @@ StatusOr<std::pair<PlanSignature, BatchPlan>> PlanStore::DecodeRecord(
   if (bytes.size() < kMinRecordBytes) {
     return Corrupt("truncated record (" + std::to_string(bytes.size()) + " bytes)");
   }
-  if (bytes.compare(0, sizeof(kRecordMagic),
-                    std::string_view(kRecordMagic, sizeof(kRecordMagic))) != 0) {
+  // Every read below is in bounds: the record holds at least a header and a trailer.
+  ByteReader r(bytes, kRecordFormat);
+  if (r.Bytes(kRecordMagic.size(), "truncated magic") != kRecordMagic) {
     return Corrupt("bad magic");
   }
-  const uint32_t version = ReadU32At(bytes, 8);
+  const uint32_t version = r.U32();
   if (version != kRecordVersion) {
     return Corrupt("unsupported record version " + std::to_string(version));
   }
+  PlanSignature sig;
+  sig.lo = r.U64();
+  sig.hi = r.U64();
+  const std::string_view payload = r.Bytes(r.remaining() - 4, "truncated payload");
   // The checksum covers everything before the 4-byte trailer; verify it before any
   // further byte is interpreted so bit flips and torn writes stop here.
-  const size_t body_end = bytes.size() - 4;
-  const uint32_t stored_crc = ReadU32At(bytes, body_end);
-  const uint32_t computed_crc = Crc32(bytes.substr(0, body_end));
-  if (stored_crc != computed_crc) {
+  if (r.U32() != Crc32(bytes.substr(0, bytes.size() - 4))) {
     return Corrupt("checksum mismatch");
   }
-  PlanSignature sig;
-  sig.lo = ReadU64At(bytes, 12);
-  sig.hi = ReadU64At(bytes, 20);
   if (sig.IsZero()) {
     return Corrupt("zero signature");
   }
-  std::optional<std::string_view> plan_payload;
-  size_t pos = kRecordHeaderBytes;
-  while (pos < body_end) {
-    if (body_end - pos < 12) {
-      return Corrupt("truncated section header");
-    }
-    const uint32_t tag = ReadU32At(bytes, pos);
-    const uint64_t length = ReadU64At(bytes, pos + 4);
-    pos += 12;
-    if (length > body_end - pos) {
-      return Corrupt("section length exceeds record");
-    }
-    if (tag == kSectionPlan) {
-      if (plan_payload.has_value()) {
-        return Corrupt("duplicate plan section");
-      }
-      plan_payload = bytes.substr(pos, static_cast<size_t>(length));
-    }
-    // Unknown tags are skipped: they are CRC-covered, so this is forward compatibility,
-    // not a corruption loophole.
-    pos += static_cast<size_t>(length);
-  }
-  if (!plan_payload.has_value()) {
-    return Corrupt("missing plan section");
-  }
-  StatusOr<BatchPlan> plan = DeserializePlanBinary(*plan_payload);
+  StatusOr<BatchPlan> plan = DeserializePlanBinary(payload);
   if (!plan.ok()) {
     return plan.status();
   }
@@ -369,12 +310,7 @@ PlanStoreStats PlanStore::stats() const {
 }
 
 StatusOr<int> PlanStore::ExportBundle(const std::string& file) {
-  std::string out;
-  out.append(kBundleMagic, sizeof(kBundleMagic));
-  AppendU32(out, kBundleVersion);
-  const size_t count_pos = out.size();
-  AppendU32(out, 0);  // Patched below.
-  uint32_t exported = 0;
+  std::vector<std::string> records;
   for (const PlanSignature& sig : Signatures()) {
     StatusOr<std::string> bytes = ReadFileBytes(RecordPath(sig));
     if (!bytes.ok() || !DecodeRecord(bytes.value()).ok()) {
@@ -382,15 +318,18 @@ StatusOr<int> PlanStore::ExportBundle(const std::string& file) {
       corrupt_skipped_->Increment();
       continue;
     }
-    AppendU64(out, bytes.value().size());
-    out += bytes.value();
-    ++exported;
+    records.push_back(std::move(bytes).value());
   }
-  std::string patched_count;
-  AppendU32(patched_count, exported);
-  out.replace(count_pos, 4, patched_count);
-  DCP_RETURN_IF_ERROR(AtomicWrite(file, out));
-  return static_cast<int>(exported);
+  ByteWriter w;
+  w.Bytes(kBundleMagic);
+  w.U32(kBundleVersion);
+  w.U32(static_cast<uint32_t>(records.size()));
+  for (const std::string& record : records) {
+    w.U64(record.size());
+    w.Bytes(record);
+  }
+  DCP_RETURN_IF_ERROR(AtomicWrite(file, w.view()));
+  return static_cast<int>(records.size());
 }
 
 StatusOr<int> PlanStore::ImportBundle(const std::string& file) {
@@ -399,31 +338,27 @@ StatusOr<int> PlanStore::ImportBundle(const std::string& file) {
     return bytes_or.status();
   }
   const std::string& bytes = bytes_or.value();
-  if (bytes.size() < 16 ||
-      std::string_view(bytes).compare(0, sizeof(kBundleMagic),
-                                      std::string_view(kBundleMagic,
-                                                       sizeof(kBundleMagic))) != 0) {
+  ByteReader r(bytes, kRecordFormat);
+  if (bytes.size() < kBundleHeaderBytes ||
+      r.Bytes(kBundleMagic.size(), "truncated bundle magic") != kBundleMagic) {
     return Corrupt("bad bundle magic");
   }
-  const uint32_t version = ReadU32At(bytes, 8);
+  const uint32_t version = r.U32();
   if (version != kBundleVersion) {
     return Corrupt("unsupported bundle version " + std::to_string(version));
   }
-  const uint32_t count = ReadU32At(bytes, 12);
-  size_t pos = 16;
+  const uint32_t count = r.U32();
   int imported = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    if (bytes.size() - pos < 8) {
+    const uint64_t length = r.U64();
+    if (r.failed()) {
       return Corrupt("truncated bundle entry header");
     }
-    const uint64_t length = ReadU64At(bytes, pos);
-    pos += 8;
-    if (length > bytes.size() - pos) {
+    if (length > r.remaining()) {
       return Corrupt("bundle entry length exceeds bundle");
     }
-    const std::string_view record = std::string_view(bytes).substr(
-        pos, static_cast<size_t>(length));
-    pos += static_cast<size_t>(length);
+    const std::string_view record =
+        r.Bytes(static_cast<size_t>(length), "bundle entry length exceeds bundle");
     StatusOr<std::pair<PlanSignature, BatchPlan>> decoded = DecodeRecord(record);
     if (!decoded.ok()) {
       MutexLock lock(mu_);
@@ -439,7 +374,7 @@ StatusOr<int> PlanStore::ImportBundle(const std::string& file) {
     }
     ++imported;
   }
-  if (pos != bytes.size()) {
+  if (!r.AtEnd()) {
     return Corrupt("trailing garbage after bundle entries");
   }
   return imported;

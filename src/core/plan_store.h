@@ -13,26 +13,26 @@
 // writer process never leaves a half-record under a live name. (The write is not
 // fsynced: after a power loss the rename may surface torn page-cache data — that case
 // is detected by the CRC trailer and replanned around, not prevented.) Record format
-// (all integers little-endian, fixed width):
+// (all integers little-endian, written and read through common/bytes.h):
 //
 //   offset 0   "DCPSTORE"             8-byte magic
-//          8   u32 format version     (currently 3; older records are replanned)
+//          8   u32 format version     (currently 4; older records are replanned)
 //         12   u64 signature.lo
 //         20   u64 signature.hi
-//         28   sections               repeated { u32 tag, u64 length, payload }
-//          ⋮                          tag 1 = plan payload (SerializePlanBinary bytes);
-//                                     unknown tags are skipped for forward compatibility
+//         28   plan payload           SerializePlanBinary bytes, up to the trailer
 //   size - 4   u32 CRC32              over every byte before the trailer
 //
 // The plan payload is version 3 of the binary plan format (runtime/instructions.cc
 // documents it): varint layout, chunk-home and stats sections, then per device a
 // header (slot counts and six pool counts) and one frame-of-reference column per item
 // field — {zigzag base, byte width in 0/1/2/4/8}, then one little-endian value − base
-// per item. EncodeRecord encodes the payload in place, after its section header.
+// per item. EncodeRecord encodes the payload in place, after the header. Versions 1-3
+// wrapped the payload in a {u32 tag, u64 length} section; it had one tag and no other
+// writer, so version 4 dropped it.
 //
 // Decoding validates, in order: minimum length, magic, version, the CRC32 trailer
-// (catching bit flips and torn writes before any byte reaches the plan decoder), section
-// framing, and finally the bounds-checked binary plan payload — and cross-checks the
+// (catching bit flips and torn writes before any byte reaches the plan decoder), the
+// signature, and finally the bounds-checked binary plan payload — and cross-checks the
 // embedded signature against both the filename and the requested key. Every failure is a
 // recoverable DATA_LOSS Status; a corrupt record is counted, skipped, and replanned
 // around, never a process abort.
@@ -106,7 +106,7 @@ class PlanStore {
   StatusOr<int> ImportBundle(const std::string& file);
 
   // Record codec, exposed for tests and the bundle path. EncodeRecord produces the full
-  // header + sections + CRC32 byte stream; DecodeRecord validates everything.
+  // header + plan payload + CRC32 byte stream; DecodeRecord validates everything.
   static std::string EncodeRecord(const PlanSignature& sig, const BatchPlan& plan);
   static StatusOr<std::pair<PlanSignature, BatchPlan>> DecodeRecord(
       std::string_view bytes);

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <sstream>
-#include <type_traits>
-#include <utility>
 
 #include "common/check.h"
 
@@ -178,10 +175,6 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device)
 
 namespace {
 
-// Item-count sanity bound: far above any real plan, low enough that a corrupt count can
-// never drive a pathological allocation loop.
-constexpr uint64_t kMaxPlanItems = uint64_t{1} << 26;
-
 constexpr int kMaxInstrKind = static_cast<int>(InstrKind::kCommWait);
 constexpr int kMaxReduceMode = static_cast<int>(ReduceMode::kComputeDelta);
 
@@ -204,255 +197,6 @@ constexpr size_t VarBytes(uint64_t v) {
   }
   return n;
 }
-
-constexpr uint64_t ZigZag(int64_t v) {
-  return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
-}
-
-// Unsigned integer of kWidth bytes.
-template <size_t kWidth>
-using UintOf = std::conditional_t<
-    kWidth == 1, uint8_t,
-    std::conditional_t<kWidth == 2, uint16_t,
-                       std::conditional_t<kWidth == 4, uint32_t, uint64_t>>>;
-
-// Stores the low kWidth bytes of `v` at `out`, little-endian.
-template <size_t kWidth>
-void StoreLE(unsigned char* out, uint64_t v) {
-  if constexpr (std::endian::native == std::endian::little) {
-    const auto word = static_cast<UintOf<kWidth>>(v);
-    std::memcpy(out, &word, kWidth);
-  } else {
-    for (size_t i = 0; i < kWidth; ++i) {
-      out[i] = static_cast<unsigned char>(v >> (8 * i));
-    }
-  }
-}
-
-// The kWidth-byte little-endian word at `in`.
-template <size_t kWidth>
-uint64_t LoadLE(const unsigned char* in) {
-  if constexpr (std::endian::native == std::endian::little) {
-    UintOf<kWidth> word;
-    std::memcpy(&word, in, kWidth);
-    return word;
-  } else {
-    uint64_t v = 0;
-    for (size_t i = 0; i < kWidth; ++i) {
-      v |= uint64_t{in[i]} << (8 * i);
-    }
-    return v;
-  }
-}
-
-class ByteWriter {
- public:
-  // Appends to `buf`'s bytes.
-  explicit ByteWriter(std::string buf = {}) : buf_(std::move(buf)) {}
-
-  void U8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) { StoreLE<4>(Extend(4), v); }
-  void U64(uint64_t v) { StoreLE<8>(Extend(8), v); }
-  // Unsigned LEB128.
-  void Var(uint64_t v) {
-    while (v >= 0x80) {
-      U8(static_cast<uint8_t>(0x80 | (v & 0x7F)));
-      v >>= 7;
-    }
-    U8(static_cast<uint8_t>(v));
-  }
-  // Zigzag-folded varint for signed values.
-  void Zig(int64_t v) { Var(ZigZag(v)); }
-  void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
-  void Count(size_t v) {
-    DCP_CHECK_LE(v, kMaxPlanItems);
-    Var(v);
-  }
-  // Length-prefixed byte string (service wire messages).
-  void Str(std::string_view s) {
-    Count(s.size());
-    buf_.append(s);
-  }
-  // Room for `n` more bytes without reallocating.
-  void Reserve(size_t n) { buf_.reserve(buf_.size() + n); }
-  // Appends `n` bytes for the caller to fill in.
-  unsigned char* Extend(size_t n) {
-    const size_t at = buf_.size();
-    buf_.resize(at + n);
-    return reinterpret_cast<unsigned char*>(buf_.data() + at);
-  }
-
-  std::string Take() { return std::move(buf_); }
-
- private:
-  std::string buf_;
-};
-
-// Bounds-checked cursor over the binary form. Reads return values directly and latch
-// the FIRST failure (with its offset) instead of threading a Status through every field
-// read; after a failure every further read returns 0 (and Take returns null), so the
-// decoders check `failed()` at section or column granularity.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  size_t remaining() const { return data_.size() - pos_; }
-  bool AtEnd() const { return pos_ == data_.size(); }
-  bool failed() const { return failed_; }
-
-  void SetFail(const char* what) {
-    if (!failed_) {
-      failed_ = true;
-      error_ = std::string(what) + " at offset " + std::to_string(pos_);
-    }
-  }
-  // The latched failure as a Status (DATA_LOSS); only meaningful when failed().
-  Status TakeStatus() const { return Status::DataLoss("plan binary: " + error_); }
-  Status Fail(const std::string& what) {
-    return Status::DataLoss("plan binary: " + what + " at offset " +
-                            std::to_string(pos_));
-  }
-
-  uint8_t U8() {
-    if (pos_ >= data_.size()) {
-      SetFail("truncated byte");
-      return 0;
-    }
-    return static_cast<uint8_t>(data_[pos_++]);
-  }
-  uint32_t U32() {
-    const unsigned char* p = Take(4, "truncated u32");
-    return p == nullptr ? 0 : static_cast<uint32_t>(LoadLE<4>(p));
-  }
-  uint64_t U64() {
-    const unsigned char* p = Take(8, "truncated u64");
-    return p == nullptr ? 0 : LoadLE<8>(p);
-  }
-  uint64_t Var() {
-    // One-byte varints — most ids, counts and flags in a plan — stay inline.
-    if (!failed_ && pos_ < data_.size()) {
-      const auto b = static_cast<uint8_t>(data_[pos_]);
-      if (b < 0x80) {
-        ++pos_;
-        return b;
-      }
-    }
-    return VarSlow();
-  }
-  int64_t Zig() {
-    const uint64_t v = Var();
-    return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
-  }
-  int32_t Zig32(const char* what) {
-    const int64_t v = Zig();
-    if (v < INT32_MIN || v > INT32_MAX) {
-      SetFail(what);
-      return 0;
-    }
-    return static_cast<int32_t>(v);
-  }
-  double F64() { return std::bit_cast<double>(U64()); }
-  // Length-prefixed byte string, bounded both by the caller's limit and the remaining
-  // payload before any allocation.
-  std::string Str(size_t max_len, const char* what) {
-    return std::string(StrView(max_len, what));
-  }
-  // Like Str, but aliases the input instead of copying — the zero-copy decoders.
-  std::string_view StrView(size_t max_len, const char* what) {
-    const uint64_t len = Var();
-    if (failed_) {
-      return {};
-    }
-    if (len > max_len || len > remaining()) {
-      SetFail(what);
-      return {};
-    }
-    std::string_view out = data_.substr(pos_, static_cast<size_t>(len));
-    pos_ += static_cast<size_t>(len);
-    return out;
-  }
-  // The next `n` bytes, or null (failing) when fewer remain.
-  const unsigned char* Take(size_t n, const char* what) {
-    if (failed_ || n > remaining()) {
-      SetFail(what);
-      return nullptr;
-    }
-    const auto* out = reinterpret_cast<const unsigned char*>(data_.data() + pos_);
-    pos_ += n;
-    return out;
-  }
-  // Reads a count and proves `count * min_item_bytes` fits in the remaining payload, so
-  // a corrupt count can neither drive a huge allocation nor a long parse loop.
-  uint32_t BoundedCount(size_t min_item_bytes, const char* what) {
-    const uint64_t v = Var();
-    if (failed_) {
-      return 0;
-    }
-    if (v > kMaxPlanItems || v * min_item_bytes > remaining()) {
-      SetFail(what);
-      return 0;
-    }
-    return static_cast<uint32_t>(v);
-  }
-
- private:
-  // Every varint the inline path does not take, with every check: with 9 bytes left no
-  // per-byte bounds check is needed, and a varint of at most 9 bytes (63 payload bits)
-  // cannot overflow. Anything else — a failed reader, the payload's tail, a 10-byte
-  // varint — takes the checked loop from the start, so results and errors are exactly
-  // the loop's. A varint whose last byte is zero is rejected: it has a shorter form,
-  // and the encoder only writes the shortest, so every accepted byte string
-  // re-encodes to itself.
-  uint64_t VarSlow() {
-    if (!failed_ && remaining() >= 9) {
-      const char* p = data_.data() + pos_;
-      uint64_t v = 0;
-      for (int i = 0; i < 9; ++i) {
-        const auto b = static_cast<uint8_t>(p[i]);
-        v |= static_cast<uint64_t>(b & 0x7F) << (7 * i);
-        if (b < 0x80) {
-          if (b == 0) {
-            break;  // Overlong: the checked loop below reports it.
-          }
-          pos_ += static_cast<size_t>(i) + 1;
-          return v;
-        }
-      }
-    }
-    uint64_t v = 0;
-    int shift = 0;
-    while (true) {
-      if (shift >= 64) {
-        SetFail("varint too long");
-        return 0;
-      }
-      const uint8_t b = U8();
-      if (failed_) {
-        return 0;
-      }
-      // The 10th byte of a 64-bit varint only has room for bit 0; payload bits that
-      // would shift past bit 63 are an encoding error, not silently droppable.
-      if (shift == 63 && (b & 0x7E) != 0) {
-        SetFail("varint overflows 64 bits");
-        return 0;
-      }
-      v |= static_cast<uint64_t>(b & 0x7F) << shift;
-      if ((b & 0x80) == 0) {
-        if (b == 0 && shift > 0) {
-          SetFail("overlong varint");
-          return 0;
-        }
-        return v;
-      }
-      shift += 7;
-    }
-  }
-
-  std::string_view data_;
-  size_t pos_ = 0;
-  bool failed_ = false;
-  std::string error_;
-};
 
 // The items one column covers: a pool, or for instructions the forward stream followed
 // by the backward one.
@@ -600,7 +344,7 @@ void WriteDevicesBin(ByteWriter& w, const BatchPlan& plan, size_t trailer_bytes)
       bytes += VarBytes(ZigZag(slots));
     }
     for (size_t count : PoolCounts(dev)) {
-      DCP_CHECK_LE(count, kMaxPlanItems);
+      DCP_CHECK_LE(count, kMaxWireCount);
       bytes += VarBytes(count);
     }
     VisitDeviceColumns(dev, [&](auto items, bool anchor, const auto& get) {
@@ -718,7 +462,7 @@ void ReadColumn(ByteReader& r, Items<T> items, bool anchor, ValueRange range,
     r.SetFail("column width not 0, 1, 2, 4 or 8");
     return;
   }
-  // items.size() <= kMaxPlanItems, so this cannot overflow.
+  // items.size() <= kMaxWireCount, so this cannot overflow.
   const unsigned char* in = r.Take(items.size() * width, "column exceeds payload");
   if (in == nullptr) {
     return;
@@ -766,7 +510,7 @@ Status ReadDeviceBin(ByteReader& r, DevicePlan& dev) {
   uint64_t total = 0;
   for (uint64_t& count : counts) {
     count = r.Var();
-    if (count > kMaxPlanItems) {
+    if (count > kMaxWireCount) {
       r.SetFail("device pool count out of range");
     }
     total += count;
@@ -897,11 +641,8 @@ Status ReadDeviceBin(ByteReader& r, DevicePlan& dev) {
 
 }  // namespace
 
-void AppendPlanBinary(const BatchPlan& plan, std::string& out, size_t trailer_bytes) {
-  ByteWriter w(std::move(out));
-  for (char c : kBinaryMagic) {
-    w.U8(static_cast<uint8_t>(c));
-  }
+void AppendPlanBinary(const BatchPlan& plan, ByteWriter& w, size_t trailer_bytes) {
+  w.Bytes(std::string_view(kBinaryMagic, sizeof(kBinaryMagic)));
   w.U32(kPlanBinaryVersion);
   const BatchLayout& layout = plan.layout;
   w.Zig(layout.block_size);
@@ -926,19 +667,18 @@ void AppendPlanBinary(const BatchPlan& plan, std::string& out, size_t trailer_by
   w.Zig(plan.stats.min_device_owned_bytes);
   w.F64(plan.stats.planning_seconds);
   w.F64(plan.stats.partition_cost);
-  DCP_CHECK_LE(plan.devices.size(), kMaxPlanItems);
+  DCP_CHECK_LE(plan.devices.size(), kMaxWireCount);
   WriteDevicesBin(w, plan, trailer_bytes);
-  out = w.Take();
 }
 
 std::string SerializePlanBinary(const BatchPlan& plan) {
-  std::string out;
-  AppendPlanBinary(plan, out);
-  return out;
+  ByteWriter w;
+  AppendPlanBinary(plan, w);
+  return w.Take();
 }
 
 StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
-  ByteReader r(bytes);
+  ByteReader r(bytes, "plan binary");
   for (char expected : kBinaryMagic) {
     if (r.U8() != static_cast<uint8_t>(expected)) {
       return r.Fail("bad magic");
@@ -996,335 +736,6 @@ StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes) {
                   " bytes)");
   }
   return plan;
-}
-
-// --- Planning-service wire messages -----------------------------------------------
-
-namespace {
-
-// v2 added the request deadline and the replica-sync (anti-entropy) messages. v3 added
-// the plan request's trailing trace_id and the metrics scrape messages; every v2 body
-// parses unchanged under v3 (the request reader treats the trace_id as optional), so old
-// clients keep working.
-constexpr uint32_t kServiceMessageVersion = 3;
-constexpr uint32_t kMinServiceMessageVersion = 2;
-constexpr uint8_t kMaxMaskKind = static_cast<uint8_t>(MaskKind::kSharedQuestion);
-constexpr uint8_t kMaxServeSource =
-    static_cast<uint8_t>(PlanServeSource::kReplicaCache);
-constexpr size_t kMaxTenantNameBytes = 256;
-constexpr size_t kMaxStatusMessageBytes = 1 << 14;
-constexpr size_t kMaxMetricNameBytes = 256;
-// One signature in a sync request is two fixed-width u64 lanes.
-constexpr size_t kSyncSignatureBytes = 16;
-
-void WriteMaskSpecBin(ByteWriter& w, const MaskSpec& spec) {
-  w.U8(static_cast<uint8_t>(spec.kind));
-  w.Zig(spec.sink_tokens);
-  w.Zig(spec.window_tokens);
-  w.Zig(spec.icl_block_tokens);
-  w.Zig(spec.window_blocks);
-  w.Zig(spec.sink_blocks);
-  w.Zig(spec.test_blocks);
-  w.Zig(spec.num_answers);
-  w.F64(spec.answer_fraction);
-}
-
-Status ReadMaskSpecBin(ByteReader& r, MaskSpec* spec) {
-  const uint8_t kind = r.U8();
-  if (kind > kMaxMaskKind) {
-    return r.Fail("mask kind out of range");
-  }
-  spec->kind = static_cast<MaskKind>(kind);
-  spec->sink_tokens = r.Zig();
-  spec->window_tokens = r.Zig();
-  spec->icl_block_tokens = r.Zig();
-  spec->window_blocks = r.Zig();
-  spec->sink_blocks = r.Zig();
-  spec->test_blocks = r.Zig();
-  spec->num_answers = r.Zig32("mask num_answers out of range");
-  spec->answer_fraction = r.F64();
-  return r.failed() ? r.TakeStatus() : Status::Ok();
-}
-
-// Every message body leads with the shared wire version; requests and responses evolve
-// in lockstep with the service.
-Status ReadMessageVersion(ByteReader& r, const char* what,
-                          uint32_t* version_out = nullptr) {
-  const uint32_t version = r.U32();
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  if (version < kMinServiceMessageVersion || version > kServiceMessageVersion) {
-    return Status::DataLoss(std::string(what) + ": unsupported message version " +
-                            std::to_string(version));
-  }
-  if (version_out != nullptr) {
-    *version_out = version;
-  }
-  return Status::Ok();
-}
-
-Status ReadStatusCodeBin(ByteReader& r, StatusCode* code) {
-  const uint8_t raw = r.U8();
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  if (!IsValidStatusCode(raw)) {
-    return r.Fail("status code out of range");
-  }
-  *code = static_cast<StatusCode>(raw);
-  return Status::Ok();
-}
-
-Status RejectTrailing(ByteReader& r, const char* what) {
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  if (!r.AtEnd()) {
-    return r.Fail(std::string("trailing garbage after ") + what);
-  }
-  return Status::Ok();
-}
-
-}  // namespace
-
-std::string PlanServeSourceName(PlanServeSource source) {
-  switch (source) {
-    case PlanServeSource::kPlanned:
-      return "planned";
-    case PlanServeSource::kMemoryCache:
-      return "memory-cache";
-    case PlanServeSource::kStoreCache:
-      return "store-cache";
-    case PlanServeSource::kClientCache:
-      return "client-cache";
-    case PlanServeSource::kReplicaCache:
-      return "replica-cache";
-  }
-  return "unknown";
-}
-
-std::string SerializePlanServiceRequest(const PlanServiceRequest& request) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.Str(request.tenant);
-  w.Count(request.seqlens.size());
-  for (int64_t len : request.seqlens) {
-    w.Zig(len);
-  }
-  WriteMaskSpecBin(w, request.mask_spec);
-  w.Zig(request.block_size);
-  w.Zig(request.deadline_ms);
-  w.U64(request.trace_id);
-  return w.Take();
-}
-
-StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
-    std::string_view bytes, std::vector<int64_t>* seqlens) {
-  ByteReader r(bytes);
-  uint32_t version = 0;
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "plan request", &version));
-  PlanServiceRequestView request;
-  request.tenant = r.StrView(kMaxTenantNameBytes, "tenant name too long");
-  const uint32_t num_seqs = r.BoundedCount(1, "request sequence count");
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  // The count precedes the elements, so the vector is sized once, exactly — the
-  // "one allocation per plan deserialization" contract.
-  seqlens->resize(num_seqs);
-  for (int64_t& len : *seqlens) {
-    len = r.Zig();
-  }
-  request.seqlens = *seqlens;
-  DCP_RETURN_IF_ERROR(ReadMaskSpecBin(r, &request.mask_spec));
-  request.block_size = r.Zig();
-  request.deadline_ms = r.Zig();
-  if (!r.failed() && request.deadline_ms < 0) {
-    return r.Fail("negative request deadline");
-  }
-  if (version >= 3) {
-    request.trace_id = r.U64();
-  }
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "plan request"));
-  return request;
-}
-
-std::string SerializePlanServiceResponse(const PlanServiceResponse& response) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.U8(static_cast<uint8_t>(response.code));
-  w.Str(response.message);
-  w.U8(static_cast<uint8_t>(response.source));
-  w.U64(response.signature_lo);
-  w.U64(response.signature_hi);
-  w.Str(response.record);
-  return w.Take();
-}
-
-std::string SerializePlanServiceResponseHead(const PlanServiceResponse& response,
-                                             size_t record_size) {
-  // Everything up to and including the record's length prefix; the record bytes
-  // themselves ride as a separate iovec (FrameParts::body), so appending them here
-  // yields exactly SerializePlanServiceResponse's output.
-  DCP_CHECK(response.record.empty())
-      << "record bytes must travel via FrameParts::body, not the head";
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.U8(static_cast<uint8_t>(response.code));
-  w.Str(response.message);
-  w.U8(static_cast<uint8_t>(response.source));
-  w.U64(response.signature_lo);
-  w.U64(response.signature_hi);
-  w.Count(record_size);
-  return w.Take();
-}
-
-StatusOr<PlanServiceResponseView> DeserializePlanServiceResponseView(
-    std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "plan response"));
-  PlanServiceResponseView response;
-  DCP_RETURN_IF_ERROR(ReadStatusCodeBin(r, &response.code));
-  response.message = r.StrView(kMaxStatusMessageBytes, "status message too long");
-  const uint8_t source = r.U8();
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  if (source > kMaxServeSource) {
-    return r.Fail("serve source out of range");
-  }
-  response.source = static_cast<PlanServeSource>(source);
-  response.signature_lo = r.U64();
-  response.signature_hi = r.U64();
-  // The record is CRC-guarded internally (PlanStore::DecodeRecord); here it only needs
-  // to fit in the remaining payload.
-  response.record = r.StrView(bytes.size(), "plan record exceeds message");
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "plan response"));
-  return response;
-}
-
-StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes) {
-  StatusOr<PlanServiceResponseView> view = DeserializePlanServiceResponseView(bytes);
-  if (!view.ok()) {
-    return view.status();
-  }
-  const PlanServiceResponseView& v = view.value();
-  PlanServiceResponse response;
-  response.code = v.code;
-  response.message = std::string(v.message);
-  response.source = v.source;
-  response.signature_lo = v.signature_lo;
-  response.signature_hi = v.signature_hi;
-  response.record = std::string(v.record);
-  return response;
-}
-
-std::string SerializePlanServiceMetricsRequest(
-    const PlanServiceMetricsRequest& request) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.Str(request.name_prefix);
-  return w.Take();
-}
-
-StatusOr<PlanServiceMetricsRequest> DeserializePlanServiceMetricsRequest(
-    std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "metrics request"));
-  PlanServiceMetricsRequest request;
-  request.name_prefix = r.Str(kMaxMetricNameBytes, "metric name prefix too long");
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "metrics request"));
-  return request;
-}
-
-std::string SerializePlanServiceMetricsResponse(
-    const PlanServiceMetricsResponse& response) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.U8(static_cast<uint8_t>(response.code));
-  w.Str(response.message);
-  w.Str(response.text);
-  return w.Take();
-}
-
-StatusOr<PlanServiceMetricsResponse> DeserializePlanServiceMetricsResponse(
-    std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "metrics response"));
-  PlanServiceMetricsResponse response;
-  DCP_RETURN_IF_ERROR(ReadStatusCodeBin(r, &response.code));
-  response.message = r.Str(kMaxStatusMessageBytes, "status message too long");
-  // The rendered exposition only needs to fit in the frame payload.
-  response.text = r.Str(bytes.size(), "metrics text exceeds message");
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "metrics response"));
-  return response;
-}
-
-std::string SerializePlanSyncRequest(const PlanSyncRequest& request) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.Str(request.tenant);
-  w.Count(request.have.size());
-  for (const auto& sig : request.have) {
-    w.U64(sig.first);
-    w.U64(sig.second);
-  }
-  return w.Take();
-}
-
-StatusOr<PlanSyncRequest> DeserializePlanSyncRequest(std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "sync request"));
-  PlanSyncRequest request;
-  request.tenant = r.Str(kMaxTenantNameBytes, "tenant name too long");
-  const uint32_t num_have = r.BoundedCount(kSyncSignatureBytes, "sync signature count");
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  request.have.reserve(num_have);
-  for (uint32_t i = 0; i < num_have; ++i) {
-    const uint64_t lo = r.U64();
-    const uint64_t hi = r.U64();
-    request.have.emplace_back(lo, hi);
-  }
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "sync request"));
-  return request;
-}
-
-std::string SerializePlanSyncResponse(const PlanSyncResponse& response) {
-  ByteWriter w;
-  w.U32(kServiceMessageVersion);
-  w.U8(static_cast<uint8_t>(response.code));
-  w.Str(response.message);
-  w.Count(response.records.size());
-  for (const std::string& record : response.records) {
-    w.Str(record);
-  }
-  return w.Take();
-}
-
-StatusOr<PlanSyncResponse> DeserializePlanSyncResponse(std::string_view bytes) {
-  ByteReader r(bytes);
-  DCP_RETURN_IF_ERROR(ReadMessageVersion(r, "sync response"));
-  PlanSyncResponse response;
-  DCP_RETURN_IF_ERROR(ReadStatusCodeBin(r, &response.code));
-  response.message = r.Str(kMaxStatusMessageBytes, "status message too long");
-  const uint32_t num_records = r.BoundedCount(1, "sync record count");
-  if (r.failed()) {
-    return r.TakeStatus();
-  }
-  response.records.reserve(num_records);
-  for (uint32_t i = 0; i < num_records; ++i) {
-    // Each record is CRC-guarded internally (PlanStore::DecodeRecord validates before
-    // adoption); here it only needs to fit in the remaining payload.
-    response.records.push_back(r.Str(bytes.size(), "sync record exceeds message"));
-    if (r.failed()) {
-      return r.TakeStatus();
-    }
-  }
-  DCP_RETURN_IF_ERROR(RejectTrailing(r, "sync response"));
-  return response;
 }
 
 }  // namespace dcp

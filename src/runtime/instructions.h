@@ -11,13 +11,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/check.h"
 #include "common/status.h"
 #include "common/types.h"
-#include "masks/mask_spec.h"
 #include "runtime/layout.h"
 
 namespace dcp {
@@ -244,8 +243,10 @@ struct BatchPlan {
 std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device = 16);
 
 // Compact byte-oriented plan encoding (paper §3.1: plans are serialized once by the
-// planner and shipped to devices), used by PlanStore records and the planning service's
-// wire format. Exact for doubles (bit_cast, no decimal round-trip). Each device's items
+// planner and shipped to devices), the payload of every PlanStore record, which is also
+// the planning service's wire format (core/plan_store.h; the service messages live in
+// service/messages.h). Integers go through common/bytes.h, the codec every format
+// shares. Exact for doubles (bit_cast, no decimal round-trip). Each device's items
 // are stored as frame-of-reference columns (a base and a byte width per field; the
 // layout is in instructions.cc). The decoder is bounds-checked end to end: a device's
 // pool counts are bounded by the remaining payload before any pool is allocated, and a
@@ -255,156 +256,10 @@ std::string PlanToString(const BatchPlan& plan, int max_instructions_per_device 
 // abort, and bytes that decode re-encode to themselves.
 std::string SerializePlanBinary(const BatchPlan& plan);
 StatusOr<BatchPlan> DeserializePlanBinary(std::string_view bytes);
-// Appends SerializePlanBinary's bytes to `out`, growing it once to hold them plus
+// Appends SerializePlanBinary's bytes to `w`, growing it once to hold them plus
 // `trailer_bytes`: a container (a PlanStore record) encodes its payload in place and
 // then appends its trailer without a copy or another reallocation.
-void AppendPlanBinary(const BatchPlan& plan, std::string& out, size_t trailer_bytes = 0);
-
-// --- Planning-service wire messages -----------------------------------------------
-//
-// Request/response bodies for dcp::PlanService (src/service/), encoded with the same
-// varint/zigzag ByteWriter/ByteReader machinery as the binary plan codec above, and
-// validated with the same rigor: every count is bounded against the remaining payload,
-// enums are range-checked, and trailing bytes are rejected — a malformed message is a
-// recoverable DATA_LOSS Status, never an abort. The compiled plan itself travels inside
-// PlanServiceResponse as PlanStore record bytes (core/plan_store.h documents that
-// layout), so the service's wire format is exactly the persistence format.
-
-// Where the service found the plan it returned. The client adds a fourth tier (its own
-// LRU) that never reaches the wire.
-enum class PlanServeSource : uint8_t {
-  kPlanned = 0,        // The tenant engine ran the full planner.
-  kMemoryCache,        // Served from the tenant engine's in-memory LRU.
-  kStoreCache,         // Served from the tenant engine's persistent plan store.
-  kClientCache,        // Client-side only: served from the PlanClient LRU, no RPC.
-  kReplicaCache,       // Served from records another replica shipped via anti-entropy.
-};
-std::string PlanServeSourceName(PlanServeSource source);
-
-struct PlanServiceRequest {
-  std::string tenant;
-  std::vector<int64_t> seqlens;
-  MaskSpec mask_spec;
-  // Explicit block size, or 0 to plan under the tenant's configured policy (fixed
-  // engine block size, or per-signature auto-tune when the tenant enables it).
-  int64_t block_size = 0;
-  // Remaining time budget in milliseconds, or 0 for no deadline. Relative on purpose:
-  // client and server clocks need not agree. The server timestamps arrival and sheds
-  // the request (DEADLINE_EXCEEDED, no planning) once the budget has already expired —
-  // planning dead work would only steal workers from live requests.
-  int64_t deadline_ms = 0;
-  // Trace id for per-request phase tracing (v3 field, 0 = untraced). Written after
-  // every v2 field so a v2 body is exactly a v3 body minus this trailer, and a v3
-  // reader accepts both.
-  uint64_t trace_id = 0;
-};
-
-struct PlanServiceResponse {
-  StatusCode code = StatusCode::kOk;
-  std::string message;  // Error detail when code != kOk.
-  PlanServeSource source = PlanServeSource::kPlanned;
-  // The served plan's canonical signature (PlanSignature lanes) and its PlanStore
-  // record bytes (magic + version + signature + sections + CRC32); both empty/zero on
-  // error. The record's embedded signature is cross-checked against these lanes by the
-  // client before the plan is trusted.
-  uint64_t signature_lo = 0;
-  uint64_t signature_hi = 0;
-  std::string record;
-};
-
-// Anti-entropy exchange between replicas: the caller lists the plan signatures it
-// already holds for one tenant, the callee replies with full PlanStore records (the
-// wire format IS the persistence format) for a bounded number of signatures the caller
-// lacks. Signatures travel as raw (lo, hi) lanes so this layer stays below core/.
-struct PlanSyncRequest {
-  std::string tenant;
-  std::vector<std::pair<uint64_t, uint64_t>> have;
-};
-
-struct PlanSyncResponse {
-  StatusCode code = StatusCode::kOk;
-  std::string message;
-  std::vector<std::string> records;  // Validated by the receiver before adoption.
-};
-
-// Live metrics scrape (v3): the caller optionally narrows the families by name
-// prefix; the callee replies with its process-global registry rendered in Prometheus
-// text exposition format. Text on purpose — the scrape format is the stable contract,
-// so the wire layer needs no per-instrument schema.
-struct PlanServiceMetricsRequest {
-  std::string name_prefix;  // Empty: every family.
-};
-
-struct PlanServiceMetricsResponse {
-  StatusCode code = StatusCode::kOk;
-  std::string message;
-  std::string text;  // Prometheus text exposition.
-};
-
-std::string SerializePlanServiceMetricsRequest(const PlanServiceMetricsRequest& request);
-StatusOr<PlanServiceMetricsRequest> DeserializePlanServiceMetricsRequest(
-    std::string_view bytes);
-std::string SerializePlanServiceMetricsResponse(
-    const PlanServiceMetricsResponse& response);
-StatusOr<PlanServiceMetricsResponse> DeserializePlanServiceMetricsResponse(
-    std::string_view bytes);
-
-std::string SerializePlanSyncRequest(const PlanSyncRequest& request);
-StatusOr<PlanSyncRequest> DeserializePlanSyncRequest(std::string_view bytes);
-std::string SerializePlanSyncResponse(const PlanSyncResponse& response);
-StatusOr<PlanSyncResponse> DeserializePlanSyncResponse(std::string_view bytes);
-
-std::string SerializePlanServiceRequest(const PlanServiceRequest& request);
-std::string SerializePlanServiceResponse(const PlanServiceResponse& response);
-
-// Zero-copy view of a decoded plan request: `tenant` aliases the wire payload and
-// `seqlens` aliases a caller-owned vector, so decoding costs at most one allocation
-// (the seqlens array — its count is on the wire before its elements, so the vector is
-// sized once, exactly) instead of two heap strings plus a vector per request. The
-// payload bytes and the vector must both outlive the view, and decoding into the
-// vector again invalidates it.
-struct PlanServiceRequestView {
-  std::string_view tenant;
-  std::span<const int64_t> seqlens;
-  MaskSpec mask_spec;
-  int64_t block_size = 0;
-  int64_t deadline_ms = 0;
-  uint64_t trace_id = 0;  // v3 field; 0 when absent (v2 body) or untraced.
-};
-
-// The plan request decoder: reads what SerializePlanServiceRequest writes (v2 bodies
-// without trace_id too) and rejects truncation, trailing bytes and bad fields.
-StatusOr<PlanServiceRequestView> DeserializePlanServiceRequestView(
-    std::string_view bytes, std::vector<int64_t>* seqlens);
-
-// Zero-copy view of a decoded plan response: `message` and `record` alias the wire
-// payload, which must outlive the view, so a client decodes its ~50 KB record straight
-// from the frame that carried it.
-struct PlanServiceResponseView {
-  StatusCode code = StatusCode::kOk;
-  std::string_view message;
-  PlanServeSource source = PlanServeSource::kPlanned;
-  uint64_t signature_lo = 0;
-  uint64_t signature_hi = 0;
-  std::string_view record;
-};
-
-// The plan response decoder: reads what SerializePlanServiceResponse (and the head +
-// record the server writes) produces, and rejects truncation, trailing bytes and bad
-// fields.
-StatusOr<PlanServiceResponseView> DeserializePlanServiceResponseView(
-    std::string_view bytes);
-// The same decode, copied into an owning response (the dcpbench traced pass keeps the
-// response past the frame's lifetime).
-StatusOr<PlanServiceResponse> DeserializePlanServiceResponse(std::string_view bytes);
-
-// Serializes every response field except the record bytes themselves, ending with the
-// record-length prefix for a record of `record_size` bytes: head ++ record_bytes is
-// byte-identical to SerializePlanServiceResponse on the same response carrying those
-// bytes. The server writev's [frame header + this head][shared record][crc] so a cached
-// record is framed without copying. `response.record` must be empty.
-std::string SerializePlanServiceResponseHead(const PlanServiceResponse& response,
-                                             size_t record_size);
+void AppendPlanBinary(const BatchPlan& plan, ByteWriter& w, size_t trailer_bytes = 0);
 
 }  // namespace dcp
 

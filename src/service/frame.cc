@@ -1,7 +1,8 @@
 #include "service/frame.h"
 
-#include <cstring>
+#include <utility>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 
 namespace dcp {
@@ -9,34 +10,6 @@ namespace {
 
 constexpr uint32_t kFrameMagic = 0x66504344;  // "DCPf" little-endian.
 constexpr size_t kHeaderBytes = 16;
-
-void AppendU32(std::string& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v >> (8 * i))));
-  }
-}
-
-void AppendU64(std::string& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>(static_cast<uint8_t>(v >> (8 * i))));
-  }
-}
-
-uint32_t ReadU32At(const char* bytes) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t ReadU64At(const char* bytes) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[i])) << (8 * i);
-  }
-  return v;
-}
 
 bool IsKnownFrameType(uint32_t type) {
   switch (static_cast<FrameType>(type)) {
@@ -56,14 +29,15 @@ bool IsKnownFrameType(uint32_t type) {
 // byte is read or buffered; both readers share it so they reject with one vocabulary.
 Status ParseFrameHeader(const char* header, uint64_t max_payload_bytes, FrameType* type,
                         uint64_t* length) {
-  if (ReadU32At(header) != kFrameMagic) {
+  ByteReader r(std::string_view(header, kHeaderBytes), "frame");
+  if (r.U32() != kFrameMagic) {
     return Status::DataLoss("frame: bad magic");
   }
-  const uint32_t raw_type = ReadU32At(header + 4);
+  const uint32_t raw_type = r.U32();
   if (!IsKnownFrameType(raw_type)) {
     return Status::DataLoss("frame: unknown type " + std::to_string(raw_type));
   }
-  *length = ReadU64At(header + 8);
+  *length = r.U64();
   if (*length > max_payload_bytes) {
     return Status::DataLoss("frame: implausible payload length " +
                             std::to_string(*length));
@@ -77,7 +51,7 @@ Status CheckFrameChecksum(const char* header, std::string_view payload,
                           const char* trailer) {
   uint32_t crc = Crc32Update(0, header, kHeaderBytes);
   crc = Crc32Update(crc, payload.data(), payload.size());
-  if (crc != ReadU32At(trailer)) {
+  if (crc != LoadLE<4>(reinterpret_cast<const unsigned char*>(trailer))) {
     return Status::DataLoss("frame: checksum mismatch");
   }
   return Status::Ok();
@@ -123,19 +97,19 @@ FrameParts EncodeFrameParts(FrameType type, std::string_view payload_head,
                             std::shared_ptr<const std::string> payload_body) {
   FrameParts parts;
   const size_t body_size = payload_body == nullptr ? 0 : payload_body->size();
-  parts.head.reserve(kHeaderBytes + payload_head.size());
-  AppendU32(parts.head, kFrameMagic);
-  AppendU32(parts.head, static_cast<uint32_t>(type));
-  AppendU64(parts.head, payload_head.size() + body_size);
-  parts.head.append(payload_head);
+  ByteWriter head;
+  head.Reserve(kHeaderBytes + payload_head.size());
+  head.U32(kFrameMagic);
+  head.U32(static_cast<uint32_t>(type));
+  head.U64(payload_head.size() + body_size);
+  head.Bytes(payload_head);
+  parts.head = head.Take();
   uint32_t crc = Crc32Update(0, parts.head.data(), parts.head.size());
   if (body_size > 0) {
     crc = Crc32Update(crc, payload_body->data(), body_size);
     parts.body = std::move(payload_body);
   }
-  for (int i = 0; i < 4; ++i) {
-    parts.crc[i] = static_cast<char>(static_cast<uint8_t>(crc >> (8 * i)));
-  }
+  StoreLE<4>(reinterpret_cast<unsigned char*>(parts.crc.data()), crc);
   return parts;
 }
 

@@ -1,10 +1,10 @@
 // Wire framing for the planning service: every message travels as one
-// length-prefixed, CRC32-trailed frame,
+// length-prefixed, CRC32-trailed frame (integers through common/bytes.h),
 //
 //   offset 0   u32 magic       "DCPf" (0x66504344, little-endian)
 //          4   u32 frame type  (FrameType below; unknown values are rejected)
 //          8   u64 length      payload bytes (bounded before any allocation)
-//         16   payload         message body (runtime/instructions.h service codecs)
+//         16   payload         message body (service/messages.h)
 //   16+len     u32 CRC32       over the 16-byte header + payload
 //
 // The same layered validation as PlanStore records: header bounds first, checksum
@@ -23,6 +23,7 @@
 #include <string_view>
 
 #include "common/status.h"
+#include "service/messages.h"
 #include "service/transport.h"
 
 namespace dcp {

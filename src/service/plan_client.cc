@@ -284,11 +284,6 @@ StatusOr<PlanHandle> PlanClient::Plan(const std::vector<int64_t>& seqlens,
   return PlanWithBlockSize(seqlens, mask_spec, /*block_size=*/0);
 }
 
-StatusOr<PlanHandle> PlanClient::PlanForLoader(const std::vector<int64_t>& seqlens,
-                                               const MaskSpec& mask_spec) {
-  return PlanWithBlockSize(seqlens, mask_spec, /*block_size=*/0);
-}
-
 PlanServeSource PlanClient::last_source() const {
   MutexLock lock(cache_mu_);
   return last_source_;

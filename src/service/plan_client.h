@@ -28,8 +28,8 @@
 #include "core/engine.h"
 #include "core/plan_signature.h"
 #include "core/signature_lru.h"
-#include "runtime/instructions.h"
 #include "service/frame.h"
+#include "service/messages.h"
 #include "service/transport.h"
 
 namespace dcp {
@@ -104,12 +104,10 @@ class PlanClient : public Planner {
   PlanClient(const PlanClient&) = delete;
   PlanClient& operator=(const PlanClient&) = delete;
 
-  // Planner interface. Plan/PlanForLoader send block_size 0: the tenant's server-side
-  // policy (fixed block or auto-tune) decides, exactly like the in-process engine.
+  // Planner interface. Plan sends block_size 0: the tenant's server-side policy
+  // (fixed block or auto-tune) decides, exactly like the in-process engine.
   StatusOr<PlanHandle> Plan(const std::vector<int64_t>& seqlens,
                             const MaskSpec& mask_spec) override;
-  StatusOr<PlanHandle> PlanForLoader(const std::vector<int64_t>& seqlens,
-                                     const MaskSpec& mask_spec) override;
   StatusOr<PlanHandle> PlanWithBlockSize(const std::vector<int64_t>& seqlens,
                                          const MaskSpec& mask_spec, int64_t block_size);
   ThreadPool& pool() override { return *pool_; }

@@ -990,35 +990,34 @@ PlanServer::ServeResult PlanServer::HandlePlanRequest(
     TenantCountersFor(tenant).requests->Increment();
     // Gossip-adopted records: a peer may have planned this exact shape already. The
     // signature is computable without planning, except under auto-tune with block 0
-    // (the chosen block size — part of the signature — is only known after tuning).
-    // Everything else goes through the engine, so its hit/miss counters and the
-    // memory/store/planned sources stay exact.
-    if (!(engine->options().auto_tune_block_size && block_size == 0)) {
-      StatusOr<PlanSignature> sig =
-          engine->RequestSignature(seqlens, mask_spec, block_size);
-      if (sig.ok()) {
-        MutexLock lock(peer_records_mu_);
-        if (const auto* bytes = peer_records_.Find(sig.value())) {
-          result.response.source = PlanServeSource::kReplicaCache;
-          result.response.signature_lo = sig.value().lo;
-          result.response.signature_hi = sig.value().hi;
-          result.record = *bytes;  // Shared bytes; never copied.
-        }
-      }
-      if (result.record != nullptr) {
-        counters_.replica_cache_hits->Increment();
-        counters_.plan_ok->Increment();
-        return result;
+    // (the chosen block size — part of the signature — is only known after tuning;
+    // RequestSignature fails then). Everything else goes through the engine, so its
+    // hit/miss counters and the memory/store/planned sources stay exact.
+    StatusOr<PlanSignature> sig =
+        engine->RequestSignature(seqlens, mask_spec, block_size);
+    if (sig.ok()) {
+      MutexLock lock(peer_records_mu_);
+      if (const auto* bytes = peer_records_.Find(sig.value())) {
+        result.response.source = PlanServeSource::kReplicaCache;
+        result.response.signature_lo = sig.value().lo;
+        result.response.signature_hi = sig.value().hi;
+        result.record = *bytes;  // Shared bytes; never copied.
       }
     }
-    StatusOr<Engine::PlannedOutcome> planned =
-        engine->PlanDetailed(seqlens, mask_spec, block_size);
+    if (result.record != nullptr) {
+      counters_.replica_cache_hits->Increment();
+      counters_.plan_ok->Increment();
+      return result;
+    }
+    PlanOrigin origin = PlanOrigin::kFresh;
+    StatusOr<PlanHandle> planned =
+        engine->PlanWithBlockSize(seqlens, mask_spec, block_size, &origin);
     if (!planned.ok()) {
       result.response =
           ErrorResponse(planned.status().code(), planned.status().message());
     } else {
-      const PlanHandle& handle = planned.value().handle;
-      result.response.source = SourceFromOrigin(planned.value().origin);
+      const PlanHandle& handle = planned.value();
+      result.response.source = SourceFromOrigin(origin);
       result.response.signature_lo = handle->signature.lo;
       result.response.signature_hi = handle->signature.hi;
       // The wire carries the persistence format: one CRC-trailed PlanStore record,

@@ -43,10 +43,10 @@
 #include "common/thread_annotations.h"
 #include "common/thread_pool.h"
 #include "core/signature_lru.h"
-#include "runtime/instructions.h"
 #include "service/event_loop.h"
 #include "service/fault_injection.h"
 #include "service/frame.h"
+#include "service/messages.h"
 #include "service/tenant_registry.h"
 #include "service/transport.h"
 

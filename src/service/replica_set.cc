@@ -354,12 +354,7 @@ StatusOr<PlanHandle> ReplicaSet::LocalFallbackPlan(
   // Engine's internal locks (tune/cache/store/pool) nest strictly under it and no
   // path acquires fallback_mu_ under any of them.
   // dcp-analyze: allow(lock-order): cross-class nesting documented above.
-  StatusOr<Engine::PlannedOutcome> planned = fallback_engine_->PlanDetailed(
-      seqlens, mask_spec, block_size);
-  if (!planned.ok()) {
-    return planned.status();
-  }
-  return std::move(planned).value().handle;
+  return fallback_engine_->PlanWithBlockSize(seqlens, mask_spec, block_size);
 }
 
 StatusOr<PlanHandle> ReplicaSet::PlanWithBlockSize(
@@ -478,11 +473,6 @@ StatusOr<PlanHandle> ReplicaSet::PlanWithBlockSize(
 
 StatusOr<PlanHandle> ReplicaSet::Plan(const std::vector<int64_t>& seqlens,
                                       const MaskSpec& mask_spec) {
-  return PlanWithBlockSize(seqlens, mask_spec, /*block_size=*/0);
-}
-
-StatusOr<PlanHandle> ReplicaSet::PlanForLoader(const std::vector<int64_t>& seqlens,
-                                               const MaskSpec& mask_spec) {
   return PlanWithBlockSize(seqlens, mask_spec, /*block_size=*/0);
 }
 

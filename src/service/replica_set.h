@@ -164,8 +164,6 @@ class ReplicaSet : public Planner {
   // Planner interface; block_size 0 defers to the tenant's server-side policy.
   StatusOr<PlanHandle> Plan(const std::vector<int64_t>& seqlens,
                             const MaskSpec& mask_spec) override;
-  StatusOr<PlanHandle> PlanForLoader(const std::vector<int64_t>& seqlens,
-                                     const MaskSpec& mask_spec) override;
   StatusOr<PlanHandle> PlanWithBlockSize(const std::vector<int64_t>& seqlens,
                                          const MaskSpec& mask_spec,
                                          int64_t block_size);

@@ -263,7 +263,7 @@ TEST(Engine, UserInputErrorsAreRecoverableStatuses) {
   EXPECT_NE(negative.status().message().find("seqlens[1]"), std::string::npos)
       << negative.status().ToString();
 
-  StatusOr<PlanHandle> bad_block = engine.PlanWithBlockSize({32}, MaskSpec::Causal(), 0);
+  StatusOr<PlanHandle> bad_block = engine.PlanWithBlockSize({32}, MaskSpec::Causal(), -1);
   ASSERT_FALSE(bad_block.ok());
   EXPECT_EQ(bad_block.status().code(), StatusCode::kInvalidArgument);
 

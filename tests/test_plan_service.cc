@@ -142,6 +142,34 @@ TEST(PlanService, LoopbackResponsesBitIdenticalToInProcessPlanning) {
   EXPECT_EQ(SerializeTimeless(server_hit.value()->plan), SerializeTimeless(expected->plan));
 }
 
+// An auto-tune tenant's block-size policy is one policy: Engine::Plan in process and
+// PlanClient::Plan over the wire both tune, so they return the same block size and
+// the same plan.
+TEST(PlanService, AutoTuneTenantPlansMatchInProcessEnginePlan) {
+  const ClusterSpec cluster = SmallCluster(2, 2);
+  constexpr int64_t kFixedBlock = 64;
+  EngineOptions options = SmallEngineOptions(kFixedBlock);
+  options.auto_tune_block_size = true;
+  options.tune_block_sizes = {8, 16};
+  ServiceFixture service({{"tuned", cluster, options}});
+
+  const std::vector<int64_t> seqlens = {60, 33, 18};
+  const MaskSpec mask = MaskSpec::Causal();
+  Engine local(cluster, options);
+  StatusOr<PlanHandle> expected = local.Plan(seqlens, mask);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+
+  std::unique_ptr<PlanClient> client = service.Client("tuned");
+  StatusOr<PlanHandle> remote = client->Plan(seqlens, mask);
+  ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+  EXPECT_NE(remote.value()->plan.layout.block_size, kFixedBlock);
+  EXPECT_EQ(remote.value()->plan.layout.block_size,
+            expected.value()->plan.layout.block_size);
+  EXPECT_TRUE(remote.value()->signature == expected.value()->signature);
+  EXPECT_EQ(SerializeTimeless(remote.value()->plan),
+            SerializeTimeless(expected.value()->plan));
+}
+
 TEST(PlanService, ReplannedShapeServesTheResidentHandlesRecord) {
   // The served record is the engine's resident handle's own: once the engine has
   // evicted and replanned a shape, the response carries the replanned plan (its

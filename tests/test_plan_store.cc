@@ -2,7 +2,8 @@
 // binary round-trips, corruption injection (bit flips, truncation at every boundary —
 // error Status, never a crash, never a silently corrupt plan), cross-process warm start
 // (a second Engine on the same path serves store hits bit-identical to fresh PlanBatch),
-// and the dcpctl bundle export/import path.
+// the dcpctl bundle export/import path, and seeded mutation loops over plan payloads,
+// records and bundles.
 #include "core/plan_store.h"
 
 #include <cstdio>
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "core/engine.h"
@@ -538,7 +540,7 @@ TEST_F(PlanStoreTest, RecordSurvivesRoundTripAndRejectsEveryBitFlip) {
   EXPECT_EQ(decoded.value().first, sig);
   EXPECT_TRUE(decoded.value().second == p.plan);
 
-  // Every single-bit flip anywhere in the record — header, sections, payload, or the
+  // Every single-bit flip anywhere in the record — header, payload, or the
   // CRC trailer itself — must be caught (the checksum covers everything else, and the
   // trailer flip breaks the checksum comparison). One flip per byte covers the record;
   // all 8 bit positions are cycled through as the offset advances.
@@ -558,37 +560,177 @@ TEST_F(PlanStoreTest, RecordSurvivesRoundTripAndRejectsEveryBitFlip) {
   }
 }
 
-TEST_F(PlanStoreTest, UnknownSectionsAreSkippedForForwardCompatibility) {
-  Rng rng(12);
-  const PlannedCase p = PlanRandomCase(rng);
-  const PlanSignature sig =
-      ComputePlanSignature(p.c.seqlens, p.spec, p.cluster, p.options);
-  const std::string record = PlanStore::EncodeRecord(sig, p.plan);
+// One seeded mutation for the record and bundle fuzz loops, in the plan codec loop's
+// style: one to three bit flips, a truncation, a splice of a prefix of `input` with a
+// suffix of a corpus entry, or a length-field edit, which `edit_length` makes because
+// only the format knows where its lengths are.
+template <typename EditLength>
+void Mutate(Rng& rng, const std::vector<std::string>& corpus, std::string& input,
+            const EditLength& edit_length) {
+  switch (rng.NextBounded(4)) {
+    case 0: {
+      const uint64_t flips = 1 + rng.NextBounded(3);
+      for (uint64_t f = 0; f < flips; ++f) {
+        const size_t at = rng.NextBounded(input.size());
+        input[at] = static_cast<char>(input[at] ^ (1 << rng.NextBounded(8)));
+      }
+      break;
+    }
+    case 1:
+      input.resize(rng.NextBounded(input.size()));
+      break;
+    case 2: {
+      const std::string& b = corpus[rng.NextBounded(corpus.size())];
+      input = input.substr(0, rng.NextBounded(input.size())) +
+              b.substr(rng.NextBounded(b.size()));
+      break;
+    }
+    default:
+      edit_length(input);
+      break;
+  }
+}
 
-  // Rebuild the record with an extra unknown section ahead of the plan section: header
-  // (28 bytes) + unknown section + original sections (everything up to the CRC trailer)
-  // + fresh CRC.
-  std::string extended = record.substr(0, 28);
-  const uint32_t unknown_tag = 0x7E57;
-  const std::string unknown_payload = "future-section";
-  for (int i = 0; i < 4; ++i) {
-    extended.push_back(static_cast<char>((unknown_tag >> (8 * i)) & 0xFF));
+// The record codec's fuzz invariant: every mutated record is either rejected as
+// DATA_LOSS or decodes and re-encodes to exactly its bytes. Each mutation gets a fresh
+// CRC trailer, so it reaches the header and payload parsers instead of stopping at the
+// checksum. A record keeps its lengths in the plan payload's varint counts, so its
+// length-field edit overwrites one payload byte with a small value.
+TEST(PlanRecordCodec, SeededMutationsAreRejectedOrReencodeIdentically) {
+  constexpr uint64_t kSeed = 0x5EEDF11E;
+  std::printf("plan record fuzz seed 0x%llx\n", static_cast<unsigned long long>(kSeed));
+  RecordProperty("fuzz_seed", std::to_string(kSeed));
+  Rng plans_rng(29);
+  std::vector<std::string> corpus;
+  for (int i = 0; i < 3; ++i) {
+    const PlannedCase p = PlanRandomCase(plans_rng);
+    corpus.push_back(PlanStore::EncodeRecord(
+        ComputePlanSignature(p.c.seqlens, p.spec, p.cluster, p.options), p.plan));
   }
-  const uint64_t unknown_len = unknown_payload.size();
-  for (int i = 0; i < 8; ++i) {
-    extended.push_back(static_cast<char>((unknown_len >> (8 * i)) & 0xFF));
+  constexpr size_t kHeaderBytes = 28;
+  Rng rng(kSeed);
+  int accepted = 0;
+  constexpr int kMutations = 4000;
+  for (int i = 0; i < kMutations; ++i) {
+    std::string input = corpus[rng.NextBounded(corpus.size())];
+    Mutate(rng, corpus, input, [&](std::string& record) {
+      const size_t payload = record.size() - kHeaderBytes - 4;
+      record[kHeaderBytes + rng.NextBounded(payload)] =
+          static_cast<char>(rng.NextBounded(10));
+    });
+    if (input.size() >= 4) {
+      ByteWriter resealed(input.substr(0, input.size() - 4));
+      resealed.U32(Crc32(resealed.view()));
+      input = resealed.Take();
+    }
+    StatusOr<std::pair<PlanSignature, BatchPlan>> decoded = PlanStore::DecodeRecord(input);
+    if (decoded.ok()) {
+      ++accepted;
+      ASSERT_EQ(PlanStore::EncodeRecord(decoded.value().first, decoded.value().second),
+                input)
+          << "mutation " << i << " (seed " << kSeed
+          << ") decoded but re-encoded differently";
+    } else {
+      ASSERT_EQ(decoded.status().code(), StatusCode::kDataLoss)
+          << "mutation " << i << " (seed " << kSeed << "): "
+          << decoded.status().ToString();
+    }
   }
-  extended += unknown_payload;
-  extended += record.substr(28, record.size() - 28 - 4);
-  const uint32_t crc = Crc32(extended);
-  for (int i = 0; i < 4; ++i) {
-    extended.push_back(static_cast<char>((crc >> (8 * i)) & 0xFF));
+  std::printf("plan record fuzz: %d of %d mutations decoded and re-encoded identically\n",
+              accepted, kMutations);
+}
+
+// The bundle fuzz invariant: a mutated bundle is either rejected as DATA_LOSS, or
+// imported, and either way the store it was imported into holds only records that
+// DecodeRecord accepts under their own signature. Length-field edits rewrite the
+// record count or one entry's u64 length: off by a little, zero, or arbitrary.
+TEST_F(PlanStoreTest, SeededBundleMutationsImportOnlyValidRecords) {
+  constexpr uint64_t kSeed = 0xB0DD1E5;
+  std::printf("plan bundle fuzz seed 0x%llx\n", static_cast<unsigned long long>(kSeed));
+  RecordProperty("fuzz_seed", std::to_string(kSeed));
+  Rng plans_rng(31);
+  std::vector<PlannedCase> cases;
+  for (int i = 0; i < 3; ++i) {
+    cases.push_back(PlanRandomCase(plans_rng));
+  }
+  const auto read_file = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  };
+  // Two bundles, of all three plans and of the last two, so splices mix entries.
+  std::vector<std::string> corpus;
+  for (const size_t first : {size_t{0}, size_t{1}}) {
+    const std::string store_dir = StorePath(("src" + std::to_string(first)).c_str());
+    StatusOr<std::unique_ptr<PlanStore>> store = PlanStore::Open(store_dir);
+    ASSERT_TRUE(store.ok());
+    for (size_t c = first; c < cases.size(); ++c) {
+      const PlannedCase& p = cases[c];
+      ASSERT_TRUE(store.value()
+                      ->Put(ComputePlanSignature(p.c.seqlens, p.spec, p.cluster,
+                                                 p.options),
+                            p.plan)
+                      .ok());
+    }
+    const fs::path bundle = dir_ / "corpus.bundle";
+    ASSERT_TRUE(store.value()->ExportBundle(bundle.string()).ok());
+    corpus.push_back(read_file(bundle));
   }
 
-  StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
-      PlanStore::DecodeRecord(extended);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_TRUE(decoded.value().second == p.plan);
+  Rng rng(kSeed);
+  int imported_records = 0;
+  int rejected = 0;
+  constexpr int kMutations = 300;
+  const fs::path bundle = dir_ / "mutated.bundle";
+  const std::string store_dir = StorePath("dst");
+  for (int i = 0; i < kMutations; ++i) {
+    std::string input = corpus[rng.NextBounded(corpus.size())];
+    Mutate(rng, corpus, input, [&](std::string& b) {
+      // Offsets of the entries' u64 lengths, walked from the clean bundle.
+      std::vector<size_t> lengths;
+      for (size_t pos = 16; pos + 8 <= b.size();) {
+        lengths.push_back(pos);
+        pos += 8 + LoadLE<8>(reinterpret_cast<const unsigned char*>(b.data() + pos));
+      }
+      const size_t field = rng.NextBounded(lengths.size() + 1);
+      if (field == lengths.size()) {
+        StoreLE<4>(reinterpret_cast<unsigned char*>(b.data() + 12), rng.NextBounded(6));
+        return;
+      }
+      auto* at = reinterpret_cast<unsigned char*>(b.data() + lengths[field]);
+      const uint64_t length = LoadLE<8>(at);
+      const uint64_t edits[] = {length + rng.NextBounded(17) - 8, 0, rng.NextU64()};
+      StoreLE<8>(at, edits[rng.NextBounded(3)]);
+    });
+    {
+      std::ofstream out(bundle, std::ios::binary | std::ios::trunc);
+      out << input;
+    }
+    fs::remove_all(store_dir);
+    StatusOr<std::unique_ptr<PlanStore>> store = PlanStore::Open(store_dir);
+    ASSERT_TRUE(store.ok());
+    StatusOr<int> imported = store.value()->ImportBundle(bundle.string());
+    if (!imported.ok()) {
+      ++rejected;
+      ASSERT_EQ(imported.status().code(), StatusCode::kDataLoss)
+          << "mutation " << i << " (seed " << kSeed << "): "
+          << imported.status().ToString();
+    }
+    for (const PlanSignature& sig : store.value()->Signatures()) {
+      const std::string record =
+          read_file(fs::path(store_dir) / (sig.ToHex() + ".dcpplan"));
+      StatusOr<std::pair<PlanSignature, BatchPlan>> decoded =
+          PlanStore::DecodeRecord(record);
+      ASSERT_TRUE(decoded.ok()) << "mutation " << i << " (seed " << kSeed
+                                << ") imported a record DecodeRecord rejects: "
+                                << decoded.status().ToString();
+      ASSERT_EQ(decoded.value().first, sig) << "mutation " << i << " (seed " << kSeed
+                                            << ") filed a record under another key";
+      ++imported_records;
+    }
+  }
+  std::printf("plan bundle fuzz: %d of %d mutations rejected, %d valid records imported\n",
+              rejected, kMutations, imported_records);
 }
 
 TEST_F(PlanStoreTest, PutLoadContainsAndReopen) {
@@ -810,7 +952,8 @@ TEST_F(PlanStoreTest, EngineSkipsCorruptStoreRecordAndRecovers) {
 // Stores are caches, so a record from an older format is not decoded: it is skipped
 // as corrupt, replanned, and rewritten in the current format. Version 1 is the
 // pre-slim IR; version 2 is the varint device section that column-packed devices
-// (version 3) replaced.
+// (version 3) replaced; versions 1-3 wrapped the plan payload in a {u32 tag, u64
+// length} section that version 4 dropped.
 TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
   Rng rng(19);
   const GeneratedCase c = GenerateCase(rng);
@@ -819,18 +962,16 @@ TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
   cluster.devices_per_node = 2;
   const MaskSpec spec = SmallMaskSpec(c.mask_kind);
 
-  for (const uint32_t version : {1u, 2u}) {
+  for (const uint32_t version : {1u, 2u, 3u}) {
     SCOPED_TRACE("record version " + std::to_string(version));
     EngineOptions engine_options;
     engine_options.planner = MakeOptions(c);
     engine_options.planner_threads = 1;
-    engine_options.plan_store_path = StorePath(version == 1 ? "v1" : "v2");
+    engine_options.plan_store_path = StorePath(("v" + std::to_string(version)).c_str());
     {
       Engine writer(cluster, engine_options);
       ASSERT_TRUE(writer.Plan(c.seqlens, spec).ok());
     }
-    // Rewrite the record's version word, and the plan payload's, under a valid
-    // checksum, so the versions are the only thing wrong with it.
     const PlanSignature sig = ComputePlanSignature(c.seqlens, spec, cluster,
                                                    engine_options.planner);
     const fs::path record_path =
@@ -841,20 +982,26 @@ TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
       record.assign(std::istreambuf_iterator<char>(in),
                     std::istreambuf_iterator<char>());
     }
-    // Header (28 bytes), plan section tag and length (12), then "DCPB" + version.
-    constexpr size_t kPayloadVersionAt = 28 + 12 + 4;
-    ASSERT_GT(record.size(), kPayloadVersionAt + 4);
-    ASSERT_EQ(record.substr(8, 4), std::string("\x03\x00\x00\x00", 4));
-    ASSERT_EQ(record.substr(kPayloadVersionAt - 4, 8),
-              std::string("DCPB\x03\x00\x00\x00", 8));
-    const std::string word{static_cast<char>(version), '\0', '\0', '\0'};
-    record.replace(8, 4, word);
-    record.replace(kPayloadVersionAt, 4, word);
-    const size_t body_end = record.size() - 4;
-    const uint32_t crc = Crc32(std::string_view(record).substr(0, body_end));
-    for (int i = 0; i < 4; ++i) {
-      record[body_end + static_cast<size_t>(i)] = static_cast<char>(crc >> (8 * i));
-    }
+    // Header (28 bytes), then the payload: "DCPB" + its version.
+    ASSERT_GT(record.size(), 28u + 8u + 4u);
+    ASSERT_EQ(record.substr(8, 4), std::string("\x04\x00\x00\x00", 4));
+    ASSERT_EQ(record.substr(28, 8), std::string("DCPB\x03\x00\x00\x00", 8));
+    // Rebuild it as that version wrote it: its version word, the payload inside the
+    // plan section with the payload's version word set to the plan format of its day,
+    // and a valid checksum, so the versions are the only thing wrong with it.
+    std::string payload = record.substr(28, record.size() - 28 - 4);
+    ByteWriter version_word;
+    version_word.U32(version);
+    payload.replace(4, 4, version_word.view());
+    ByteWriter old;
+    old.Bytes(std::string_view(record).substr(0, 8));
+    old.U32(version);
+    old.Bytes(std::string_view(record).substr(12, 16));
+    old.U32(/*plan section tag=*/1);
+    old.U64(payload.size());
+    old.Bytes(payload);
+    old.U32(Crc32(old.view()));
+    record = old.Take();
     {
       std::ofstream out(record_path, std::ios::binary | std::ios::trunc);
       out << record;
@@ -863,9 +1010,10 @@ TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
 
     {
       Engine reader(cluster, engine_options);
-      StatusOr<Engine::PlannedOutcome> outcome = reader.PlanDetailed(c.seqlens, spec);
-      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      EXPECT_EQ(outcome.value().origin, PlanOrigin::kFresh);
+      PlanOrigin origin = PlanOrigin::kMemoryCache;
+      StatusOr<PlanHandle> plan = reader.PlanWithBlockSize(c.seqlens, spec, 0, &origin);
+      ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+      EXPECT_EQ(origin, PlanOrigin::kFresh);
       const PlanCacheStats stats = reader.cache_stats();
       EXPECT_EQ(stats.store_corrupt_skipped, 1);
       EXPECT_EQ(stats.store_hits, 0);
@@ -873,9 +1021,10 @@ TEST_F(PlanStoreTest, OlderRecordVersionIsReplannedAndRewritten) {
     }
 
     Engine rewritten(cluster, engine_options);
-    StatusOr<Engine::PlannedOutcome> warm = rewritten.PlanDetailed(c.seqlens, spec);
+    PlanOrigin origin = PlanOrigin::kFresh;
+    StatusOr<PlanHandle> warm = rewritten.PlanWithBlockSize(c.seqlens, spec, 0, &origin);
     ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-    EXPECT_EQ(warm.value().origin, PlanOrigin::kStoreCache);
+    EXPECT_EQ(origin, PlanOrigin::kStoreCache);
     EXPECT_EQ(rewritten.cache_stats().store_hits, 1);
     EXPECT_EQ(rewritten.cache_stats().store_corrupt_skipped, 0);
   }
